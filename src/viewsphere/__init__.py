@@ -46,10 +46,8 @@ from .predict import (
     write_predictions,
 )
 from .render import (
-    BoundingVolumeHierarchy,
     DepthImage,
     RenderConfig,
-    build_bvh,
     camera_rays,
     ray_triangle_hits,
     read_pgm,

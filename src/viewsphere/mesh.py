@@ -1,4 +1,4 @@
-"""Triangle meshes: OFF parsing/writing, unit-cube normalization, vertex noise."""
+"""Triangle meshes: OFF parsing/writing, unit-cube normalization, vertex noise, pair chunking."""
 
 from __future__ import annotations
 
@@ -54,6 +54,26 @@ class TriangleMesh:
         if len(self.vertices) == 0:
             raise DegenerateGeometryError("mesh has no vertices")
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
+
+
+def pair_chunks(counts: np.ndarray, chunk_size: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Enumerate (triangle, candidate) pairs in blocks of at most ``chunk_size``.
+
+    Triangle ``i`` owns ``counts[i]`` candidates, numbered ``0..counts[i]-1``,
+    and pairs run in triangle order, so a triangle may span blocks. Each block
+    is ``(tris, span, k)``: the slice of triangles it touches, the number of
+    pairs each of them has in the block, and the candidate number of every
+    pair. ``np.repeat(x[..., tris], span, axis=-1)`` expands a per-triangle
+    array ``x`` to the block's pairs.
+    """
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if len(ends) else 0
+    for p0 in range(0, total, chunk_size):
+        p1 = min(p0 + chunk_size, total)
+        tris = slice(int(np.searchsorted(ends, p0, side="right")), int(np.searchsorted(ends, p1 - 1, side="right")) + 1)
+        span = np.minimum(ends[tris], p1) - np.maximum(starts[tris], p0)
+        yield tris, span, np.arange(p0, p1) - np.repeat(starts[tris], span)
 
 
 def _logical_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:

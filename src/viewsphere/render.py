@@ -1,19 +1,23 @@
-"""Deterministic orthographic depth rendering by ray casting against a BVH."""
+"""Deterministic orthographic depth rendering by batched ray/triangle tests."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .mesh import MeshError, TriangleMesh, assert_normalized
+from .mesh import TriangleMesh, assert_normalized, pair_chunks
 from .viewrig import Viewpoint
 
 IMAGE_SIZE = 224
 VIEW_SQUARE_SIZE = 1.9
-LEAF_SIZE = 4
+
+#: Triangles whose padded pixel rectangle holds more pixels than this are
+#: tested on the rectangle itself; smaller ones are batched into pairs.
+_LARGE_RECT = 1024
+#: (triangle, pixel) pairs per batched kernel call; small blocks keep memory flat.
+_PAIR_CHUNK = 4096
 
 BACKGROUND_CODE = 0
 NEAR_CODE = 255
@@ -57,70 +61,35 @@ class DepthImage:
         return self.pixels.shape[1]
 
 
-@dataclass
-class BvhNode:
-    box_min: np.ndarray
-    box_max: np.ndarray
-    left: "BvhNode | None" = None
-    right: "BvhNode | None" = None
-    triangle_indices: np.ndarray | None = None
+def _triangle_terms(direction, v0, v1, v2):
+    """Moller-Trumbore terms that depend only on the triangle and the ray direction.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.triangle_indices is not None
-
-
-@dataclass
-class BoundingVolumeHierarchy:
-    """Binary tree of axis-aligned boxes over triangle indices; leaves hold <= leaf_size."""
-
-    root: BvhNode
-    triangles: np.ndarray
-    leaf_size: int
-
-
-def build_bvh(mesh: TriangleMesh, leaf_size: int = LEAF_SIZE) -> BoundingVolumeHierarchy:
-    """Median-split BVH over the mesh triangles. Deterministic for a given mesh."""
-    tris = mesh.triangles
-    if len(tris) == 0:
-        raise MeshError("cannot build a BVH over an empty mesh")
-    tri_min = tris.min(axis=1)
-    tri_max = tris.max(axis=1)
-    centroids = tris.mean(axis=1)
-
-    def _build(idx: np.ndarray) -> BvhNode:
-        bmin = tri_min[idx].min(axis=0)
-        bmax = tri_max[idx].max(axis=0)
-        if len(idx) <= leaf_size:
-            return BvhNode(bmin, bmax, triangle_indices=idx)
-        axis = int(np.argmax(bmax - bmin))
-        order = idx[np.argsort(centroids[idx, axis], kind="stable")]
-        half = len(order) // 2
-        return BvhNode(bmin, bmax, left=_build(order[:half]), right=_build(order[half:]))
-
-    return BoundingVolumeHierarchy(_build(np.arange(len(tris))), tris, leaf_size)
-
-
-def ray_triangle_hits(ox, oy, oz, direction, v0, v1, v2):
-    """Moller-Trumbore distances for a bundle of parallel rays; +inf where missed.
-
-    The component arithmetic is written out term by term so results are
-    bit-identical however the ray bundle is shaped or sliced. Degenerate
-    (zero-area) triangles never register hits.
+    Corners are indexed by their last axis, so ``v0`` may be one corner (3,)
+    or one corner per triangle (N, 3). Returns the rows
+    ``(v0, e1, e2, h = d x e2)`` as 12 components, and ``a = e1 . h``.
     """
     dx, dy, dz = (float(direction[0]), float(direction[1]), float(direction[2]))
-    e1x, e1y, e1z = (float(v1[0] - v0[0]), float(v1[1] - v0[1]), float(v1[2] - v0[2]))
-    e2x, e2y, e2z = (float(v2[0] - v0[0]), float(v2[1] - v0[1]), float(v2[2] - v0[2]))
+    v0x, v0y, v0z = v0[..., 0], v0[..., 1], v0[..., 2]
+    e1x, e1y, e1z = v1[..., 0] - v0x, v1[..., 1] - v0y, v1[..., 2] - v0z
+    e2x, e2y, e2z = v2[..., 0] - v0x, v2[..., 1] - v0y, v2[..., 2] - v0z
     hx = dy * e2z - dz * e2y
     hy = dz * e2x - dx * e2z
     hz = dx * e2y - dy * e2x
     a = e1x * hx + e1y * hy + e1z * hz
-    if a == 0.0:
-        return np.full(np.shape(ox), np.inf)
-    f = 1.0 / a
-    sx = ox - v0[0]
-    sy = oy - v0[1]
-    sz = oz - v0[2]
+    return np.array([v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z, hx, hy, hz]), a
+
+
+def _hits(ox, oy, oz, direction, terms):
+    """Distances along the rays for ``terms`` = the 12 triangle rows plus ``f = 1 / a``.
+
+    Each row is a scalar (one triangle against a bundle of rays) or an array
+    shaped like the rays (one triangle per ray).
+    """
+    dx, dy, dz = (float(direction[0]), float(direction[1]), float(direction[2]))
+    v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z, hx, hy, hz, f = terms
+    sx = ox - v0x
+    sy = oy - v0y
+    sz = oz - v0z
     u = f * (sx * hx + sy * hy + sz * hz)
     qx = sy * e1z - sz * e1y
     qy = sz * e1x - sx * e1z
@@ -129,6 +98,20 @@ def ray_triangle_hits(ox, oy, oz, direction, v0, v1, v2):
     t = f * (e2x * qx + e2y * qy + e2z * qz)
     hit = (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > 0.0)
     return np.where(hit, t, np.inf)
+
+
+def ray_triangle_hits(ox, oy, oz, direction, v0, v1, v2):
+    """Moller-Trumbore distances for parallel rays; +inf where missed.
+
+    ``v0``, ``v1``, ``v2`` are either one triangle's corners (3,), tested
+    against every ray, or per-pair corners (N, 3) matched to rays of shape
+    (N,). The component arithmetic is written out term by term, so results
+    are bit-identical however the pairs are shaped, sliced or ordered.
+    Degenerate (zero-area) triangles never register hits.
+    """
+    rows, a = _triangle_terms(direction, np.asarray(v0), np.asarray(v1), np.asarray(v2))
+    f = 1.0 / np.where(a != 0.0, a, np.nan)  # NaN fails every hit comparison
+    return _hits(ox, oy, oz, direction, (*rows, f))
 
 
 def _pixel_axes(config: RenderConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -140,45 +123,17 @@ def _pixel_axes(config: RenderConfig) -> tuple[np.ndarray, np.ndarray]:
     return ucoords, vcoords
 
 
+def _ray_origins(view: Viewpoint, config: RenderConfig) -> list[np.ndarray]:
+    """x, y and z of the per-pixel ray origins, each (h, w): position + u * right + v * up."""
+    right, up, _ = view.camera_frame()
+    ucoords, vcoords = _pixel_axes(config)
+    return [view.position[c] + ucoords[None, :] * right[c] + vcoords[:, None] * up[c] for c in range(3)]
+
+
 def camera_rays(view: Viewpoint, config: RenderConfig | None = None):
     """Orthographic per-pixel ray origins (h, w, 3) and the shared unit direction."""
-    cfg = config or RenderConfig()
-    right, up, toward = view.camera_frame()
-    ucoords, vcoords = _pixel_axes(cfg)
-    origins = (
-        view.position[None, None, :]
-        + ucoords[None, :, None] * right[None, None, :]
-        + vcoords[:, None, None] * up[None, None, :]
-    )
-    return origins, toward
-
-
-def _project_interval(box_min, box_max, axis) -> tuple[float, float]:
-    lo = 0.0
-    hi = 0.0
-    for i in range(3):
-        a = float(box_min[i]) * float(axis[i])
-        b = float(box_max[i]) * float(axis[i])
-        if a <= b:
-            lo += a
-            hi += b
-        else:
-            lo += b
-            hi += a
-    return lo, hi
-
-
-def _pixel_rect(node, right, up, ucoords, neg_vcoords, width, height):
-    """Conservative pixel rectangle covered by a node box, expanded by one pixel."""
-    umin, umax = _project_interval(node.box_min, node.box_max, right)
-    vmin, vmax = _project_interval(node.box_min, node.box_max, up)
-    c0 = max(int(np.searchsorted(ucoords, umin, side="left")) - 1, 0)
-    c1 = min(int(np.searchsorted(ucoords, umax, side="right")) + 1, width)
-    r0 = max(int(np.searchsorted(neg_vcoords, -vmax, side="left")) - 1, 0)
-    r1 = min(int(np.searchsorted(neg_vcoords, -vmin, side="right")) + 1, height)
-    if c0 >= c1 or r0 >= r1:
-        return None
-    return r0, r1, c0, c1
+    origins = np.stack(_ray_origins(view, config or RenderConfig()), axis=-1)
+    return origins, view.camera_frame()[2]
 
 
 def depth_codes(distances: np.ndarray, radius: float) -> np.ndarray:
@@ -193,48 +148,58 @@ def render_depth(
     mesh: TriangleMesh,
     view: Viewpoint,
     config: RenderConfig | None = None,
-    bvh: BoundingVolumeHierarchy | None = None,
 ) -> DepthImage:
     """Render one orthographic depth image by casting one ray per pixel center.
 
-    Traversal projects BVH boxes onto the image plane and intersects only the
-    covered pixel rectangles, which yields the same nearest hit per pixel as
-    testing every triangle. Bit-identical for identical inputs.
+    Each triangle is tested only against the pixels of its projected bounding
+    rectangle, padded by one pixel, which yields the same nearest hit per
+    pixel as testing every triangle against every pixel. Small rectangles are
+    batched into (triangle, pixel) pairs and reduced into the depth buffer
+    with ``np.minimum.at``; large ones run on their rectangle directly.
+    Bit-identical for identical inputs.
     """
     cfg = config or RenderConfig()
     if len(mesh.faces) == 0:
         return DepthImage(np.zeros((cfg.height, cfg.width), dtype=np.uint8))
     assert_normalized(mesh)
-    if bvh is None:
-        bvh = build_bvh(mesh)
 
-    right, up, _ = view.camera_frame()
+    right, up, direction = view.camera_frame()
+    tris = mesh.triangles
+    rows, a = _triangle_terms(direction, tris[:, 0], tris[:, 1], tris[:, 2])
+    valid = a != 0.0
+    tris = tris[valid]
+    terms = np.vstack([rows[:, valid], 1.0 / a[valid]])
+
+    # pixel rectangle of each triangle's projection, padded by one pixel
     ucoords, vcoords = _pixel_axes(cfg)
-    neg_vcoords = -vcoords
-    origins, direction = camera_rays(view, cfg)
-    ox = origins[..., 0]
-    oy = origins[..., 1]
-    oz = origins[..., 2]
+    x, y, z = tris[..., 0], tris[..., 1], tris[..., 2]
+    pu = x * right[0] + y * right[1] + z * right[2]
+    pv = x * up[0] + y * up[1] + z * up[2]
+    c0 = np.maximum(np.searchsorted(ucoords, pu.min(axis=1), side="left") - 1, 0)
+    c1 = np.minimum(np.searchsorted(ucoords, pu.max(axis=1), side="right") + 1, cfg.width)
+    r0 = np.maximum(np.searchsorted(-vcoords, -pv.max(axis=1), side="left") - 1, 0)
+    r1 = np.minimum(np.searchsorted(-vcoords, -pv.min(axis=1), side="right") + 1, cfg.height)
+    cols = np.maximum(c1 - c0, 0)
+    area = np.maximum(r1 - r0, 0) * cols
 
     tbuf = np.full((cfg.height, cfg.width), np.inf)
-    stack = [bvh.root]
-    while stack:
-        node = stack.pop()
-        rect = _pixel_rect(node, right, up, ucoords, neg_vcoords, cfg.width, cfg.height)
-        if rect is None:
-            continue
-        if node.is_leaf:
-            r0, r1, c0, c1 = rect
-            sub = tbuf[r0:r1, c0:c1]
-            for ti in node.triangle_indices:
-                v0, v1, v2 = bvh.triangles[ti]
-                t = ray_triangle_hits(
-                    ox[r0:r1, c0:c1], oy[r0:r1, c0:c1], oz[r0:r1, c0:c1], direction, v0, v1, v2
-                )
-                np.minimum(sub, t, out=sub)
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
+    ox, oy, oz = _ray_origins(view, cfg)
+    for i in np.flatnonzero(area > _LARGE_RECT):
+        rect = (slice(r0[i], r1[i]), slice(c0[i], c1[i]))
+        sub = tbuf[rect]
+        np.minimum(sub, _hits(ox[rect], oy[rect], oz[rect], direction, terms[:, i]), out=sub)
+
+    small = np.flatnonzero((area > 0) & (area <= _LARGE_RECT))
+    terms, cols = terms[:, small], cols[small]
+    corner = r0[small] * cfg.width + c0[small]
+    flat = tbuf.reshape(-1)
+    ox, oy, oz = ox.reshape(-1), oy.reshape(-1), oz.reshape(-1)
+    for block, span, k in pair_chunks(area[small], _PAIR_CHUNK):
+        row, col = np.divmod(k, np.repeat(cols[block], span))
+        pix = np.repeat(corner[block], span) + row * cfg.width + col
+        t = _hits(ox[pix], oy[pix], oz[pix], direction, np.repeat(terms[:, block], span, axis=1))
+        hit = t < np.inf
+        np.minimum.at(flat, pix[hit], t[hit])
 
     return DepthImage(depth_codes(tbuf, view.radius))
 
@@ -243,19 +208,9 @@ def render_all_views(
     mesh: TriangleMesh,
     rig: list[Viewpoint],
     config: RenderConfig | None = None,
-    workers: int = 1,
 ) -> list[DepthImage]:
-    """Render every rig viewpoint, ordered by view index.
-
-    The output is schedule-independent: each view renders into its own slot,
-    so parallel and serial runs are element-wise identical.
-    """
-    cfg = config or RenderConfig()
-    bvh = build_bvh(mesh) if len(mesh.faces) else None
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda v: render_depth(mesh, v, cfg, bvh), rig))
-    return [render_depth(mesh, view, cfg, bvh) for view in rig]
+    """Render every rig viewpoint, ordered by view index."""
+    return [render_depth(mesh, view, config) for view in rig]
 
 
 def write_pgm_array(pixels: np.ndarray, path: str | Path) -> None:

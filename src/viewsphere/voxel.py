@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import MeshError, TriangleMesh, assert_normalized
+from .mesh import MeshError, TriangleMesh, assert_normalized, pair_chunks
 
 INTERIOR_SIZE = 50
 PADDING = 3
@@ -56,38 +56,102 @@ class VoxelGrid:
 _TOUCH_EPS = 1e-12
 
 
-def _triangle_box_overlap(triangle: np.ndarray, centers: np.ndarray, half: float) -> np.ndarray:
-    """Separating-axis overlap of one triangle against many axis-aligned cubes.
+#: (triangle, cell) pairs per batched overlap test, and triangles whose axis
+#: tables are held at once; small blocks keep memory flat.
+_PAIR_CHUNK = 4096
+_TRIANGLE_BLOCK = 512
 
-    Boxes are closed: touching counts as overlap. ``centers`` is (M, 3),
-    ``half`` the half edge length. Returns a boolean mask of length M.
+
+def _separating_axes(tris: np.ndarray, half: float) -> list[np.ndarray]:
+    """Akenine-Moller's 13 triangle/box separating axes, one (7, T) table each.
+
+    The rows hold the axis components, the triangle's projected interval
+    ``lo, hi`` on the axis, and the cell's projected radius ``r`` (plus the
+    touch slack) and its negation. The triangle normal comes first because it
+    rejects the most candidate cells; the box normals and the nine edge cross
+    products follow. Every dot product is written out in three terms, so no
+    BLAS kernel decides the rounding.
     """
-    v0, v1, v2 = triangle
-    e0 = v1 - v0
-    e1 = v2 - v1
-    e2 = v0 - v2
-    normal = np.cross(e0, e1)
+    v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
+    e0, e1, e2 = v1 - v0, v2 - v1, v0 - v2
+    zero, one = np.zeros(len(tris)), np.ones(len(tris))
     axes = [
-        np.array([1.0, 0.0, 0.0]),
-        np.array([0.0, 1.0, 0.0]),
-        np.array([0.0, 0.0, 1.0]),
-        normal,
+        (
+            e0[:, 1] * e1[:, 2] - e0[:, 2] * e1[:, 1],
+            e0[:, 2] * e1[:, 0] - e0[:, 0] * e1[:, 2],
+            e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0],
+        ),
+        (one, zero, zero),
+        (zero, one, zero),
+        (zero, zero, one),
     ]
     for edge in (e0, e1, e2):
-        axes.append(np.array([0.0, -edge[2], edge[1]]))  # cross(x, edge)
-        axes.append(np.array([edge[2], 0.0, -edge[0]]))  # cross(y, edge)
-        axes.append(np.array([-edge[1], edge[0], 0.0]))  # cross(z, edge)
+        ex, ey, ez = edge[:, 0], edge[:, 1], edge[:, 2]
+        axes += [(zero, -ez, ey), (ez, zero, -ex), (-ey, ex, zero)]  # cross(x|y|z, edge)
 
-    alive = np.ones(len(centers), dtype=bool)
-    for axis in axes:
-        r = half * np.abs(axis).sum() + _TOUCH_EPS
-        q = (float(axis @ v0), float(axis @ v1), float(axis @ v2))
-        lo, hi = min(q), max(q)
-        s = centers @ axis
-        alive &= ~((lo - s > r) | (hi - s < -r))
-        if not alive.any():
-            break
-    return alive
+    tables = []
+    for ax, ay, az in axes:
+        q0, q1, q2 = (ax * v[:, 0] + ay * v[:, 1] + az * v[:, 2] for v in (v0, v1, v2))
+        lo = np.minimum(np.minimum(q0, q1), q2)
+        hi = np.maximum(np.maximum(q0, q1), q2)
+        r = half * (np.abs(ax) + np.abs(ay) + np.abs(az)) + _TOUCH_EPS
+        tables.append(np.stack([ax, ay, az, lo, hi, r, -r]))
+    return tables
+
+
+def _overlaps(table: np.ndarray, cx: np.ndarray, cy: np.ndarray, cz: np.ndarray) -> np.ndarray:
+    """Pairs whose cell and triangle are not separated along the axis of ``table``.
+
+    ``table`` holds one column per pair. Every term is finite, so the two
+    comparisons negate the separation test ``lo - s > r or hi - s < -r``.
+    """
+    ax, ay, az, lo, hi, r, neg_r = table
+    s = ax * cx + ay * cy + az * cz
+    return (lo - s <= r) & (hi - s >= neg_r)
+
+
+def _mark_surface(tris: np.ndarray, n: int, surface: np.ndarray) -> None:
+    """Set ``surface[(ix * n + iy) * n + iz]`` for every cell that a triangle touches.
+
+    Candidates are each triangle's bounding box of cells, one cell wider per
+    side. The normal axis rejects most of them; its survivors are regrouped
+    into full blocks before the other twelve axes.
+    """
+    cell = 1.0 / n
+    half = cell / 2.0
+    lo_idx = np.maximum(np.floor((tris.min(axis=1) + 0.5) / cell).astype(int) - 1, 0)
+    hi_idx = np.minimum(np.floor((tris.max(axis=1) + 0.5) / cell).astype(int) + 1, n - 1)
+    nx, ny, nz = np.maximum(hi_idx - lo_idx + 1, 0).T
+    per_tri = np.stack([ny * nz, nz, *lo_idx.T])
+    centers_1d = -0.5 + (np.arange(n) + 0.5) * cell
+    normal, *others = _separating_axes(tris, half)
+
+    def test_others(tri, cells, cx, cy, cz):
+        for table in others:
+            keep = _overlaps(table[:, tri], cx, cy, cz)
+            if not keep.all():
+                tri, cells, cx, cy, cz = tri[keep], cells[keep], cx[keep], cy[keep], cz[keep]
+        surface[cells] = True
+
+    held, n_held = [], 0
+    for block, span, k in pair_chunks(nx * ny * nz, _PAIR_CHUNK):
+        yz, z_len, x0, y0, z0 = np.repeat(per_tri[:, block], span, axis=1)
+        ix, rest = np.divmod(k, yz)
+        iy, iz = np.divmod(rest, z_len)
+        ix += x0
+        iy += y0
+        iz += z0
+        cx, cy, cz = centers_1d[ix], centers_1d[iy], centers_1d[iz]
+        keep = np.flatnonzero(_overlaps(np.repeat(normal[:, block], span, axis=1), cx, cy, cz))
+        tri = np.repeat(np.arange(block.start, block.stop), span)[keep]
+        cells = (ix[keep] * n + iy[keep]) * n + iz[keep]
+        held.append((tri, cells, cx[keep], cy[keep], cz[keep]))
+        n_held += len(keep)
+        if n_held >= _PAIR_CHUNK:
+            test_others(*map(np.concatenate, zip(*held)))
+            held, n_held = [], 0
+    if held:
+        test_others(*map(np.concatenate, zip(*held)))
 
 
 def voxelize(
@@ -114,25 +178,14 @@ def voxelize(
     assert_normalized(mesh)
 
     n = interior_size
-    cell = 1.0 / n
-    half = cell / 2.0
     dims = n + 2 * padding
     occ = np.zeros((dims, dims, dims), dtype=bool)
 
-    for tri in mesh.triangles:
-        bmin = tri.min(axis=0)
-        bmax = tri.max(axis=0)
-        lo_idx = np.maximum(np.floor((bmin + 0.5) / cell).astype(int) - 1, 0)
-        hi_idx = np.minimum(np.floor((bmax + 0.5) / cell).astype(int) + 1, n - 1)
-        if (lo_idx > hi_idx).any():
-            continue
-        ranges = [np.arange(lo_idx[a], hi_idx[a] + 1) for a in range(3)]
-        ix, iy, iz = np.meshgrid(*ranges, indexing="ij")
-        idx = np.stack([ix.ravel(), iy.ravel(), iz.ravel()], axis=1)
-        centers = -0.5 + (idx + 0.5) * cell
-        hit = _triangle_box_overlap(tri, centers, half)
-        sel = idx[hit] + padding
-        occ[sel[:, 0], sel[:, 1], sel[:, 2]] = True
+    surface = np.zeros(n**3, dtype=bool)
+    tris = mesh.triangles
+    for first in range(0, len(tris), _TRIANGLE_BLOCK):
+        _mark_surface(tris[first : first + _TRIANGLE_BLOCK], n, surface)
+    occ[padding : padding + n, padding : padding + n, padding : padding + n] = surface.reshape(n, n, n)
 
     if solid:
         _parity_fill(mesh, occ, n, padding)
@@ -151,7 +204,7 @@ def _parity_fill(mesh: TriangleMesh, occ: np.ndarray, n: int, padding: int) -> N
     yc, zc = np.meshgrid(centers_1d, centers_1d, indexing="ij")
     yc = yc.ravel()
     zc = zc.ravel()
-    crossings = [[] for _ in range(len(yc))]
+    rays, xs_hit = [], []
     for tri in mesh.triangles:
         (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = tri
         den = (y1 - y0) * (z2 - z0) - (z1 - z0) * (y2 - y0)
@@ -159,19 +212,23 @@ def _parity_fill(mesh: TriangleMesh, occ: np.ndarray, n: int, padding: int) -> N
             continue  # edge-on to the x direction
         a = ((yc - y0) * (z2 - z0) - (zc - z0) * (y2 - y0)) / den
         b = ((y1 - y0) * (zc - z0) - (z1 - z0) * (yc - y0)) / den
-        inside = (a >= 0.0) & (b >= 0.0) & (a + b <= 1.0)
-        xs = x0 + a * (x1 - x0) + b * (x2 - x0)
-        for ray in np.flatnonzero(inside):
-            crossings[ray].append(xs[ray])
-    for ray, xs in enumerate(crossings):
-        if not xs:
-            continue
-        # coplanar triangles sharing an edge report the same crossing twice
-        ordered = np.unique(np.array(xs))
-        parity = np.searchsorted(ordered, centers_1d, side="right") % 2
-        iy, iz = divmod(ray, n)
-        for ix in np.flatnonzero(parity == 1):
-            occ[padding + ix, padding + iy, padding + iz] = True
+        inside = np.flatnonzero((a >= 0.0) & (b >= 0.0) & (a + b <= 1.0))
+        rays.append(inside)
+        xs_hit.append((x0 + a * (x1 - x0) + b * (x2 - x0))[inside])
+    if not rays:
+        return
+    ray, xs = np.concatenate(rays), np.concatenate(xs_hit)
+    order = np.lexsort((xs, ray))
+    ray, xs = ray[order], xs[order]
+    # coplanar triangles sharing an edge report the same crossing twice
+    fresh = np.ones(len(ray), dtype=bool)
+    fresh[1:] = (ray[1:] != ray[:-1]) | (xs[1:] != xs[:-1])
+    ray, xs = ray[fresh], xs[fresh]
+    # a crossing at x flips the parity of every cell center at or beyond x
+    first_flipped = np.searchsorted(centers_1d, xs, side="left")
+    flips = np.bincount(ray * (n + 1) + first_flipped, minlength=n * n * (n + 1))
+    odd = np.cumsum(flips.reshape(n * n, n + 1)[:, :n], axis=1) % 2 == 1  # [iy * n + iz, ix]
+    occ[padding : padding + n, padding : padding + n, padding : padding + n] |= odd.reshape(n, n, n).transpose(2, 0, 1)
 
 
 def pool_voxels(grid: VoxelGrid, factor: int) -> np.ndarray:

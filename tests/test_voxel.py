@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import analytic_cube_shell, random_mesh, unit_cube_mesh
-from viewsphere.mesh import MeshError, TriangleMesh
+from oracles import (
+    analytic_cube_shell,
+    closed_cylinder_mesh,
+    random_mesh,
+    reference_parity_fill,
+    reference_voxelize,
+    unit_cube_mesh,
+    uv_sphere_mesh,
+)
+from viewsphere import synthetic, voxel
+from viewsphere.mesh import MeshError, TriangleMesh, load_off, normalize_to_unit_cube
 from viewsphere.voxel import VoxelGrid, load_grid, pool_voxels, save_grid, voxelize
 
 
@@ -75,6 +84,47 @@ def test_voxelize_rejects_bad_interior_size():
 def test_solid_fill_cube():
     grid = voxelize(unit_cube_mesh(), solid=True)
     assert grid.occupied_count == 50**3
+
+
+def test_batched_voxelize_matches_reference_on_random_meshes():
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        mesh = random_mesh(rng, int(rng.integers(5, 200)))
+        assert np.array_equal(voxelize(mesh).occupancy, reference_voxelize(mesh))
+
+
+def test_batched_voxelize_matches_reference_on_desk_primitives(tmp_path):
+    synthetic.generate_model_root(tmp_path, per_category=6, test_fraction=0.25, seed=0)
+    paths = sorted(tmp_path.rglob("*.off"))
+    assert len(paths) == 30
+    for path in paths:
+        mesh = normalize_to_unit_cube(load_off(path))
+        assert np.array_equal(voxelize(mesh).occupancy, reference_voxelize(mesh)), path.name
+
+
+def test_batched_voxelize_matches_reference_on_dense_sphere():
+    mesh = uv_sphere_mesh(40, radius=0.5)  # poles and equator touch the grid boundary
+    assert len(mesh.faces) >= 3000
+    assert np.array_equal(voxelize(mesh).occupancy, reference_voxelize(mesh))
+
+
+def test_batched_voxelize_matches_reference_across_tiny_blocks(monkeypatch):
+    monkeypatch.setattr(voxel, "_PAIR_CHUNK", 5)  # every triangle spans many blocks
+    mesh = unit_cube_mesh()
+    assert np.array_equal(voxelize(mesh).occupancy, reference_voxelize(mesh))
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [unit_cube_mesh(), uv_sphere_mesh(24), closed_cylinder_mesh(30)],
+    ids=["cube", "sphere", "cylinder"],
+)
+def test_parity_fill_matches_reference(mesh):
+    expected = voxelize(mesh).occupancy.copy()
+    reference_parity_fill(mesh, expected, 50, 3)
+    solid = voxelize(mesh, solid=True).occupancy
+    assert np.array_equal(solid, expected)
+    assert solid.sum() > voxelize(mesh).occupied_count  # the fill added interior cells
 
 
 def test_grid_validation():
