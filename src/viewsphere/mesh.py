@@ -195,10 +195,15 @@ def write_off(mesh: TriangleMesh, path: str | Path) -> None:
 UNIT_CUBE_TOL = 1e-9
 
 
+def is_normalized(mesh: TriangleMesh) -> bool:
+    """Whether the mesh bounding box lies within the unit cube (+tolerance)."""
+    lo, hi = mesh.bounds()
+    return not ((hi > 0.5 + UNIT_CUBE_TOL).any() or (lo < -0.5 - UNIT_CUBE_TOL).any())
+
+
 def assert_normalized(mesh: TriangleMesh) -> None:
     """Raise unless the mesh bounding box lies within the unit cube (+tolerance)."""
-    lo, hi = mesh.bounds()
-    if (hi > 0.5 + UNIT_CUBE_TOL).any() or (lo < -0.5 - UNIT_CUBE_TOL).any():
+    if not is_normalized(mesh):
         raise MeshError("mesh is not normalized to the unit cube")
 
 

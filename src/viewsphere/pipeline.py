@@ -19,10 +19,11 @@ from .entropy import (
     find_peaks,
     image_entropy,
     map_to_pgm_pixels,
+    top_n_views,
     write_map_csv,
 )
 from .fusion import FusedPrediction, PoseOffset, fuse
-from .mesh import TriangleMesh, UNIT_CUBE_TOL, add_gaussian_noise, load_off, normalize_to_unit_cube
+from .mesh import add_gaussian_noise, is_normalized, load_off, normalize_to_unit_cube
 from .predict import (
     KnnEntropyPredictor,
     KnnViewPredictor,
@@ -280,9 +281,7 @@ def run_recognition(
             emap = record.entropy_map()
         else:
             emap = entropy_source.predict_map(load_grid(record.voxel_path))
-        peaks = find_peaks(emap)
-        if max_views is not None:
-            peaks = peaks[:max_views]
+        peaks = find_peaks(emap) if max_views is None else top_n_views(emap, max_views)
         views = []
         for peak in peaks:
             idx = index_of(peak.ring, peak.azimuth)
@@ -441,13 +440,6 @@ def write_report(report: EvaluationReport, out_dir: str | Path) -> None:
                 writer.writerow([category, m])
 
 
-def _renormalize_if_needed(mesh: TriangleMesh) -> TriangleMesh:
-    lo, hi = mesh.bounds()
-    if (hi > 0.5 + UNIT_CUBE_TOL).any() or (lo < -0.5 - UNIT_CUBE_TOL).any():
-        return normalize_to_unit_cube(mesh)
-    return mesh
-
-
 def noise_sweep(
     records: Sequence[DatasetRecord],
     model_root: str | Path,
@@ -483,15 +475,15 @@ def noise_sweep(
             noise_seed = np.random.SeedSequence(
                 [seed, sigma_index, zlib.crc32(record.object_id.encode())]
             ).generate_state(1)[0]
-            noisy = _renormalize_if_needed(add_gaussian_noise(mesh, sigma, int(noise_seed)))
+            noisy = add_gaussian_noise(mesh, sigma, int(noise_seed))
+            if not is_normalized(noisy):
+                noisy = normalize_to_unit_cube(noisy)
             images = render_all_views(noisy, rig)
             if entropy_source == "oracle":
                 emap = entropy_map_from_views(images)
             else:
                 emap = entropy_source.predict_map(voxelize(noisy))
-            peaks = find_peaks(emap)
-            if max_views is not None:
-                peaks = peaks[:max_views]
+            peaks = find_peaks(emap) if max_views is None else top_n_views(emap, max_views)
             views = []
             for peak in peaks:
                 idx = index_of(peak.ring, peak.azimuth)

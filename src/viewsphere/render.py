@@ -1,4 +1,14 @@
-"""Deterministic orthographic depth rendering by batched ray/triangle tests."""
+"""Deterministic orthographic depth rendering by batched ray/triangle tests.
+
+Each view casts one ray per pixel center. A triangle is tested only against
+the pixel centers of its per-row spans: the rows, and on each row the
+columns, that lie within a guard ``g = K * eps * |e1| |e2| / |a| + floor`` of
+its projection. ``g`` bounds how far outside the exact triangle the rounded
+barycentric test of the kernel can accept a ray; :func:`_guard` derives it.
+All (triangle, pixel) pairs run through the one kernel, :func:`_hits`, in
+fixed-size blocks, and ``np.minimum.at`` keeps the nearest hit per pixel, so
+every image equals testing every triangle against every pixel.
+"""
 
 from __future__ import annotations
 
@@ -13,11 +23,12 @@ from .viewrig import Viewpoint
 IMAGE_SIZE = 224
 VIEW_SQUARE_SIZE = 1.9
 
-#: Triangles whose padded pixel rectangle holds more pixels than this are
-#: tested on the rectangle itself; smaller ones are batched into pairs.
-_LARGE_RECT = 1024
 #: (triangle, pixel) pairs per batched kernel call; small blocks keep memory flat.
 _PAIR_CHUNK = 4096
+#: Rounding guard ``g = _GUARD_K * eps * |e1| |e2| / |a| + _GUARD_FLOOR`` around
+#: each projected triangle, in world units; :func:`_guard` derives both values.
+_GUARD_K = 4096.0
+_GUARD_FLOOR = 1e-12
 
 BACKGROUND_CODE = 0
 NEAR_CODE = 255
@@ -123,11 +134,18 @@ def _pixel_axes(config: RenderConfig) -> tuple[np.ndarray, np.ndarray]:
     return ucoords, vcoords
 
 
-def _ray_origins(view: Viewpoint, config: RenderConfig) -> list[np.ndarray]:
-    """x, y and z of the per-pixel ray origins, each (h, w): position + u * right + v * up."""
+def _ray_origins(view: Viewpoint, config: RenderConfig, out: list | None = None) -> list[np.ndarray]:
+    """x, y and z of the per-pixel ray origins, each (h, w): position + u * right + v * up.
+
+    Fills the three planes of ``out`` in place when given.
+    """
     right, up, _ = view.camera_frame()
     ucoords, vcoords = _pixel_axes(config)
-    return [view.position[c] + ucoords[None, :] * right[c] + vcoords[:, None] * up[c] for c in range(3)]
+    if out is None:
+        out = [np.empty((config.height, config.width)) for _ in range(3)]
+    for c, plane in enumerate(out):
+        np.add(view.position[c] + ucoords[None, :] * right[c], vcoords[:, None] * up[c], out=plane)
+    return out
 
 
 def camera_rays(view: Viewpoint, config: RenderConfig | None = None):
@@ -144,64 +162,123 @@ def depth_codes(distances: np.ndarray, radius: float) -> np.ndarray:
     return np.where(hit, codes, BACKGROUND_CODE).astype(np.uint8)
 
 
+def _guard(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Per triangle, a distance in the image plane that holds every pixel ``_hits`` can accept.
+
+    ``_hits`` accepts a ray when its computed barycentrics pass ``u >= 0``,
+    ``v >= 0`` and ``u + v <= 1``. Rounding moves each of the three edges the
+    test sees. With machine epsilon ``eps``, ``s`` the ray origin minus
+    ``v0``, and ``kappa = |e1| |e2| / |a|`` (at least 1, large for triangles
+    seen edge-on), a first-order running error analysis gives:
+
+    - the components of ``h = d x e2`` are off by at most 1.5 eps |e2|, and
+      the dot products ``s . h`` and ``d . (s x e1)`` by at most
+      4.6 eps |s| |e2| and 4.6 eps |s| |e1|;
+    - ``a = e1 . h`` is off by at most 4.6 eps |e1| |e2|, so ``f = 1 / a``
+      carries a relative error of at most 5.1 eps kappa;
+    - an error ``du`` moves the edge ``u = 0`` by ``du`` times the height
+      ``|a| / |d x e2|`` of the triangle over that edge, and ``|e2|`` over
+      the projected length ``|d x e2|`` is at most ``kappa``; the same holds
+      for the other two edges. The relative error of ``f`` matters only on
+      ``u + v = 1``, where it moves the edge by 5.1 eps kappa times a height of
+      at most sqrt(3) (the unit cube's diagonal).
+
+    So every computed hit lies within ``eps * kappa * (9.2 |s| + 10)`` of the
+    exact projected triangle. With a view radius ``R`` and a view square of
+    side ``S``, ``|s| <= R + S / sqrt(2) + sqrt(3) / 2``: 4.2 for the default
+    rig, where the bound is 49 eps kappa. ``_GUARD_K`` = 4096 covers it 80
+    times over and stays a bound up to ``R`` = 440. ``_GUARD_FLOOR`` = 1e-12
+    covers the absolute rounding of the ray origins and of the projected
+    corners, a few eps ``(R + 1)``.
+
+    The guard stays near 1e-12 for ordinary triangles; it exceeds one pixel
+    of the default image (8.5e-3) only where ``kappa`` exceeds about 1e10.
+    """
+    e1 = np.sqrt(rows[3] * rows[3] + rows[4] * rows[4] + rows[5] * rows[5])
+    e2 = np.sqrt(rows[6] * rows[6] + rows[7] * rows[7] + rows[8] * rows[8])
+    return _GUARD_K * np.finfo(np.float64).eps * (e1 * e2 / np.abs(a)) + _GUARD_FLOOR
+
+
+def _row_spans(pu, pv, g, ucoords, vcoords):
+    """Yield ``(tri, first, n_cols)`` per (triangle, row) span, ``_PAIR_CHUNK`` rows at a time.
+
+    ``pu``, ``pv`` (T, 3) are the projected corners and ``g`` (T,) the
+    guards. A row is taken when its center ``y`` lies within ``g`` of the
+    triangle's v-extent. On it, each edge whose v-extent reaches within ``g``
+    of ``y`` meets the band ``[y - g, y + g]`` at u within ``|du/dv| g`` of
+    where it crosses ``y``; that interval, widened by ``g`` more for the
+    rounding of the crossing itself and clamped to the edge's own u-extent,
+    holds every point of the edge inside the band. The row's span covers
+    these intervals plus ``g`` on both sides, so it holds every pixel center
+    within ``g`` of the triangle. ``first`` is the flat index of the span's
+    first pixel.
+    """
+    neg_v = -vcoords  # ascending
+    r0 = np.searchsorted(neg_v, -(pv.max(axis=1) + g), side="left")
+    n_rows = np.maximum(np.searchsorted(neg_v, -(pv.min(axis=1) - g), side="right") - r0, 0)
+
+    # edges p -> q, one per row of each (3, T) field. A horizontal edge divides
+    # by 1 instead of 0 and takes an infinite width, which clamps it to its
+    # whole u-extent without forming inf * 0; fmax/fmin fall back to the
+    # u-extent should an overflowed slope make a crossing NaN.
+    pu, pv = pu.T, pv.T
+    qu, qv = np.roll(pu, -1, axis=0), np.roll(pv, -1, axis=0)
+    horizontal = pv == qv
+    slope = (qu - pu) / np.where(horizontal, 1.0, qv - pv)
+    width = g * np.where(horizontal, np.inf, np.abs(slope) + 1.0)  # |du/dv| g + g
+    v_extent = [np.minimum(pv, qv) - g, np.maximum(pv, qv) + g]
+    edges = [pu, pv, slope, width, *v_extent, np.minimum(pu, qu), np.maximum(pu, qu)]
+
+    for block, span, k in pair_chunks(n_rows, _PAIR_CHUNK):
+        tri = np.repeat(np.arange(block.start, block.stop), span)
+        row = np.repeat(r0[block], span) + k
+        y = vcoords[row]
+        e_pu, e_pv, e_slope, e_width, v_lo, v_hi, u_lo, u_hi = (np.take(field, tri, axis=1) for field in edges)
+        e_g = g[tri]
+        cross = e_pu + (y - e_pv) * e_slope
+        near = (v_lo <= y) & (y <= v_hi)
+        lo = np.where(near, np.fmax(cross - e_width, u_lo), np.inf).min(axis=0) - e_g
+        hi = np.where(near, np.fmin(cross + e_width, u_hi), -np.inf).max(axis=0) + e_g
+        col = np.searchsorted(ucoords, lo, side="left")
+        n_cols = np.maximum(np.searchsorted(ucoords, hi, side="right") - col, 0)
+        yield tri, row * len(ucoords) + col, n_cols
+
+
+def _cast_view(tris, view, config, origins, tbuf) -> None:
+    """Fold the nearest hit of every triangle into the flat depth buffer ``tbuf``.
+
+    ``origins`` holds the view's flat ray-origin planes. Candidate pairs
+    come from :func:`_row_spans` and run through ``_hits`` in blocks of at
+    most ``_PAIR_CHUNK``; ``np.minimum.at`` reduces them, and min is
+    order-independent, so the result equals testing every triangle against
+    every pixel.
+    """
+    right, up, direction = view.camera_frame()
+    rows, a = _triangle_terms(direction, tris[:, 0], tris[:, 1], tris[:, 2])
+    valid = a != 0.0
+    tris, rows, a = tris[valid], rows[:, valid], a[valid]
+    terms = np.vstack([rows, 1.0 / a])
+
+    x, y, z = tris[..., 0], tris[..., 1], tris[..., 2]
+    pu = x * right[0] + y * right[1] + z * right[2]
+    pv = x * up[0] + y * up[1] + z * up[2]
+    ox, oy, oz = origins
+    for tri, first, n_cols in _row_spans(pu, pv, _guard(rows, a), *_pixel_axes(config)):
+        for block, span, k in pair_chunks(n_cols, _PAIR_CHUNK):
+            pix = np.repeat(first[block], span) + k
+            pair_terms = np.take(terms, np.repeat(tri[block], span), axis=1)
+            t = _hits(ox[pix], oy[pix], oz[pix], direction, pair_terms)
+            hit = t < np.inf
+            np.minimum.at(tbuf, pix[hit], t[hit])
+
+
 def render_depth(
     mesh: TriangleMesh,
     view: Viewpoint,
     config: RenderConfig | None = None,
 ) -> DepthImage:
-    """Render one orthographic depth image by casting one ray per pixel center.
-
-    Each triangle is tested only against the pixels of its projected bounding
-    rectangle, padded by one pixel, which yields the same nearest hit per
-    pixel as testing every triangle against every pixel. Small rectangles are
-    batched into (triangle, pixel) pairs and reduced into the depth buffer
-    with ``np.minimum.at``; large ones run on their rectangle directly.
-    Bit-identical for identical inputs.
-    """
-    cfg = config or RenderConfig()
-    if len(mesh.faces) == 0:
-        return DepthImage(np.zeros((cfg.height, cfg.width), dtype=np.uint8))
-    assert_normalized(mesh)
-
-    right, up, direction = view.camera_frame()
-    tris = mesh.triangles
-    rows, a = _triangle_terms(direction, tris[:, 0], tris[:, 1], tris[:, 2])
-    valid = a != 0.0
-    tris = tris[valid]
-    terms = np.vstack([rows[:, valid], 1.0 / a[valid]])
-
-    # pixel rectangle of each triangle's projection, padded by one pixel
-    ucoords, vcoords = _pixel_axes(cfg)
-    x, y, z = tris[..., 0], tris[..., 1], tris[..., 2]
-    pu = x * right[0] + y * right[1] + z * right[2]
-    pv = x * up[0] + y * up[1] + z * up[2]
-    c0 = np.maximum(np.searchsorted(ucoords, pu.min(axis=1), side="left") - 1, 0)
-    c1 = np.minimum(np.searchsorted(ucoords, pu.max(axis=1), side="right") + 1, cfg.width)
-    r0 = np.maximum(np.searchsorted(-vcoords, -pv.max(axis=1), side="left") - 1, 0)
-    r1 = np.minimum(np.searchsorted(-vcoords, -pv.min(axis=1), side="right") + 1, cfg.height)
-    cols = np.maximum(c1 - c0, 0)
-    area = np.maximum(r1 - r0, 0) * cols
-
-    tbuf = np.full((cfg.height, cfg.width), np.inf)
-    ox, oy, oz = _ray_origins(view, cfg)
-    for i in np.flatnonzero(area > _LARGE_RECT):
-        rect = (slice(r0[i], r1[i]), slice(c0[i], c1[i]))
-        sub = tbuf[rect]
-        np.minimum(sub, _hits(ox[rect], oy[rect], oz[rect], direction, terms[:, i]), out=sub)
-
-    small = np.flatnonzero((area > 0) & (area <= _LARGE_RECT))
-    terms, cols = terms[:, small], cols[small]
-    corner = r0[small] * cfg.width + c0[small]
-    flat = tbuf.reshape(-1)
-    ox, oy, oz = ox.reshape(-1), oy.reshape(-1), oz.reshape(-1)
-    for block, span, k in pair_chunks(area[small], _PAIR_CHUNK):
-        row, col = np.divmod(k, np.repeat(cols[block], span))
-        pix = np.repeat(corner[block], span) + row * cfg.width + col
-        t = _hits(ox[pix], oy[pix], oz[pix], direction, np.repeat(terms[:, block], span, axis=1))
-        hit = t < np.inf
-        np.minimum.at(flat, pix[hit], t[hit])
-
-    return DepthImage(depth_codes(tbuf, view.radius))
+    """Render one orthographic depth image; see :func:`render_all_views`."""
+    return render_all_views(mesh, [view], config)[0]
 
 
 def render_all_views(
@@ -209,8 +286,33 @@ def render_all_views(
     rig: list[Viewpoint],
     config: RenderConfig | None = None,
 ) -> list[DepthImage]:
-    """Render every rig viewpoint, ordered by view index."""
-    return [render_depth(mesh, view, config) for view in rig]
+    """Render every rig viewpoint, ordered by view index, one ray per pixel center.
+
+    Each triangle is tested only against the pixels of its per-row spans:
+    the pixel centers within a rounding guard (:func:`_guard`) of its
+    projection, so every pixel the kernel could hit is tested and the
+    nearest hit per pixel equals testing every triangle against every pixel.
+    The depth buffer and the ray-origin planes are allocated once per call
+    and reused across views. Bit-identical for identical inputs.
+    """
+    cfg = config or RenderConfig()
+    if len(mesh.faces) == 0:
+        return [DepthImage(np.zeros((cfg.height, cfg.width), dtype=np.uint8)) for _ in rig]
+    assert_normalized(mesh)
+
+    tris = mesh.triangles
+    planes = [np.empty((cfg.height, cfg.width)) for _ in range(3)]
+    tbuf = np.empty(cfg.height * cfg.width)
+    images = []
+    for view in rig:
+        _ray_origins(view, cfg, out=planes)
+        tbuf.fill(np.inf)
+        _cast_view(tris, view, cfg, [p.reshape(-1) for p in planes], tbuf)
+        codes = np.zeros(cfg.height * cfg.width, dtype=np.uint8)
+        hit = np.flatnonzero(tbuf < np.inf)
+        codes[hit] = depth_codes(tbuf[hit], view.radius)
+        images.append(DepthImage(codes.reshape(cfg.height, cfg.width)))
+    return images
 
 
 def write_pgm_array(pixels: np.ndarray, path: str | Path) -> None:

@@ -79,7 +79,7 @@ def brute_force_render(mesh: TriangleMesh, view, config: RenderConfig | None = N
 
     Shares the ray/triangle kernel with the renderer (the bit-exactness
     contract requires identical per-pair arithmetic) but tests every triangle
-    against every pixel instead of only the pixels of its projected rectangle.
+    against every pixel instead of only the pixels of its guarded per-row spans.
     """
     cfg = config or RenderConfig()
     origins, direction = camera_rays(view, cfg)

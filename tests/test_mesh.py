@@ -7,6 +7,7 @@ from viewsphere.mesh import (
     OffParseError,
     TriangleMesh,
     add_gaussian_noise,
+    is_normalized,
     load_off,
     normalize_to_unit_cube,
     parse_off,
@@ -131,6 +132,14 @@ def test_normalize_cube_span():
     lo, hi = out.bounds()
     assert np.allclose(lo, [-0.5, -0.5, -0.5], atol=1e-15)
     assert np.allclose(hi, [0.5, 0.5, 0.5], atol=1e-15)
+    assert is_normalized(out) and not is_normalized(mesh)
+
+
+def test_is_normalized_tolerance():
+    faces = np.array([[0, 1, 2]])
+    corner = np.array([[0.0, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
+    assert is_normalized(TriangleMesh(corner + [0.5 + 1e-10, 0.0, 0.0], faces))
+    assert not is_normalized(TriangleMesh(corner + [0.0, 0.0, -0.5 - 1e-8], faces))
 
 
 def test_normalize_preserves_aspect():

@@ -41,7 +41,7 @@ def test_render_bit_deterministic():
     assert np.array_equal(a.pixels, b.pixels)
 
 
-def test_bvh_matches_brute_force_exactly():
+def test_random_meshes_match_brute_force_exactly():
     rng = np.random.default_rng(1)
     for _ in range(5):
         mesh = random_mesh(rng, int(rng.integers(5, 120)))
@@ -67,7 +67,7 @@ def test_ray_triangle_hits_accepts_per_pair_corners():
 
 
 def _mixed_mesh():
-    """The unit cube (large rectangles), 100 small random triangles (pairs), a
+    """The unit cube (faces spanning many rows), 100 small random triangles, a
     zero-area triangle, and a big triangle that the narrow view square clips."""
     rng = np.random.default_rng(6)
     parts = [unit_cube_mesh(), random_mesh(rng, 100, radius=0.4)]
@@ -91,10 +91,10 @@ def mixed_mesh_and_oracle():
 
 
 @pytest.mark.parametrize("pair_chunk", [None, 7])
-def test_both_render_paths_match_brute_force_on_all_views(mixed_mesh_and_oracle, monkeypatch, pair_chunk):
+def test_mixed_mesh_matches_brute_force_on_all_views(mixed_mesh_and_oracle, monkeypatch, pair_chunk):
     mesh, oracle = mixed_mesh_and_oracle
     if pair_chunk is not None:
-        monkeypatch.setattr(render, "_PAIR_CHUNK", pair_chunk)  # triangles span blocks
+        monkeypatch.setattr(render, "_PAIR_CHUNK", pair_chunk)  # triangles and rows span blocks
     for view, expected in zip(build_rig(), oracle):
         assert np.array_equal(render_depth(mesh, view, _NARROW).pixels, expected.pixels), view
 
@@ -120,14 +120,56 @@ def test_z_symmetric_mesh_flips_across_rings():
             assert np.array_equal(a, np.flipud(b))
 
 
-def test_render_all_views_order_and_parallel_determinism():
+def test_render_all_views_matches_single_view_renders():
     rng = np.random.default_rng(4)
     mesh = random_mesh(rng, 40)
     rig = build_rig()
-    serial = render_all_views(mesh, rig)
-    assert len(serial) == 60
-    one = render_depth(mesh, rig[23])
-    assert np.array_equal(serial[23].pixels, one.pixels)
+    batch = render_all_views(mesh, rig)
+    assert len(batch) == 60
+    # the batch reuses its buffers across views; a stale one would leak into the next view
+    for view, image in zip(rig, batch):
+        assert np.array_equal(image.pixels, render_depth(mesh, view).pixels), view
+
+
+def _guard_mesh():
+    """Triangles whose candidate pixels hinge on the renderer's rounding guard.
+
+    - Corners on pixel centers of the axis-aligned view (ring 2, azimuth 0,
+      where image u = +y and v = +z), with horizontal, vertical and diagonal
+      edges running through pixel centers.
+    - Slivers with one edge nearly along the view direction of a rig view,
+      ``|e1| |e2| / |a|`` from 1e2 to 1e12, shifted so that a pixel center
+      lies 0.1 eps ``|e1| |e2| / |a|`` outside that edge, where only the
+      kernel's rounding decides whether it is hit.
+    """
+    ucoords, vcoords = render._pixel_axes(RenderConfig())
+    tris = []
+    for n, (j, i) in enumerate([(60, 60), (100, 80), (140, 120), (70, 150), (150, 65), (111, 111)]):
+        x, s = -0.3 + 0.1 * n, 3 + 2 * n
+        lower, upper = [(j, i), (j + s, i), (j, i + s)], [(j + s, i + s), (j + s, i), (j, i + s)]
+        for depth, corners in [(x, lower), (x + 0.05, upper)]:
+            tris.append([[depth, ucoords[c], vcoords[r]] for c, r in corners])
+    rig = build_rig()
+    eps = np.finfo(np.float64).eps
+    for n, kappa in enumerate(10.0 ** np.arange(2.0, 12.5, 0.5)):
+        right, up, toward = rig[(7 * n + 3) % 60].camera_frame()
+        i, j = 96 + n % 5, 100 + (3 * n) % 7
+        p0 = ucoords[j] * right + vcoords[i] * up - 0.15 * toward
+        p1 = ucoords[j + 12 + n % 3] * right + vcoords[i + 6] * up
+        along = (p1 - p0) - ((p1 - p0) @ toward) * toward
+        along /= np.linalg.norm(along)
+        p2 = p0 + 0.3 * toward + 0.3 / kappa * np.cross(toward, along)  # p0 -> p2 nearly end-on
+        # shifted so that the pixel center at p0 falls just outside the edge p0 -> p2
+        corners = [c + 0.1 * eps * kappa * along for c in (p0, p1, p2)]
+        tris.append([corners[(k + n) % 3] for k in range(3)])  # the edge takes each of the kernel's three roles
+    tris = np.array(tris)
+    return TriangleMesh(tris.reshape(-1, 3), np.arange(3 * len(tris)).reshape(-1, 3))
+
+
+def test_guard_mesh_matches_brute_force_on_all_views():
+    mesh = _guard_mesh()
+    for view, image in zip(build_rig(), render_all_views(mesh, build_rig())):
+        assert np.array_equal(image.pixels, brute_force_render(mesh, view).pixels), view
 
 
 def test_cylinder_yaw_invariant_foreground():

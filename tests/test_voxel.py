@@ -111,13 +111,16 @@ def test_batched_voxelize_matches_reference_on_dense_sphere():
 def test_batched_voxelize_matches_reference_across_tiny_blocks(monkeypatch):
     monkeypatch.setattr(voxel, "_PAIR_CHUNK", 5)  # every triangle spans many blocks
     mesh = unit_cube_mesh()
-    assert np.array_equal(voxelize(mesh).occupancy, reference_voxelize(mesh))
+    expected = reference_voxelize(mesh)
+    assert np.array_equal(voxelize(mesh).occupancy, expected)
+    reference_parity_fill(mesh, expected, 50, 3)
+    assert np.array_equal(voxelize(mesh, solid=True).occupancy, expected)
 
 
 @pytest.mark.parametrize(
     "mesh",
-    [unit_cube_mesh(), uv_sphere_mesh(24), closed_cylinder_mesh(30)],
-    ids=["cube", "sphere", "cylinder"],
+    [unit_cube_mesh(), uv_sphere_mesh(24), closed_cylinder_mesh(30), uv_sphere_mesh(40)],
+    ids=["cube", "sphere", "cylinder", "sphere3120"],
 )
 def test_parity_fill_matches_reference(mesh):
     expected = voxelize(mesh).occupancy.copy()
