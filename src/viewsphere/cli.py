@@ -12,7 +12,13 @@ from pathlib import Path
 from . import pipeline
 from .entropy import find_peaks, read_map_csv, top_n_views, write_map_csv
 from .mesh import MeshError, load_off, normalize_to_unit_cube
-from .predict import load_predictor, oracle_entropy_predictor, read_predictions
+from .predict import (
+    EntropyPredictor,
+    ViewPredictor,
+    load_predictor,
+    oracle_entropy_predictor,
+    read_predictions,
+)
 from .viewrig import index_of
 from .voxel import load_grid
 
@@ -20,8 +26,10 @@ from .voxel import load_grid
 def _fraction(text: str) -> float:
     """Parse '0.25' or '1/3' style fractions."""
     if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
+        num, den = (float(tok) for tok in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return num / den
     return float(text)
 
 
@@ -41,29 +49,6 @@ def _read_config(path: str) -> dict[str, str]:
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
     return values
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Let config values replace defaults; explicit CLI flags keep precedence."""
-    if not getattr(args, "config", None):
-        return
-    config = _read_config(args.config)
-    converters = {
-        "subsample": _fraction,
-        "sigmas": _sigma_list,
-        "workers": int,
-        "seed": int,
-        "k": int,
-        "max_views": int,
-        "top": int,
-    }
-    for key, raw in config.items():
-        if not hasattr(args, key) or key == "config":
-            continue
-        if getattr(args, key) != parser.get_default(key):
-            continue  # explicitly set on the command line
-        convert = converters.get(key, str)
-        setattr(args, key, convert(raw))
 
 
 def _cmd_build_dataset(args) -> int:
@@ -96,10 +81,7 @@ def _cmd_predict_map(args) -> int:
     else:
         if not (args.grid and args.model):
             raise ValueError("provide --grid and --model, or --mesh with --oracle")
-        predictor = load_predictor(args.model)
-        if not hasattr(predictor, "predict_map"):
-            raise ValueError(f"{args.model} is not an entropy predictor")
-        emap = predictor.predict_map(load_grid(args.grid))
+        emap = _load_model(args.model, EntropyPredictor).predict_map(load_grid(args.grid))
     write_map_csv(emap, args.out)
     print(f"wrote entropy map to {args.out}")
     return 0
@@ -107,7 +89,7 @@ def _cmd_predict_map(args) -> int:
 
 def _cmd_best_views(args) -> int:
     emap = read_map_csv(args.map)
-    peaks = top_n_views(emap, args.top) if args.top else find_peaks(emap)
+    peaks = top_n_views(emap, args.top) if args.top is not None else find_peaks(emap)
     lines = [
         f"{index_of(p.ring, p.azimuth):2d} ring={p.ring} azimuth={p.azimuth} "
         f"phi={30 * (p.ring + 1)} theta={30 * p.azimuth} entropy={p.value:.6f}"
@@ -119,14 +101,20 @@ def _cmd_best_views(args) -> int:
     return 0
 
 
+def _load_model(path: str, kind: type[EntropyPredictor] | type[ViewPredictor]):
+    """Load a saved predictor and check that it is of the given kind."""
+    model = load_predictor(path)
+    if not isinstance(model, kind):
+        noun = "an entropy" if kind is EntropyPredictor else "a view"
+        raise ValueError(f"{path} is not {noun} predictor")
+    return model
+
+
 def _load_view_source(args):
     if bool(args.view_model) == bool(args.predictions):
         raise ValueError("provide exactly one of --view-model or --predictions")
     if args.view_model:
-        predictor = load_predictor(args.view_model)
-        if not hasattr(predictor, "predict"):
-            raise ValueError(f"{args.view_model} is not a view predictor")
-        return predictor
+        return _load_model(args.view_model, ViewPredictor)
     return {(r.object_id, r.view_index): r.prediction for r in read_predictions(args.predictions)}
 
 
@@ -135,10 +123,7 @@ def _load_entropy_source(args):
         return "oracle"
     if not args.entropy_model:
         raise ValueError("--entropy knn requires --entropy-model")
-    predictor = load_predictor(args.entropy_model)
-    if not hasattr(predictor, "predict_map"):
-        raise ValueError(f"{args.entropy_model} is not an entropy predictor")
-    return predictor
+    return _load_model(args.entropy_model, EntropyPredictor)
 
 
 def _cmd_recognize(args) -> int:
@@ -293,12 +278,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # config values become defaults, which argparse converts with each
+            # flag's type; a second parse lets every explicit flag win
+            config = _read_config(args.config)
+            args._parser.set_defaults(**{k: v for k, v in config.items() if k in vars(args)})
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for partial skips
         return 1 if exc.code else 0
-    try:
-        _apply_config(args, args._parser)
-        return args.func(args)
     except (ValueError, MeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

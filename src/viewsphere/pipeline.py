@@ -9,7 +9,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,14 +25,16 @@ from .entropy import (
 from .fusion import FusedPrediction, PoseOffset, fuse
 from .mesh import add_gaussian_noise, is_normalized, load_off, normalize_to_unit_cube
 from .predict import (
+    EntropyPredictor,
     KnnEntropyPredictor,
     KnnViewPredictor,
     ViewPrediction,
+    ViewPredictor,
     knn_entropy_predictor_train,
     knn_view_predictor_train,
 )
 from .render import read_pgm, render_all_views, write_pgm_array
-from .viewrig import N_VIEWS, build_rig, index_of
+from .viewrig import N_VIEWS, Viewpoint, build_rig
 from .voxel import load_grid, save_grid, voxelize
 
 DEFAULT_SIGMAS = (0.02, 0.04, 0.06, 0.08, 0.10)
@@ -242,25 +244,51 @@ class RecognitionResult:
     fused: FusedPrediction | None = None
 
 
-def _predict_view(
-    view_source, object_id: str, view_index: int, image_path: Path
-) -> ViewPrediction:
-    if hasattr(view_source, "predict"):
-        if not image_path.is_file():
-            raise FileNotFoundError(f"missing view image {image_path}")
-        return view_source.predict(read_pgm(image_path))
-    try:
-        return view_source[(object_id, view_index)]
-    except KeyError:
-        raise ValueError(
-            f"exchange records do not cover view {view_index} of object {object_id!r}"
-        ) from None
+def recognize_object(
+    record: DatasetRecord,
+    emap: EntropyMap,
+    predict_view: Callable[[int], ViewPrediction],
+    max_views: int | None = None,
+    fusion_mode: str = "argmax",
+) -> RecognitionResult:
+    """Fuse the predictions of the best views of one object.
+
+    The best views are the peaks of ``emap``, at most ``max_views`` of them;
+    ``predict_view`` maps a view index to its prediction.
+    """
+    if max_views is not None and max_views < 1:
+        raise ValueError(f"max_views must be >= 1, got {max_views}")
+    peaks = find_peaks(emap) if max_views is None else top_n_views(emap, max_views)
+    views = [Viewpoint(p.ring, p.azimuth) for p in peaks]
+    fused = fuse([(v, predict_view(v.index)) for v in views], mode=fusion_mode)
+    return RecognitionResult(
+        object_id=record.object_id,
+        true_category=record.category,
+        predicted_category=fused.category,
+        predicted_offset=fused.pose,
+        views_used=fused.views_used,
+        fused=fused,
+    )
+
+
+def _view_lookup(view_source, record: DatasetRecord) -> Callable[[int], ViewPrediction]:
+    """The predictions for the stored views of ``record``, by view index."""
+    if isinstance(view_source, ViewPredictor):
+        return lambda i: view_source.predict(read_pgm(record.view_paths[i]))
+
+    def exchange(i: int) -> ViewPrediction:
+        key = (record.object_id, i)
+        if key not in view_source:
+            raise ValueError(f"exchange records do not cover view {i} of object {key[0]!r}")
+        return view_source[key]
+
+    return exchange
 
 
 def run_recognition(
     records: Sequence[DatasetRecord],
-    entropy_source: str | KnnEntropyPredictor,
-    view_source: KnnViewPredictor | Mapping[tuple[str, int], ViewPrediction],
+    entropy_source: str | EntropyPredictor,
+    view_source: ViewPredictor | Mapping[tuple[str, int], ViewPrediction],
     max_views: int | None = None,
     fusion_mode: str = "argmax",
 ) -> list[RecognitionResult]:
@@ -271,9 +299,6 @@ def run_recognition(
     stored voxel grid. ``view_source`` is a ViewPredictor or an exchange-file
     mapping (object_id, view_index) -> ViewPrediction.
     """
-    if max_views is not None and max_views < 1:
-        raise ValueError(f"max_views must be >= 1, got {max_views}")
-    rig = build_rig()
     results = []
     for record in sorted(records, key=lambda r: r.object_id):
         start = time.perf_counter()
@@ -281,24 +306,11 @@ def run_recognition(
             emap = record.entropy_map()
         else:
             emap = entropy_source.predict_map(load_grid(record.voxel_path))
-        peaks = find_peaks(emap) if max_views is None else top_n_views(emap, max_views)
-        views = []
-        for peak in peaks:
-            idx = index_of(peak.ring, peak.azimuth)
-            prediction = _predict_view(view_source, record.object_id, idx, record.view_paths[idx])
-            views.append((rig[idx], prediction))
-        fused = fuse(views, mode=fusion_mode)
-        results.append(
-            RecognitionResult(
-                object_id=record.object_id,
-                true_category=record.category,
-                predicted_category=fused.category,
-                predicted_offset=fused.pose,
-                views_used=fused.views_used,
-                seconds=time.perf_counter() - start,
-                fused=fused,
-            )
+        result = recognize_object(
+            record, emap, _view_lookup(view_source, record), max_views, fusion_mode
         )
+        result.seconds = time.perf_counter() - start
+        results.append(result)
     return results
 
 
@@ -344,6 +356,8 @@ def read_results(path: str | Path) -> list[RecognitionResult]:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(RESULT_COLUMNS):
+                raise ValueError(f"{path}: row for {row[0]!r} has {len(row)} columns")
             results.append(
                 RecognitionResult(
                     object_id=row[0],
@@ -443,8 +457,8 @@ def write_report(report: EvaluationReport, out_dir: str | Path) -> None:
 def noise_sweep(
     records: Sequence[DatasetRecord],
     model_root: str | Path,
-    view_source,
-    entropy_source: str | KnnEntropyPredictor = "oracle",
+    view_source: ViewPredictor,
+    entropy_source: str | EntropyPredictor = "oracle",
     sigmas: Sequence[float] = DEFAULT_SIGMAS,
     seed: int = 0,
     max_views: int | None = None,
@@ -456,17 +470,20 @@ def noise_sweep(
     pushes vertices outside it (sigma = 0 therefore reproduces the clean run
     bit-exactly). Returns one row per sigma with both accuracies; any accuracy
     degradation trend is reported, not enforced.
+
+    Raises:
+        ValueError: ``view_source`` is not a ViewPredictor (exchange records
+            score the clean views, not the noisy renders).
     """
+    if not isinstance(view_source, ViewPredictor):
+        raise ValueError("noise_sweep needs a view predictor to score the noisy renders")
     root = Path(model_root)
-    rig = build_rig()
     test = sorted((r for r in records if r.split == "test"), key=lambda r: r.object_id)
     if not test:
         raise ValueError("no test-split records in manifest")
     rows = []
     for sigma_index, sigma in enumerate(sigmas):
-        class_hits = 0
-        pose_hits = 0
-        total_views = 0
+        results = []
         for record in test:
             mesh_path = root / record.category / record.split / f"{record.object_id}.off"
             if not mesh_path.is_file():
@@ -478,30 +495,23 @@ def noise_sweep(
             noisy = add_gaussian_noise(mesh, sigma, int(noise_seed))
             if not is_normalized(noisy):
                 noisy = normalize_to_unit_cube(noisy)
-            images = render_all_views(noisy, rig)
+            images = render_all_views(noisy, build_rig())
             if entropy_source == "oracle":
                 emap = entropy_map_from_views(images)
             else:
                 emap = entropy_source.predict_map(voxelize(noisy))
-            peaks = find_peaks(emap) if max_views is None else top_n_views(emap, max_views)
-            views = []
-            for peak in peaks:
-                idx = index_of(peak.ring, peak.azimuth)
-                if hasattr(view_source, "predict"):
-                    prediction = view_source.predict(images[idx])
-                else:
-                    prediction = _predict_view(view_source, record.object_id, idx, Path("/dev/null"))
-                views.append((rig[idx], prediction))
-            fused = fuse(views, mode=fusion_mode)
-            class_hits += fused.category == record.category
-            pose_hits += fused.pose == PoseOffset(0, 0)
-            total_views += fused.views_used
+            results.append(
+                recognize_object(
+                    record, emap, lambda i: view_source.predict(images[i]), max_views, fusion_mode
+                )
+            )
+        report = evaluate(results, records)
         rows.append(
             {
                 "sigma": sigma,
-                "class_accuracy": class_hits / len(test),
-                "pose_accuracy": pose_hits / len(test),
-                "mean_views": total_views / len(test),
+                "class_accuracy": report.class_accuracy,
+                "pose_accuracy": report.pose_accuracy,
+                "mean_views": sum(r.views_used for r in results) / len(results),
             }
         )
     return rows

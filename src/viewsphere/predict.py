@@ -227,17 +227,20 @@ def knn_view_predictor_train(
 def load_predictor(path: str | Path) -> KnnEntropyPredictor | KnnViewPredictor:
     """Load a predictor saved by the ``save`` methods above."""
     with np.load(path, allow_pickle=False) as blob:
-        kind = str(blob["kind"])
-        if kind == "entropy_knn":
-            return KnnEntropyPredictor(blob["features"], blob["maps"], int(blob["k"]))
-        if kind == "view_knn":
-            return KnnViewPredictor(
-                blob["features"],
-                blob["category_ids"],
-                blob["viewpoints"],
-                [str(c) for c in blob["categories"]],
-                int(blob["k"]),
-            )
+        try:
+            kind = str(blob["kind"])
+            if kind == "entropy_knn":
+                return KnnEntropyPredictor(blob["features"], blob["maps"], int(blob["k"]))
+            if kind == "view_knn":
+                return KnnViewPredictor(
+                    blob["features"],
+                    blob["category_ids"],
+                    blob["viewpoints"],
+                    [str(c) for c in blob["categories"]],
+                    int(blob["k"]),
+                )
+        except KeyError as exc:  # an array the saved predictor must hold is missing
+            raise ValueError(f"{path}: {exc.args[0]}") from None
         raise ValueError(f"{path}: unknown predictor kind {kind!r}")
 
 

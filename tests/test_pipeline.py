@@ -3,7 +3,7 @@ import pytest
 
 from viewsphere import pipeline, synthetic
 from viewsphere.cli import main
-from viewsphere.entropy import EntropyMap
+from viewsphere.entropy import EntropyMap, write_map_csv
 from viewsphere.fusion import PoseOffset
 from viewsphere.predict import PredictionRecord, write_predictions
 from viewsphere.render import read_pgm
@@ -250,6 +250,27 @@ def test_noise_sweep_sigma_zero_matches_clean_run(dataset, predictors, model_roo
     assert rows[0]["pose_accuracy"] == clean.pose_accuracy
 
 
+def test_noise_sweep_rejects_exchange_records(dataset, predictors, model_root):
+    # exchange records score the clean views; the sweep must predict on noisy renders
+    _, records = dataset
+    _, view_predictor = predictors
+    test = [r for r in records if r.split == "test"]
+    table = {
+        (r.object_id, i): view_predictor.predict(read_pgm(path))
+        for r in test
+        for i, path in enumerate(r.view_paths)
+    }
+    with pytest.raises(ValueError, match="view predictor"):
+        pipeline.noise_sweep(records, model_root, table, sigmas=[0.0])
+
+
+def test_noise_sweep_max_views(dataset, predictors, model_root):
+    _, records = dataset
+    _, view_predictor = predictors
+    with pytest.raises(ValueError, match="max_views"):
+        pipeline.noise_sweep(records, model_root, view_predictor, sigmas=[0.0], max_views=0)
+
+
 def test_emit_heatmap(tmp_path):
     values = np.zeros((5, 12))
     values[1, 4] = 2.5
@@ -410,10 +431,64 @@ def test_cli_full_chain(model_root, tmp_path, capsys):
     assert heat.is_file()
 
 
-def test_cli_validation_failures(tmp_path):
+def test_cli_validation_failures(dataset, model_root, tmp_path):
     assert main(["build-dataset", "--input", str(tmp_path / "nope"), "--out", str(tmp_path)]) == 1
     assert main(["predict-map", "--out", str(tmp_path / "m.csv")]) == 1
     assert main(["evaluate", "--results", "missing.csv", "--manifest", "m", "--out", "o"]) == 1
+    build = ["build-dataset", "--input", str(model_root), "--out", str(tmp_path / "ds")]
+    assert main(build + ["--subsample", "1/0"]) == 1
+
+    out, _ = dataset
+    short = tmp_path / "short.csv"
+    short.write_text(",".join(pipeline.RESULT_COLUMNS) + "\nbox_0000,box,box\n")
+    evaluate = ["evaluate", "--manifest", str(out / "manifest.csv"), "--out", str(tmp_path / "e")]
+    assert main(evaluate + ["--results", str(short)]) == 1
+
+    for name, arrays in (("kindless", {}), ("mapless", {"kind": "entropy_knn"})):
+        model = tmp_path / f"{name}.npz"
+        np.savez(model, features=np.zeros((1, 4)), **arrays)
+        predict_map = ["predict-map", "--grid", "g.vox", "--model", str(model), "--out", "m.csv"]
+        assert main(predict_map) == 1
+
+
+def test_cli_rejects_wrong_model_kinds(dataset, predictors, model_root, tmp_path, capsys):
+    out, _ = dataset
+    entropy_predictor, view_predictor = predictors
+    entropy_npz = tmp_path / "entropy_knn.npz"
+    view_npz = tmp_path / "view_knn.npz"
+    entropy_predictor.save(entropy_npz)
+    view_predictor.save(view_npz)
+    manifest = ["--manifest", str(out / "manifest.csv")]
+    run = ["--out", str(tmp_path / "run")]
+
+    assert main(["predict-map", "--grid", "g.vox", "--model", str(view_npz), "--out", "m.csv"]) == 1
+    assert "is not an entropy predictor" in capsys.readouterr().err
+    assert main(["recognize", *manifest, *run, "--view-model", str(entropy_npz)]) == 1
+    assert "is not a view predictor" in capsys.readouterr().err
+    knn = ["--entropy", "knn", "--entropy-model", str(view_npz), "--view-model", str(view_npz)]
+    assert main(["recognize", *manifest, *run, *knn]) == 1
+    assert "is not an entropy predictor" in capsys.readouterr().err
+
+    predictions = tmp_path / "preds.jsonl"
+    record = next(r for r in pipeline.read_manifest(out / "manifest.csv") if r.split == "test")
+    prediction = view_predictor.predict(read_pgm(record.view_paths[0]))
+    write_predictions([PredictionRecord(record.object_id, 0, prediction)], predictions)
+    sweep = ["noise-sweep", *manifest, *run, "--models", str(model_root), "--sigmas", "0.0"]
+    assert main(sweep + ["--predictions", str(predictions)]) == 1
+    assert "view predictor" in capsys.readouterr().err
+
+
+def test_cli_best_views_top_must_be_positive(tmp_path, capsys):
+    map_csv = tmp_path / "map.csv"
+    values = np.zeros((5, 12))
+    values[0, 0], values[2, 6] = 2.0, 3.0
+    write_map_csv(EntropyMap(values), map_csv)
+    assert main(["best-views", "--map", str(map_csv)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert main(["best-views", "--map", str(map_csv), "--top", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    assert main(["best-views", "--map", str(map_csv), "--top", "0"]) == 1
+    assert main(["best-views", "--map", str(map_csv), "--top", "-1"]) == 1
 
 
 def test_cli_partial_skips_exit_code(model_root, tmp_path):
@@ -447,3 +522,34 @@ def test_cli_config_file(model_root, tmp_path, capsys):
     records = pipeline.read_manifest(out / "manifest.csv")
     # per (category, split) draws: max(1, round(2/3)) + max(1, round(1/3)) per category
     assert len(records) == 4
+
+    # explicit flags win over the file, also when they equal the flag's default
+    def build(name, *flags):
+        dest = tmp_path / name
+        assert main(["build-dataset", "--input", str(model_root), "--out", str(dest), *flags]) == 0
+        return (dest / "manifest.csv").read_bytes()
+
+    seed0 = build("seed0", "--subsample", "1/3")
+    assert seed0 != (out / "manifest.csv").read_bytes()  # seeds 0 and 4 draw differently
+    assert build("explicit_seed", "--config", str(config), "--seed", "0") == seed0
+    assert build("explicit_subsample", "--config", str(config), "--subsample", "1") == build("all")
+
+
+def test_cli_explicit_fusion_beats_config(dataset, monkeypatch, tmp_path):
+    out, _ = dataset
+    config = tmp_path / "run.cfg"
+    config.write_text("fusion=score-sum\nmax-views=2\n")
+    seen = {}
+
+    def fake_run_recognition(records, entropy_source, view_source, max_views, fusion_mode):
+        seen.update(max_views=max_views, fusion_mode=fusion_mode)
+        return [pipeline.RecognitionResult("box_0000", "box", "box", PoseOffset(0, 0), 1)]
+
+    monkeypatch.setattr(pipeline, "run_recognition", fake_run_recognition)
+    (tmp_path / "none.jsonl").write_text("")
+    args = ["recognize", "--manifest", str(out / "manifest.csv"), "--out", str(tmp_path / "r")]
+    args += ["--config", str(config), "--predictions", str(tmp_path / "none.jsonl")]
+    assert main(args + ["--fusion", "argmax"]) == 0
+    assert seen == {"max_views": 2, "fusion_mode": "argmax"}
+    assert main(args) == 0
+    assert seen == {"max_views": 2, "fusion_mode": "score_sum"}
