@@ -37,6 +37,10 @@ def _sigma_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+#: Namespace entries that the parser sets itself; a config file must not replace them.
+_INTERNAL_DESTS = frozenset({"func", "_parser", "command", "config"})
+
+
 def _read_config(path: str) -> dict[str, str]:
     """key=value lines mirroring the CLI flags; '#' starts a comment."""
     values = {}
@@ -282,7 +286,10 @@ def main(argv: list[str] | None = None) -> int:
             # config values become defaults, which argparse converts with each
             # flag's type; a second parse lets every explicit flag win
             config = _read_config(args.config)
-            args._parser.set_defaults(**{k: v for k, v in config.items() if k in vars(args)})
+            for key in _INTERNAL_DESTS.intersection(config):
+                raise ValueError(f"{args.config}: {key!r} is not a flag that a config file can set")
+            flags = {action.dest for action in args._parser._actions}
+            args._parser.set_defaults(**{k: v for k, v in config.items() if k in flags})
             args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:

@@ -13,8 +13,8 @@ import numpy as np
 from .entropy import EntropyMap, entropy_map_from_views
 from .mesh import TriangleMesh
 from .render import DepthImage, RenderConfig, render_all_views
-from .viewrig import N_VIEWS, build_rig
-from .voxel import VoxelGrid, pool_voxels
+from .viewrig import N_AZIMUTHS, N_RINGS, N_VIEWS, build_rig
+from .voxel import VoxelGrid, block_sums
 
 SCORE_SUM_TOL = 1e-9
 EXCHANGE_SUM_TOL = 1e-6
@@ -78,6 +78,33 @@ def oracle_entropy_predictor(mesh: TriangleMesh, config: RenderConfig | None = N
     return entropy_map_from_views(render_all_views(mesh, build_rig(), config))
 
 
+def _accumulator(features: np.ndarray, cls) -> type[np.signedinteger]:
+    """The integer type for row sums of L1 distances over ``cls``'s feature table.
+
+    Raises:
+        ValueError: if ``features`` is not a 2-D table of ``cls.FEATURE_DTYPE``.
+    """
+    if features.ndim != 2 or features.dtype != cls.FEATURE_DTYPE:
+        raise ValueError(
+            f"{cls.__name__} features must be a 2-D {np.dtype(cls.FEATURE_DTYPE)} table, "
+            f"got {features.dtype} of shape {features.shape}"
+        )
+    return np.int32 if features.shape[1] * cls.MAX_FEATURE < 2**31 else np.int64
+
+
+def _l1_distances(table: np.ndarray, query: np.ndarray, accumulator, block: int) -> np.ndarray:
+    """L1 distances from ``query`` to each row of an integer block-sum table, in block means.
+
+    The features are signed, so ``table - query`` cannot wrap, and each row
+    sum fits ``accumulator``. An integer sum over ``block`` equals the float64
+    distance between the block means bit for bit: every term and partial sum
+    of that distance is a multiple of 1/block far below 2**53.
+    """
+    d = np.subtract(table, query)
+    np.abs(d, out=d)
+    return d.sum(axis=1, dtype=accumulator) / float(block)
+
+
 def _knn_weights(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | int:
     """Indices and 1/(d+eps) weights of the k nearest, or the index of an exact match."""
     exact = np.flatnonzero(distances == 0.0)
@@ -88,19 +115,28 @@ def _knn_weights(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
 
 
 class KnnEntropyPredictor(EntropyPredictor):
-    """Distance-weighted k-NN regression from pooled voxel fractions to entropy maps."""
+    """Distance-weighted k-NN regression from pooled voxel occupancy to entropy maps.
+
+    ``features`` holds one row of int8 occupied-voxel counts per 4^3 block for
+    each training grid; distances are L1 over the occupancy fractions.
+    """
+
+    BLOCK = VOXEL_POOL_FACTOR**3
+    FEATURE_DTYPE = np.int8
+    MAX_FEATURE = BLOCK
 
     def __init__(self, features: np.ndarray, maps: np.ndarray, k: int):
         self.features = features
         self.maps = maps
         self.k = k
+        self._accumulator = _accumulator(features, type(self))
 
     @staticmethod
     def featurize(grid: VoxelGrid) -> np.ndarray:
-        return pool_voxels(grid, VOXEL_POOL_FACTOR).ravel()
+        return block_sums(grid.occupancy, VOXEL_POOL_FACTOR, KnnEntropyPredictor.FEATURE_DTYPE).ravel()
 
     def predict_map(self, grid: VoxelGrid) -> EntropyMap:
-        distances = np.abs(self.features - self.featurize(grid)).sum(axis=1)
+        distances = _l1_distances(self.features, self.featurize(grid), self._accumulator, self.BLOCK)
         picked = _knn_weights(distances, self.k)
         if isinstance(picked, int):
             return EntropyMap(self.maps[picked])
@@ -137,9 +173,15 @@ def knn_entropy_predictor_train(
 class KnnViewPredictor(ViewPredictor):
     """Distance-weighted k-NN over average-pooled depth images.
 
-    Scores are neighbor votes on both heads, normalized to sum to one; an
-    exact feature match takes the whole mass.
+    ``features`` holds one row of int16 pixel sums per 8x8 block for each
+    training view; distances are L1 over the block means. Scores are neighbor
+    votes on both heads, normalized to sum to one; an exact feature match
+    takes the whole mass.
     """
+
+    BLOCK = IMAGE_POOL_FACTOR**2
+    FEATURE_DTYPE = np.int16
+    MAX_FEATURE = BLOCK * 255
 
     def __init__(
         self,
@@ -154,18 +196,14 @@ class KnnViewPredictor(ViewPredictor):
         self.viewpoints = viewpoints
         self.categories = list(categories)
         self.k = k
+        self._accumulator = _accumulator(features, type(self))
 
     @staticmethod
     def featurize(image: DepthImage) -> np.ndarray:
-        f = IMAGE_POOL_FACTOR
-        h, w = image.pixels.shape
-        if h % f or w % f:
-            raise ValueError(f"image dims {(h, w)} not divisible by pool factor {f}")
-        pooled = image.pixels.astype(np.float64).reshape(h // f, f, w // f, f).mean(axis=(1, 3))
-        return pooled.ravel()
+        return block_sums(image.pixels, IMAGE_POOL_FACTOR, KnnViewPredictor.FEATURE_DTYPE).ravel()
 
     def predict(self, image: DepthImage) -> ViewPrediction:
-        distances = np.abs(self.features - self.featurize(image)).sum(axis=1)
+        distances = _l1_distances(self.features, self.featurize(image), self._accumulator, self.BLOCK)
         class_scores = dict.fromkeys(self.categories, 0.0)
         viewpoint_scores = np.zeros(N_VIEWS)
         picked = _knn_weights(distances, self.k)
@@ -224,18 +262,60 @@ def knn_view_predictor_train(
     )
 
 
+def _feature_table(path, features: np.ndarray, cls) -> np.ndarray:
+    """Check a stored feature table and return it as ``cls``'s integer block sums.
+
+    Tables saved before the features were integers hold float64 block means;
+    they are scaled by the block size, which is exact, and must come out
+    integral and in range.
+    """
+    if features.ndim != 2 or not features.size:
+        raise ValueError(f"{path}: features must be a non-empty 2-D table, got shape {features.shape}")
+    if features.dtype.kind == "f":
+        features = features * float(cls.BLOCK)
+    elif features.dtype.kind not in "iu":
+        raise ValueError(f"{path}: features have unsupported dtype {features.dtype}")
+    if not ((features >= 0) & (features <= cls.MAX_FEATURE) & (features == np.round(features))).all():
+        raise ValueError(
+            f"{path}: features are not block sums in 0..{cls.MAX_FEATURE} "
+            f"(or block means that are multiples of 1/{cls.BLOCK})"
+        )
+    return features.astype(cls.FEATURE_DTYPE)
+
+
+def _check_rows(path, features: np.ndarray, **columns: np.ndarray) -> None:
+    """Every array in ``columns`` must have one row per feature row."""
+    for name, column in columns.items():
+        if column.shape[:1] != features.shape[:1]:
+            raise ValueError(f"{path}: {name} has shape {column.shape}, features have {len(features)} rows")
+
+
 def load_predictor(path: str | Path) -> KnnEntropyPredictor | KnnViewPredictor:
-    """Load a predictor saved by the ``save`` methods above."""
+    """Load a predictor saved by the ``save`` methods above.
+
+    Raises:
+        ValueError: naming the file, if an array is missing, the kind is
+            unknown, the tables disagree in shape, or a feature table does not
+            hold block sums (or, in older files, block means) in range.
+    """
     with np.load(path, allow_pickle=False) as blob:
         try:
             kind = str(blob["kind"])
             if kind == "entropy_knn":
-                return KnnEntropyPredictor(blob["features"], blob["maps"], int(blob["k"]))
+                features = _feature_table(path, blob["features"], KnnEntropyPredictor)
+                maps = blob["maps"]
+                if maps.shape[1:] != (N_RINGS, N_AZIMUTHS):
+                    raise ValueError(f"{path}: maps must be (n, {N_RINGS}, {N_AZIMUTHS}), got {maps.shape}")
+                _check_rows(path, features, maps=maps)
+                return KnnEntropyPredictor(features, maps, int(blob["k"]))
             if kind == "view_knn":
+                features = _feature_table(path, blob["features"], KnnViewPredictor)
+                category_ids, viewpoints = blob["category_ids"], blob["viewpoints"]
+                _check_rows(path, features, category_ids=category_ids, viewpoints=viewpoints)
                 return KnnViewPredictor(
-                    blob["features"],
-                    blob["category_ids"],
-                    blob["viewpoints"],
+                    features,
+                    category_ids,
+                    viewpoints,
                     [str(c) for c in blob["categories"]],
                     int(blob["k"]),
                 )

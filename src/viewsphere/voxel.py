@@ -246,18 +246,34 @@ def _parity_fill(mesh: TriangleMesh, occ: np.ndarray, n: int, padding: int) -> N
     occ[padding : padding + n, padding : padding + n, padding : padding + n] |= odd.reshape(n, n, n).transpose(2, 0, 1)
 
 
+def block_sums(values: np.ndarray, factor: int, dtype) -> np.ndarray:
+    """Sums over the factor-wide blocks along every axis of ``values``, accumulated in ``dtype``.
+
+    The block axes are folded one at a time by adding slices, which is
+    several times faster than one sum over strided axes.
+
+    Raises:
+        ValueError: if factor does not divide every dimension.
+    """
+    if factor < 1 or any(n % factor for n in values.shape):
+        raise ValueError(f"factor {factor} does not divide dimensions {values.shape}")
+    sums = values.reshape([s for n in values.shape for s in (n // factor, factor)])
+    for axis in range(1, values.ndim + 1):
+        layer = (slice(None),) * axis
+        folded = sums[layer + (0,)].astype(dtype)
+        for i in range(1, factor):
+            folded += sums[layer + (i,)]
+        sums = folded
+    return sums
+
+
 def pool_voxels(grid: VoxelGrid, factor: int) -> np.ndarray:
     """Downsample to occupancy fractions over factor^3 blocks.
 
     Raises:
         ValueError: if factor does not divide the grid dimension.
     """
-    d = grid.dims
-    if factor < 1 or d % factor != 0:
-        raise ValueError(f"factor {factor} does not divide grid dimension {d}")
-    m = d // factor
-    blocks = grid.occupancy.astype(np.float64).reshape(m, factor, m, factor, m, factor)
-    return blocks.sum(axis=(1, 3, 5)) / float(factor**3)
+    return block_sums(grid.occupancy, factor, np.int64) / float(factor**3)
 
 
 def save_grid(grid: VoxelGrid, path: str | Path) -> None:

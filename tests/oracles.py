@@ -264,3 +264,58 @@ def reference_parity_fill(mesh: TriangleMesh, occ: np.ndarray, n: int, padding: 
         iy, iz = divmod(ray, n)
         for ix in np.flatnonzero(parity == 1):
             occ[padding + ix, padding + iy, padding + iz] = True
+
+
+def reference_view_features(image: DepthImage) -> np.ndarray:
+    """Float64 means of the 8x8 pixel blocks: the view features before integer block sums."""
+    h, w = image.pixels.shape
+    return image.pixels.astype(np.float64).reshape(h // 8, 8, w // 8, 8).mean(axis=(1, 3)).ravel()
+
+
+def reference_voxel_features(grid) -> np.ndarray:
+    """Float64 occupancy fractions of the 4^3 voxel blocks: the entropy features before integer counts."""
+    m = grid.dims // 4
+    blocks = grid.occupancy.astype(np.float64).reshape(m, 4, m, 4, m, 4)
+    return blocks.sum(axis=(1, 3, 5)).ravel() / 64.0
+
+
+def reference_knn_distances(features: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """L1 distances over float64 block means, one per row: the k-NN formula before integer features."""
+    return np.abs(features - query).sum(axis=1)
+
+
+def _reference_neighbors(distances: np.ndarray, k: int):
+    exact = [i for i, d in enumerate(distances) if d == 0.0]
+    if exact:
+        return [exact[0]], None
+    order = sorted(range(len(distances)), key=lambda i: distances[i])[:k]  # stable
+    return order, [1.0 / (distances[i] + 1e-9) for i in order]
+
+
+def reference_view_prediction(features, category_ids, viewpoints, categories, k, image):
+    """(class scores, viewpoint scores) of the float64 k-NN view predictor for one image."""
+    order, weights = _reference_neighbors(
+        reference_knn_distances(features, reference_view_features(image)), k
+    )
+    class_scores = dict.fromkeys(categories, 0.0)
+    viewpoint_scores = np.zeros(60)
+    if weights is None:
+        class_scores[categories[category_ids[order[0]]]] = 1.0
+        viewpoint_scores[viewpoints[order[0]]] = 1.0
+        return class_scores, viewpoint_scores
+    total = np.array(weights).sum()
+    for idx, w in zip(order, weights):
+        class_scores[categories[category_ids[idx]]] += w / total
+        viewpoint_scores[viewpoints[idx]] += w / total
+    return class_scores, viewpoint_scores
+
+
+def reference_entropy_values(features, maps, k, grid) -> np.ndarray:
+    """The 5x12 values of the float64 k-NN entropy predictor for one grid."""
+    order, weights = _reference_neighbors(
+        reference_knn_distances(features, reference_voxel_features(grid)), k
+    )
+    if weights is None or len(order) == 1:
+        return maps[order[0]]
+    weights = np.array(weights)
+    return (weights[:, None, None] * maps[order]).sum(axis=0) / weights.sum()

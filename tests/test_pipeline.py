@@ -535,6 +535,19 @@ def test_cli_config_file(model_root, tmp_path, capsys):
     assert build("explicit_subsample", "--config", str(config), "--subsample", "1") == build("all")
 
 
+@pytest.mark.parametrize("key", ["func", "_parser", "command", "config"])
+def test_cli_config_cannot_set_internal_names(tmp_path, capsys, key):
+    map_csv = tmp_path / "map.csv"
+    write_map_csv(EntropyMap(np.arange(60.0).reshape(5, 12) / 8.0), map_csv)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"top=1\n{key}=x\n")
+    assert main(["best-views", "--map", str(map_csv), "--config", str(config)]) == 1
+    assert repr(key) in capsys.readouterr().err
+    config.write_text("top=1\nunknown=x\n")  # keys that name no flag of the command are ignored
+    assert main(["best-views", "--map", str(map_csv), "--config", str(config)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
 def test_cli_explicit_fusion_beats_config(dataset, monkeypatch, tmp_path):
     out, _ = dataset
     config = tmp_path / "run.cfg"

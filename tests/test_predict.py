@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import random_mesh
+from oracles import (
+    random_mesh,
+    reference_entropy_values,
+    reference_knn_distances,
+    reference_view_features,
+    reference_view_prediction,
+    reference_voxel_features,
+)
+from viewsphere import pipeline, synthetic
+from viewsphere.cli import main
 from viewsphere.entropy import EntropyMap
 from viewsphere.mesh import TriangleMesh
 from viewsphere.predict import (
@@ -9,6 +18,8 @@ from viewsphere.predict import (
     KnnViewPredictor,
     PredictionRecord,
     ViewPrediction,
+    _accumulator,
+    _l1_distances,
     knn_entropy_predictor_train,
     knn_view_predictor_train,
     load_predictor,
@@ -18,8 +29,8 @@ from viewsphere.predict import (
     read_predictions,
     write_predictions,
 )
-from viewsphere.render import DepthImage
-from viewsphere.voxel import voxelize
+from viewsphere.render import DepthImage, read_pgm
+from viewsphere.voxel import VoxelGrid, load_grid, voxelize
 
 
 def _uniform_prediction(categories=("a", "b")):
@@ -252,3 +263,198 @@ def test_predictor_save_load_round_trip(tmp_path):
     img = _image(88)
     assert vp.predict(img).class_scores == vp2.predict(img).class_scores
     assert np.array_equal(vp.predict(img).viewpoint_scores, vp2.predict(img).viewpoint_scores)
+
+
+# --- integer features ----------------------------------------------------
+
+
+def _block_table(rng, n_rows, width, max_value, dtype):
+    """Random block sums with an all-0 and an all-max row, so the maximum distance occurs."""
+    table = rng.integers(0, max_value + 1, size=(n_rows, width)).astype(dtype)
+    table[0] = 0
+    table[1] = max_value
+    return table
+
+
+@pytest.mark.parametrize("cls, width", [(KnnViewPredictor, 784), (KnnEntropyPredictor, 2744)])
+def test_integer_distances_bit_equal_float_formula(cls, width):
+    rng = np.random.default_rng(5)
+    table = _block_table(rng, 40, width, cls.MAX_FEATURE, cls.FEATURE_DTYPE)
+    assert _accumulator(table, cls) is np.int32
+    other = rng.integers(0, cls.MAX_FEATURE + 1, size=width).astype(cls.FEATURE_DTYPE)
+    for query in (table[0], table[1], table[7], other):
+        got = _l1_distances(table, query, _accumulator(table, cls), cls.BLOCK)
+        want = reference_knn_distances(table / float(cls.BLOCK), query / float(cls.BLOCK))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+    farthest = _l1_distances(table, table[0], np.int32, cls.BLOCK)[1]
+    assert farthest == width * cls.MAX_FEATURE / cls.BLOCK  # all-0 against all-max blocks
+
+
+def test_wide_tables_sum_in_int64():
+    # 131,587 features * 16,320 >= 2**31: an int32 row sum could overflow
+    rng = np.random.default_rng(6)
+    table = _block_table(rng, 3, 131_587, KnnViewPredictor.MAX_FEATURE, np.int16)
+    assert _accumulator(table[:, :-1], KnnViewPredictor) is np.int32
+    assert _accumulator(table, KnnViewPredictor) is np.int64
+    got = _l1_distances(table, table[0], np.int64, KnnViewPredictor.BLOCK)
+    assert np.array_equal(got, reference_knn_distances(table / 64.0, table[0] / 64.0))
+    assert got[1] == 131_587 * 255.0
+
+
+def test_featurize_sums_blocks_exactly():
+    images = [_image(i) for i in range(3)]
+    images += [DepthImage(np.zeros((224, 224), np.uint8)), DepthImage(np.full((224, 224), 255, np.uint8))]
+    for image in images:
+        features = KnnViewPredictor.featurize(image)
+        assert features.dtype == np.int16
+        assert np.array_equal(features / 64.0, reference_view_features(image))
+    with pytest.raises(ValueError, match="does not divide"):
+        KnnViewPredictor.featurize(DepthImage(np.zeros((224, 220), np.uint8)))
+    full = np.zeros((56, 56, 56), dtype=bool)
+    full[3:53, 3:53, 3:53] = True
+    for grid in (_grid(0), _grid(1, 40), VoxelGrid(full)):
+        features = KnnEntropyPredictor.featurize(grid)
+        assert features.dtype == np.int8
+        assert np.array_equal(features / 64.0, reference_voxel_features(grid))
+    assert KnnEntropyPredictor.featurize(VoxelGrid(full)).max() == 64
+
+
+def test_feature_tables_are_integer_and_smaller():
+    ep = knn_entropy_predictor_train([(_grid(i), _map(i)) for i in range(3)], k=2)
+    vp = knn_view_predictor_train([(_image(i), "a", i) for i in range(3)], k=2)
+    assert ep.features.dtype == np.int8 and ep.features.shape == (3, 14**3)
+    assert vp.features.dtype == np.int16 and vp.features.shape == (3, 28**2)
+    assert ep.features.nbytes * 8 == np.zeros((3, 14**3)).nbytes
+    assert vp.features.nbytes * 4 == np.zeros((3, 28**2)).nbytes
+    with pytest.raises(ValueError, match="int16"):
+        KnnViewPredictor(vp.features / 64.0, vp.category_ids, vp.viewpoints, vp.categories, 2)
+    with pytest.raises(ValueError, match="int8"):
+        KnnEntropyPredictor(ep.features.astype(np.int16), ep.maps, 2)
+
+
+@pytest.fixture(scope="module")
+def desk_seed0(tmp_path_factory):
+    """The seed-0 desk set: 6 primitives per category, a quarter held out for test."""
+    root = tmp_path_factory.mktemp("desk_models")
+    synthetic.generate_model_root(root, per_category=6, test_fraction=0.25, seed=0)
+    out = tmp_path_factory.mktemp("desk_dataset")
+    records, skipped = pipeline.build_dataset(root, out, workers=1, seed=0)
+    assert skipped == []
+    train = [r for r in records if r.split == "train"]
+    test = [r for r in records if r.split == "test"]
+    return train, test, pipeline.train_predictors(records)
+
+
+def _legacy_tables(train):
+    """Float64 feature tables as the predictors stored them before integer features."""
+    voxel = np.array([reference_voxel_features(load_grid(r.voxel_path)) for r in train])
+    view = np.array([reference_view_features(read_pgm(p)) for r in train for p in r.view_paths])
+    return voxel, view
+
+
+def _save_legacy(path_entropy, path_view, train, ep, vp):
+    voxel, view = _legacy_tables(train)
+    np.savez(path_entropy, kind="entropy_knn", features=voxel, maps=ep.maps, k=ep.k)
+    np.savez(
+        path_view,
+        kind="view_knn",
+        features=view,
+        category_ids=vp.category_ids,
+        viewpoints=vp.viewpoints,
+        categories=np.array(vp.categories),
+        k=vp.k,
+    )
+
+
+def _same_prediction(a: ViewPrediction, class_scores, viewpoint_scores):
+    return a.class_scores == class_scores and np.array_equal(a.viewpoint_scores, viewpoint_scores)
+
+
+def test_desk_predictions_bit_equal_float_reference(desk_seed0):
+    train, test, (ep, vp) = desk_seed0
+    voxel, view = _legacy_tables(train)
+    assert np.array_equal(ep.features / 64.0, voxel) and np.array_equal(vp.features / 64.0, view)
+    for record in test:
+        grid = load_grid(record.voxel_path)
+        want = reference_entropy_values(voxel, ep.maps, ep.k, grid)
+        assert np.array_equal(ep.predict_map(grid).values, want)
+        for path in record.view_paths:
+            image = read_pgm(path)
+            want = reference_view_prediction(
+                view, vp.category_ids, vp.viewpoints, vp.categories, vp.k, image
+            )
+            assert _same_prediction(vp.predict(image), *want)
+
+
+def test_legacy_float_models_load_exactly(desk_seed0, tmp_path):
+    train, test, (ep, vp) = desk_seed0
+    _save_legacy(tmp_path / "e.npz", tmp_path / "v.npz", train, ep, vp)
+    ep2, vp2 = load_predictor(tmp_path / "e.npz"), load_predictor(tmp_path / "v.npz")
+    assert ep2.features.dtype == np.int8 and np.array_equal(ep2.features, ep.features)
+    assert vp2.features.dtype == np.int16 and np.array_equal(vp2.features, vp.features)
+    for record in test:
+        grid = load_grid(record.voxel_path)
+        assert np.array_equal(ep2.predict_map(grid).values, ep.predict_map(grid).values)
+        for path in record.view_paths[::6]:
+            image = read_pgm(path)
+            a, b = vp.predict(image), vp2.predict(image)
+            assert _same_prediction(a, b.class_scores, b.viewpoint_scores)
+
+
+def _save_view_model(path, features, n=None, **overrides):
+    n = len(features) if n is None else n
+    arrays = dict(
+        kind="view_knn",
+        features=features,
+        category_ids=np.zeros(n, dtype=np.int64),
+        viewpoints=np.arange(n, dtype=np.int64) % 60,
+        categories=np.array(["a"]),
+        k=1,
+    )
+    arrays.update(overrides)
+    np.savez(path, **arrays)
+
+
+def _save_entropy_model(path, features, maps):
+    np.savez(path, kind="entropy_knn", features=features, maps=maps, k=1)
+
+
+@pytest.mark.parametrize(
+    "kind, bad_value",
+    [("view", 0.3), ("view", 255.0 + 1 / 64), ("view", -1 / 64), ("view", np.nan), ("voxel", 0.3),
+     ("voxel", 65 / 64), ("voxel", np.inf)],
+)
+def test_legacy_models_off_the_1_64_grid_are_rejected(tmp_path, capsys, kind, bad_value):
+    features = np.zeros((2, 784 if kind == "view" else 2744))
+    features[1, 5] = bad_value
+    path = tmp_path / "bad.npz"
+    if kind == "view":
+        _save_view_model(path, features)
+    else:
+        _save_entropy_model(path, features, np.zeros((2, 5, 12)))
+    with pytest.raises(ValueError, match="bad.npz.*block"):
+        load_predictor(path)
+    assert main(["predict-map", "--grid", "g.vox", "--model", str(path), "--out", "m.csv"]) == 1
+    assert "bad.npz" in capsys.readouterr().err
+
+
+def test_loader_rejects_disagreeing_shapes(tmp_path):
+    views = np.zeros((3, 784), dtype=np.int16)
+    cases = {
+        "short_ids": lambda p: _save_view_model(p, views, category_ids=np.zeros(2, dtype=np.int64)),
+        "long_viewpoints": lambda p: _save_view_model(p, views, viewpoints=np.zeros(4, dtype=np.int64)),
+        "flat_features": lambda p: _save_view_model(p, np.zeros(784, dtype=np.int16), n=1),
+        "cube_features": lambda p: _save_view_model(p, np.zeros((3, 28, 28), dtype=np.int16)),
+        "map_rows": lambda p: _save_entropy_model(p, np.zeros((3, 2744), np.int8), np.zeros((2, 5, 12))),
+        "map_cells": lambda p: _save_entropy_model(p, np.zeros((3, 2744), np.int8), np.zeros((3, 5, 11))),
+        "flat_maps": lambda p: _save_entropy_model(p, np.zeros((3, 2744), np.int8), np.zeros(180)),
+        "flat_voxels": lambda p: _save_entropy_model(p, np.zeros(2744, np.int8), np.zeros((1, 5, 12))),
+    }
+    for name, save in cases.items():
+        path = tmp_path / f"{name}.npz"
+        save(path)
+        with pytest.raises(ValueError, match=f"{name}.npz"):
+            load_predictor(path)
+    _save_view_model(tmp_path / "good.npz", views)
+    assert load_predictor(tmp_path / "good.npz").features.shape == (3, 784)

@@ -160,6 +160,16 @@ def test_pool_conserves_mass():
     assert (pooled >= 0).all() and (pooled <= 1).all()
 
 
+@pytest.mark.parametrize("factor", [1, 2, 4, 7, 8, 14, 28, 56])
+def test_pool_matches_strided_float_sums(factor):
+    rng = np.random.default_rng(factor)
+    occ = np.zeros((56, 56, 56), dtype=bool)
+    occ[3:53, 3:53, 3:53] = rng.random((50, 50, 50)) < 0.3
+    m = 56 // factor
+    want = occ.astype(np.float64).reshape(m, factor, m, factor, m, factor).sum(axis=(1, 3, 5))
+    assert np.array_equal(pool_voxels(VoxelGrid(occ), factor), want / float(factor**3))
+
+
 def test_pool_rejects_non_divisor():
     grid = VoxelGrid(np.zeros((56, 56, 56), dtype=bool))
     with pytest.raises(ValueError, match="does not divide"):
