@@ -47,7 +47,6 @@ from .predict import (
 )
 from .render import (
     DepthImage,
-    RenderConfig,
     camera_rays,
     ray_triangle_hits,
     read_pgm,
@@ -56,10 +55,10 @@ from .render import (
     write_pgm,
 )
 from .viewrig import (
-    DEFAULT_RADIUS,
     N_AZIMUTHS,
     N_RINGS,
     N_VIEWS,
+    RADIUS,
     Viewpoint,
     build_rig,
     index_of,

@@ -34,7 +34,10 @@ def _fraction(text: str) -> float:
 
 
 def _sigma_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    sigmas = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not sigmas:
+        raise ValueError(f"no noise levels in {text!r}")
+    return sigmas
 
 
 #: Namespace entries that the parser sets itself; a config file must not replace them.

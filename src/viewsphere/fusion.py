@@ -38,7 +38,7 @@ class PoseOffset:
 
 def pose_offset(capture: Viewpoint, predicted_index: int) -> PoseOffset:
     """Rotation implied by seeing viewpoint ``predicted_index`` from ``capture``."""
-    predicted = viewpoint_from_index(predicted_index, radius=capture.radius)
+    predicted = viewpoint_from_index(predicted_index)
     return PoseOffset(
         d_theta=(capture.theta_deg - predicted.theta_deg) % 360,
         d_phi=capture.phi_deg - predicted.phi_deg,

@@ -392,9 +392,12 @@ def evaluate(
     predicted offset equals the true offset. Order independent.
 
     Raises:
-        ValueError: results do not exactly cover the test split.
+        ValueError: the manifest has no test split, or the results do not
+            exactly cover it.
     """
     test = {r.object_id: r for r in records if r.split == "test"}
+    if not test:
+        raise ValueError("no test-split records in manifest")
     got = {r.object_id: r for r in sorted(results, key=lambda r: r.object_id)}
     if set(test) != set(got):
         missing = sorted(set(test) - set(got))[:5]

@@ -12,9 +12,9 @@ import numpy as np
 
 from .entropy import EntropyMap, entropy_map_from_views
 from .mesh import TriangleMesh
-from .render import DepthImage, RenderConfig, render_all_views
+from .render import IMAGE_SIZE, DepthImage, render_all_views
 from .viewrig import N_AZIMUTHS, N_RINGS, N_VIEWS, build_rig
-from .voxel import VoxelGrid, block_sums
+from .voxel import DIMS, VoxelGrid, block_sums
 
 SCORE_SUM_TOL = 1e-9
 EXCHANGE_SUM_TOL = 1e-6
@@ -69,40 +69,52 @@ class ViewPredictor(ABC):
     def predict(self, image: DepthImage) -> ViewPrediction: ...
 
 
-def oracle_entropy_predictor(mesh: TriangleMesh, config: RenderConfig | None = None) -> EntropyMap:
+def oracle_entropy_predictor(mesh: TriangleMesh) -> EntropyMap:
     """Ground-truth entropy map: render all 60 views and measure their entropy.
 
     This is the expensive path that learned predictors approximate; use it to
     score any EntropyPredictor.
     """
-    return entropy_map_from_views(render_all_views(mesh, build_rig(), config))
+    return entropy_map_from_views(render_all_views(mesh, build_rig()))
 
 
-def _accumulator(features: np.ndarray, cls) -> type[np.signedinteger]:
-    """The integer type for row sums of L1 distances over ``cls``'s feature table.
+def _check_knn(cls, features: np.ndarray, k: int) -> None:
+    """Check the feature table and ``k`` of a ``cls`` predictor.
 
     Raises:
-        ValueError: if ``features`` is not a 2-D table of ``cls.FEATURE_DTYPE``.
+        ValueError: ``features`` is not a non-empty (n, ``cls.WIDTH``) table
+            of ``cls.FEATURE_DTYPE``, or ``k < 1``.
     """
-    if features.ndim != 2 or features.dtype != cls.FEATURE_DTYPE:
+    if features.shape[1:] != (cls.WIDTH,) or not len(features) or features.dtype != cls.FEATURE_DTYPE:
         raise ValueError(
-            f"{cls.__name__} features must be a 2-D {np.dtype(cls.FEATURE_DTYPE)} table, "
-            f"got {features.dtype} of shape {features.shape}"
+            f"{cls.__name__} features must be a non-empty (n, {cls.WIDTH}) "
+            f"{np.dtype(cls.FEATURE_DTYPE)} table, got {features.dtype} of shape {features.shape}"
         )
-    return np.int32 if features.shape[1] * cls.MAX_FEATURE < 2**31 else np.int64
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _l1_distances(table: np.ndarray, query: np.ndarray, accumulator, block: int) -> np.ndarray:
+def _check_labels(name: str, labels: np.ndarray, n_rows: int, bound: int) -> None:
+    """``labels`` must hold one integer in 0..bound-1 per table row."""
+    if labels.shape != (n_rows,):
+        raise ValueError(f"{name} has shape {labels.shape}, features have {n_rows} rows")
+    if labels.dtype.kind not in "iu" or not ((labels >= 0) & (labels < bound)).all():
+        raise ValueError(f"{name} must be integers in 0..{bound - 1}")
+
+
+def _l1_distances(table: np.ndarray, query: np.ndarray, block: int) -> np.ndarray:
     """L1 distances from ``query`` to each row of an integer block-sum table, in block means.
 
     The features are signed, so ``table - query`` cannot wrap, and each row
-    sum fits ``accumulator``. An integer sum over ``block`` equals the float64
-    distance between the block means bit for bit: every term and partial sum
-    of that distance is a multiple of 1/block far below 2**53.
+    sum fits int32: it is at most ``WIDTH * MAX_FEATURE``, 784 * 16,320 for
+    views and 2,744 * 64 for grids, both below 2**31. An integer sum over
+    ``block`` equals the float64 distance between the block means bit for
+    bit: every term and partial sum of that distance is a multiple of
+    1/block far below 2**53.
     """
     d = np.subtract(table, query)
     np.abs(d, out=d)
-    return d.sum(axis=1, dtype=accumulator) / float(block)
+    return d.sum(axis=1, dtype=np.int32) / float(block)
 
 
 def _knn_weights(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | int:
@@ -124,19 +136,23 @@ class KnnEntropyPredictor(EntropyPredictor):
     BLOCK = VOXEL_POOL_FACTOR**3
     FEATURE_DTYPE = np.int8
     MAX_FEATURE = BLOCK
+    WIDTH = (DIMS // VOXEL_POOL_FACTOR) ** 3
 
     def __init__(self, features: np.ndarray, maps: np.ndarray, k: int):
+        """Raises ValueError for a bad table or ``k``, or maps other than (n, 5, 12)."""
+        _check_knn(type(self), features, k)
+        if maps.shape != (len(features), N_RINGS, N_AZIMUTHS):
+            raise ValueError(f"maps must be ({len(features)}, {N_RINGS}, {N_AZIMUTHS}), got {maps.shape}")
         self.features = features
         self.maps = maps
         self.k = k
-        self._accumulator = _accumulator(features, type(self))
 
     @staticmethod
     def featurize(grid: VoxelGrid) -> np.ndarray:
         return block_sums(grid.occupancy, VOXEL_POOL_FACTOR, KnnEntropyPredictor.FEATURE_DTYPE).ravel()
 
     def predict_map(self, grid: VoxelGrid) -> EntropyMap:
-        distances = _l1_distances(self.features, self.featurize(grid), self._accumulator, self.BLOCK)
+        distances = _l1_distances(self.features, self.featurize(grid), self.BLOCK)
         picked = _knn_weights(distances, self.k)
         if isinstance(picked, int):
             return EntropyMap(self.maps[picked])
@@ -156,10 +172,8 @@ def knn_entropy_predictor_train(
     """Train the k-NN entropy-map predictor on (grid, map) pairs.
 
     Raises:
-        ValueError: empty dataset or k < 1.
+        ValueError: empty dataset, or a check of :class:`KnnEntropyPredictor` fails.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     features = []
     maps = []
     for grid, emap in dataset:
@@ -182,6 +196,7 @@ class KnnViewPredictor(ViewPredictor):
     BLOCK = IMAGE_POOL_FACTOR**2
     FEATURE_DTYPE = np.int16
     MAX_FEATURE = BLOCK * 255
+    WIDTH = (IMAGE_SIZE // IMAGE_POOL_FACTOR) ** 2
 
     def __init__(
         self,
@@ -191,19 +206,22 @@ class KnnViewPredictor(ViewPredictor):
         categories: list[str],
         k: int,
     ):
+        """Raises ValueError for a bad table or ``k``, or labels that index no category or view."""
+        _check_knn(type(self), features, k)
+        _check_labels("category_ids", category_ids, len(features), len(categories))
+        _check_labels("viewpoints", viewpoints, len(features), N_VIEWS)
         self.features = features
         self.category_ids = category_ids
         self.viewpoints = viewpoints
         self.categories = list(categories)
         self.k = k
-        self._accumulator = _accumulator(features, type(self))
 
     @staticmethod
     def featurize(image: DepthImage) -> np.ndarray:
         return block_sums(image.pixels, IMAGE_POOL_FACTOR, KnnViewPredictor.FEATURE_DTYPE).ravel()
 
     def predict(self, image: DepthImage) -> ViewPrediction:
-        distances = _l1_distances(self.features, self.featurize(image), self._accumulator, self.BLOCK)
+        distances = _l1_distances(self.features, self.featurize(image), self.BLOCK)
         class_scores = dict.fromkeys(self.categories, 0.0)
         viewpoint_scores = np.zeros(N_VIEWS)
         picked = _knn_weights(distances, self.k)
@@ -236,16 +254,12 @@ def knn_view_predictor_train(
     """Train the k-NN view predictor on (image, category, view index) triples.
 
     Raises:
-        ValueError: empty dataset, k < 1, or a view index out of range.
+        ValueError: empty dataset, or a check of :class:`KnnViewPredictor` fails.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     features = []
     labels = []
     viewpoints = []
     for image, category, view_index in dataset:
-        if not 0 <= view_index < N_VIEWS:
-            raise ValueError(f"view index {view_index} out of range")
         features.append(KnnViewPredictor.featurize(image))
         labels.append(category)
         viewpoints.append(view_index)
@@ -262,32 +276,23 @@ def knn_view_predictor_train(
     )
 
 
-def _feature_table(path, features: np.ndarray, cls) -> np.ndarray:
-    """Check a stored feature table and return it as ``cls``'s integer block sums.
+def _feature_table(features: np.ndarray, cls) -> np.ndarray:
+    """Return a stored feature table as ``cls``'s integer block sums.
 
     Tables saved before the features were integers hold float64 block means;
     they are scaled by the block size, which is exact, and must come out
     integral and in range.
     """
-    if features.ndim != 2 or not features.size:
-        raise ValueError(f"{path}: features must be a non-empty 2-D table, got shape {features.shape}")
     if features.dtype.kind == "f":
         features = features * float(cls.BLOCK)
     elif features.dtype.kind not in "iu":
-        raise ValueError(f"{path}: features have unsupported dtype {features.dtype}")
+        raise ValueError(f"features have unsupported dtype {features.dtype}")
     if not ((features >= 0) & (features <= cls.MAX_FEATURE) & (features == np.round(features))).all():
         raise ValueError(
-            f"{path}: features are not block sums in 0..{cls.MAX_FEATURE} "
+            f"features are not block sums in 0..{cls.MAX_FEATURE} "
             f"(or block means that are multiples of 1/{cls.BLOCK})"
         )
     return features.astype(cls.FEATURE_DTYPE)
-
-
-def _check_rows(path, features: np.ndarray, **columns: np.ndarray) -> None:
-    """Every array in ``columns`` must have one row per feature row."""
-    for name, column in columns.items():
-        if column.shape[:1] != features.shape[:1]:
-            raise ValueError(f"{path}: {name} has shape {column.shape}, features have {len(features)} rows")
 
 
 def load_predictor(path: str | Path) -> KnnEntropyPredictor | KnnViewPredictor:
@@ -295,32 +300,28 @@ def load_predictor(path: str | Path) -> KnnEntropyPredictor | KnnViewPredictor:
 
     Raises:
         ValueError: naming the file, if an array is missing, the kind is
-            unknown, the tables disagree in shape, or a feature table does not
-            hold block sums (or, in older files, block means) in range.
+            unknown, a feature table does not hold block sums (or, in older
+            files, block means) in range, or the constructor rejects the
+            arrays.
     """
     with np.load(path, allow_pickle=False) as blob:
         try:
             kind = str(blob["kind"])
             if kind == "entropy_knn":
-                features = _feature_table(path, blob["features"], KnnEntropyPredictor)
-                maps = blob["maps"]
-                if maps.shape[1:] != (N_RINGS, N_AZIMUTHS):
-                    raise ValueError(f"{path}: maps must be (n, {N_RINGS}, {N_AZIMUTHS}), got {maps.shape}")
-                _check_rows(path, features, maps=maps)
-                return KnnEntropyPredictor(features, maps, int(blob["k"]))
+                features = _feature_table(blob["features"], KnnEntropyPredictor)
+                return KnnEntropyPredictor(features, blob["maps"], int(blob["k"]))
             if kind == "view_knn":
-                features = _feature_table(path, blob["features"], KnnViewPredictor)
-                category_ids, viewpoints = blob["category_ids"], blob["viewpoints"]
-                _check_rows(path, features, category_ids=category_ids, viewpoints=viewpoints)
                 return KnnViewPredictor(
-                    features,
-                    category_ids,
-                    viewpoints,
+                    _feature_table(blob["features"], KnnViewPredictor),
+                    blob["category_ids"],
+                    blob["viewpoints"],
                     [str(c) for c in blob["categories"]],
                     int(blob["k"]),
                 )
         except KeyError as exc:  # an array the saved predictor must hold is missing
             raise ValueError(f"{path}: {exc.args[0]}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         raise ValueError(f"{path}: unknown predictor kind {kind!r}")
 
 

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .mesh import TriangleMesh, assert_normalized, pair_chunks
-from .viewrig import Viewpoint
+from .viewrig import RADIUS, Viewpoint
 
+#: Every view is IMAGE_SIZE x IMAGE_SIZE pixels over a square of side VIEW_SQUARE_SIZE.
 IMAGE_SIZE = 224
 VIEW_SQUARE_SIZE = 1.9
 
@@ -33,15 +34,6 @@ _GUARD_FLOOR = 1e-12
 BACKGROUND_CODE = 0
 NEAR_CODE = 255
 FAR_CODE = 1
-
-
-@dataclass(frozen=True)
-class RenderConfig:
-    """Renderer knobs; the defaults define the canonical dataset geometry."""
-
-    width: int = IMAGE_SIZE
-    height: int = IMAGE_SIZE
-    view_size: float = VIEW_SQUARE_SIZE
 
 
 @dataclass
@@ -125,39 +117,33 @@ def ray_triangle_hits(ox, oy, oz, direction, v0, v1, v2):
     return _hits(ox, oy, oz, direction, (*rows, f))
 
 
-def _pixel_axes(config: RenderConfig) -> tuple[np.ndarray, np.ndarray]:
+def _pixel_axes() -> tuple[np.ndarray, np.ndarray]:
     """Image-plane coordinates of pixel centers: u per column, v per row (top row = +v)."""
-    pix_u = config.view_size / config.width
-    pix_v = config.view_size / config.height
-    ucoords = (np.arange(config.width) - (config.width - 1) / 2.0) * pix_u
-    vcoords = ((config.height - 1) / 2.0 - np.arange(config.height)) * pix_v
+    pix = VIEW_SQUARE_SIZE / IMAGE_SIZE
+    ucoords = (np.arange(IMAGE_SIZE) - (IMAGE_SIZE - 1) / 2.0) * pix
+    vcoords = ((IMAGE_SIZE - 1) / 2.0 - np.arange(IMAGE_SIZE)) * pix
     return ucoords, vcoords
 
 
-def _ray_origins(view: Viewpoint, config: RenderConfig, out: list | None = None) -> list[np.ndarray]:
-    """x, y and z of the per-pixel ray origins, each (h, w): position + u * right + v * up.
-
-    Fills the three planes of ``out`` in place when given.
-    """
+def _ray_origins(view: Viewpoint, planes: list[np.ndarray]) -> None:
+    """Fill ``planes`` with the x, y and z of the per-pixel ray origins: position + u * right + v * up."""
     right, up, _ = view.camera_frame()
-    ucoords, vcoords = _pixel_axes(config)
-    if out is None:
-        out = [np.empty((config.height, config.width)) for _ in range(3)]
-    for c, plane in enumerate(out):
+    ucoords, vcoords = _pixel_axes()
+    for c, plane in enumerate(planes):
         np.add(view.position[c] + ucoords[None, :] * right[c], vcoords[:, None] * up[c], out=plane)
-    return out
 
 
-def camera_rays(view: Viewpoint, config: RenderConfig | None = None):
+def camera_rays(view: Viewpoint):
     """Orthographic per-pixel ray origins (h, w, 3) and the shared unit direction."""
-    origins = np.stack(_ray_origins(view, config or RenderConfig()), axis=-1)
+    origins = np.empty((IMAGE_SIZE, IMAGE_SIZE, 3))
+    _ray_origins(view, [origins[..., c] for c in range(3)])
     return origins, view.camera_frame()[2]
 
 
-def depth_codes(distances: np.ndarray, radius: float) -> np.ndarray:
-    """Quantize hit distances to uint8 codes: [radius-1, radius+1] -> [255, 1], miss -> 0."""
+def depth_codes(distances: np.ndarray) -> np.ndarray:
+    """Quantize hit distances to uint8 codes: [RADIUS-1, RADIUS+1] -> [255, 1], miss -> 0."""
     hit = np.isfinite(distances)
-    scaled = 255.0 - 127.0 * (np.where(hit, distances, radius) - (radius - 1.0))
+    scaled = 255.0 - 127.0 * (np.where(hit, distances, RADIUS) - (RADIUS - 1.0))
     codes = np.clip(np.rint(scaled), FAR_CODE, NEAR_CODE)
     return np.where(hit, codes, BACKGROUND_CODE).astype(np.uint8)
 
@@ -184,15 +170,15 @@ def _guard(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
       at most sqrt(3) (the unit cube's diagonal).
 
     So every computed hit lies within ``eps * kappa * (9.2 |s| + 10)`` of the
-    exact projected triangle. With a view radius ``R`` and a view square of
-    side ``S``, ``|s| <= R + S / sqrt(2) + sqrt(3) / 2``: 4.2 for the default
-    rig, where the bound is 49 eps kappa. ``_GUARD_K`` = 4096 covers it 80
-    times over and stays a bound up to ``R`` = 440. ``_GUARD_FLOOR`` = 1e-12
+    exact projected triangle. The rig's cameras sit at ``RADIUS`` = 2 and see
+    a view square of side 1.9, so ``|s| <= 2 + 1.9 / sqrt(2) + sqrt(3) / 2``
+    = 4.2 and the bound is 49 eps kappa (a narrower square only lowers it);
+    ``_GUARD_K`` = 4096 covers it 80 times over. ``_GUARD_FLOOR`` = 1e-12
     covers the absolute rounding of the ray origins and of the projected
-    corners, a few eps ``(R + 1)``.
+    corners, a few eps ``(RADIUS + 1)``.
 
     The guard stays near 1e-12 for ordinary triangles; it exceeds one pixel
-    of the default image (8.5e-3) only where ``kappa`` exceeds about 1e10.
+    (8.5e-3) only where ``kappa`` exceeds about 1e10.
     """
     e1 = np.sqrt(rows[3] * rows[3] + rows[4] * rows[4] + rows[5] * rows[5])
     e2 = np.sqrt(rows[6] * rows[6] + rows[7] * rows[7] + rows[8] * rows[8])
@@ -244,7 +230,7 @@ def _row_spans(pu, pv, g, ucoords, vcoords):
         yield tri, row * len(ucoords) + col, n_cols
 
 
-def _cast_view(tris, view, config, origins, tbuf) -> None:
+def _cast_view(tris, view, origins, tbuf) -> None:
     """Fold the nearest hit of every triangle into the flat depth buffer ``tbuf``.
 
     ``origins`` holds the view's flat ray-origin planes. Candidate pairs
@@ -263,7 +249,7 @@ def _cast_view(tris, view, config, origins, tbuf) -> None:
     pu = x * right[0] + y * right[1] + z * right[2]
     pv = x * up[0] + y * up[1] + z * up[2]
     ox, oy, oz = origins
-    for tri, first, n_cols in _row_spans(pu, pv, _guard(rows, a), *_pixel_axes(config)):
+    for tri, first, n_cols in _row_spans(pu, pv, _guard(rows, a), *_pixel_axes()):
         for block, span, k in pair_chunks(n_cols, _PAIR_CHUNK):
             pix = np.repeat(first[block], span) + k
             pair_terms = np.take(terms, np.repeat(tri[block], span), axis=1)
@@ -272,20 +258,12 @@ def _cast_view(tris, view, config, origins, tbuf) -> None:
             np.minimum.at(tbuf, pix[hit], t[hit])
 
 
-def render_depth(
-    mesh: TriangleMesh,
-    view: Viewpoint,
-    config: RenderConfig | None = None,
-) -> DepthImage:
+def render_depth(mesh: TriangleMesh, view: Viewpoint) -> DepthImage:
     """Render one orthographic depth image; see :func:`render_all_views`."""
-    return render_all_views(mesh, [view], config)[0]
+    return render_all_views(mesh, [view])[0]
 
 
-def render_all_views(
-    mesh: TriangleMesh,
-    rig: list[Viewpoint],
-    config: RenderConfig | None = None,
-) -> list[DepthImage]:
+def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImage]:
     """Render every rig viewpoint, ordered by view index, one ray per pixel center.
 
     Each triangle is tested only against the pixels of its per-row spans:
@@ -295,23 +273,23 @@ def render_all_views(
     The depth buffer and the ray-origin planes are allocated once per call
     and reused across views. Bit-identical for identical inputs.
     """
-    cfg = config or RenderConfig()
+    shape = (IMAGE_SIZE, IMAGE_SIZE)
     if len(mesh.faces) == 0:
-        return [DepthImage(np.zeros((cfg.height, cfg.width), dtype=np.uint8)) for _ in rig]
+        return [DepthImage(np.zeros(shape, dtype=np.uint8)) for _ in rig]
     assert_normalized(mesh)
 
     tris = mesh.triangles
-    planes = [np.empty((cfg.height, cfg.width)) for _ in range(3)]
-    tbuf = np.empty(cfg.height * cfg.width)
+    planes = [np.empty(shape) for _ in range(3)]
+    tbuf = np.empty(IMAGE_SIZE * IMAGE_SIZE)
     images = []
     for view in rig:
-        _ray_origins(view, cfg, out=planes)
+        _ray_origins(view, planes)
         tbuf.fill(np.inf)
-        _cast_view(tris, view, cfg, [p.reshape(-1) for p in planes], tbuf)
-        codes = np.zeros(cfg.height * cfg.width, dtype=np.uint8)
+        _cast_view(tris, view, [p.reshape(-1) for p in planes], tbuf)
+        codes = np.zeros(IMAGE_SIZE * IMAGE_SIZE, dtype=np.uint8)
         hit = np.flatnonzero(tbuf < np.inf)
-        codes[hit] = depth_codes(tbuf[hit], view.radius)
-        images.append(DepthImage(codes.reshape(cfg.height, cfg.width)))
+        codes[hit] = depth_codes(tbuf[hit])
+        images.append(DepthImage(codes.reshape(shape)))
     return images
 
 

@@ -17,10 +17,8 @@ RING_PITCH_DEG = (30, 60, 90, 120, 150)
 #: Azimuth step between neighbouring cameras on a ring, degrees.
 AZIMUTH_STEP_DEG = 30
 
-DEFAULT_RADIUS = 2.0
-
-#: Radius of the sphere circumscribing the unit cube; cameras must sit outside it.
-UNIT_CUBE_CIRCUMRADIUS = math.sqrt(3.0) / 2.0
+#: Distance of every camera from the origin, outside the unit cube's circumsphere (sqrt(3) / 2).
+RADIUS = 2.0
 
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 _FIRST_QUADRANT = {0: (1.0, 0.0), 30: (_HALF_SQRT3, 0.5), 60: (0.5, _HALF_SQRT3), 90: (0.0, 1.0)}
@@ -59,18 +57,12 @@ class Viewpoint:
 
     ring: int
     azimuth: int
-    radius: float = DEFAULT_RADIUS
 
     def __post_init__(self):
         if not 0 <= self.ring < N_RINGS:
             raise ValueError(f"ring must be in 0..{N_RINGS - 1}, got {self.ring}")
         if not 0 <= self.azimuth < N_AZIMUTHS:
             raise ValueError(f"azimuth must be in 0..{N_AZIMUTHS - 1}, got {self.azimuth}")
-        if not self.radius > UNIT_CUBE_CIRCUMRADIUS:
-            raise ValueError(
-                f"camera radius {self.radius} lies inside the unit cube circumsphere "
-                f"(must exceed {UNIT_CUBE_CIRCUMRADIUS:.6f})"
-            )
 
     @property
     def phi_deg(self) -> int:
@@ -90,7 +82,7 @@ class Viewpoint:
     def position(self) -> np.ndarray:
         cp, sp = exact_trig(self.phi_deg)
         ct, st = exact_trig(self.theta_deg)
-        return np.array([self.radius * sp * ct, self.radius * sp * st, self.radius * cp])
+        return np.array([RADIUS * sp * ct, RADIUS * sp * st, RADIUS * cp])
 
     def camera_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Orthonormal (right, up, toward) basis of the camera.
@@ -123,13 +115,13 @@ def index_of(ring: int, azimuth: int) -> int:
     return N_AZIMUTHS * ring + azimuth
 
 
-def viewpoint_from_index(index: int, radius: float = DEFAULT_RADIUS) -> Viewpoint:
+def viewpoint_from_index(index: int) -> Viewpoint:
     """Inverse of :func:`index_of`: view index -> Viewpoint."""
     if not 0 <= index < N_VIEWS:
         raise ValueError(f"view index must be in 0..{N_VIEWS - 1}, got {index}")
-    return Viewpoint(ring=index // N_AZIMUTHS, azimuth=index % N_AZIMUTHS, radius=radius)
+    return Viewpoint(ring=index // N_AZIMUTHS, azimuth=index % N_AZIMUTHS)
 
 
-def build_rig(radius: float = DEFAULT_RADIUS) -> list[Viewpoint]:
+def build_rig() -> list[Viewpoint]:
     """All 60 viewpoints ordered by index (ring-major, then azimuth)."""
-    return [Viewpoint(k, j, radius) for k in range(N_RINGS) for j in range(N_AZIMUTHS)]
+    return [Viewpoint(k, j) for k in range(N_RINGS) for j in range(N_AZIMUTHS)]

@@ -10,11 +10,14 @@ import numpy as np
 
 from .mesh import MeshError, TriangleMesh, assert_normalized, pair_chunks
 
+#: A 50^3 interior inside an empty shell of PADDING voxels: DIMS^3 cells.
 INTERIOR_SIZE = 50
 PADDING = 3
+DIMS = INTERIOR_SIZE + 2 * PADDING
 
 _MAGIC = b"VOXG"
 _HEADER = struct.Struct("<4s3BB8x")  # magic, dims x3, padding, 8 reserved bytes
+_INTERIOR = (slice(PADDING, PADDING + INTERIOR_SIZE),) * 3
 
 
 @dataclass(frozen=True)
@@ -22,27 +25,15 @@ class VoxelGrid:
     """Cubic boolean occupancy grid, indexed [x, y, z], with an empty padding shell."""
 
     occupancy: np.ndarray
-    interior_size: int = INTERIOR_SIZE
-    padding: int = PADDING
 
     def __post_init__(self):
         occ = np.array(self.occupancy, dtype=bool, copy=True)
-        d = self.interior_size + 2 * self.padding
-        if occ.shape != (d, d, d):
-            raise ValueError(f"occupancy must have shape ({d}, {d}, {d}), got {occ.shape}")
-        core = occ[
-            self.padding : self.padding + self.interior_size,
-            self.padding : self.padding + self.interior_size,
-            self.padding : self.padding + self.interior_size,
-        ]
-        if occ.sum() != core.sum():
+        if occ.shape != (DIMS, DIMS, DIMS):
+            raise ValueError(f"occupancy must have shape ({DIMS}, {DIMS}, {DIMS}), got {occ.shape}")
+        if occ.sum() != occ[_INTERIOR].sum():
             raise ValueError("padding shell contains occupied voxels")
         occ.setflags(write=False)
         object.__setattr__(self, "occupancy", occ)
-
-    @property
-    def dims(self) -> int:
-        return self.interior_size + 2 * self.padding
 
     @property
     def occupied_count(self) -> int:
@@ -154,12 +145,7 @@ def _mark_surface(tris: np.ndarray, n: int, surface: np.ndarray) -> None:
         test_others(*map(np.concatenate, zip(*held)))
 
 
-def voxelize(
-    mesh: TriangleMesh,
-    interior_size: int = INTERIOR_SIZE,
-    padding: int = PADDING,
-    solid: bool = False,
-) -> VoxelGrid:
+def voxelize(mesh: TriangleMesh, solid: bool = False) -> VoxelGrid:
     """Voxelize a normalized mesh onto the padded occupancy grid.
 
     A voxel is occupied iff its closed cell box intersects at least one
@@ -169,31 +155,26 @@ def voxelize(
 
     Raises:
         MeshError: mesh unnormalized or without faces.
-        ValueError: interior_size < 1.
     """
-    if interior_size < 1:
-        raise ValueError(f"interior_size must be >= 1, got {interior_size}")
     if len(mesh.faces) == 0:
         raise MeshError("cannot voxelize a mesh with no faces")
     assert_normalized(mesh)
 
-    n = interior_size
-    dims = n + 2 * padding
-    occ = np.zeros((dims, dims, dims), dtype=bool)
-
+    n = INTERIOR_SIZE
     surface = np.zeros(n**3, dtype=bool)
     tris = mesh.triangles
     for first in range(0, len(tris), _TRIANGLE_BLOCK):
         _mark_surface(tris[first : first + _TRIANGLE_BLOCK], n, surface)
-    occ[padding : padding + n, padding : padding + n, padding : padding + n] = surface.reshape(n, n, n)
+    occ = np.zeros((DIMS, DIMS, DIMS), dtype=bool)
+    occ[_INTERIOR] = surface.reshape(n, n, n)
 
     if solid:
-        _parity_fill(mesh, occ, n, padding)
+        _parity_fill(mesh, occ[_INTERIOR])
 
-    return VoxelGrid(occupancy=occ, interior_size=interior_size, padding=padding)
+    return VoxelGrid(occ)
 
 
-def _parity_fill(mesh: TriangleMesh, occ: np.ndarray, n: int, padding: int) -> None:
+def _parity_fill(mesh: TriangleMesh, interior: np.ndarray) -> None:
     """Mark interior cells whose center lies inside the mesh, by x-ray parity.
 
     Rays run along +x through cell centers; crossing counts are unreliable
@@ -203,7 +184,9 @@ def _parity_fill(mesh: TriangleMesh, occ: np.ndarray, n: int, padding: int) -> N
     (triangle, ray) pairs. A ray a cell or more outside the box misses the
     triangle by about ``cell / (2 * diameter)`` or more in barycentric terms,
     far above the rounding of ``a`` and ``b`` unless ``|den|`` is below ~1e-13.
+    ``interior`` is the writable (n, n, n) interior of the grid.
     """
+    n = len(interior)
     cell = 1.0 / n
     centers_1d = -0.5 + (np.arange(n) + 0.5) * cell
     tris = mesh.triangles
@@ -243,7 +226,7 @@ def _parity_fill(mesh: TriangleMesh, occ: np.ndarray, n: int, padding: int) -> N
     first_flipped = np.searchsorted(centers_1d, xs, side="left")
     flips = np.bincount(ray * (n + 1) + first_flipped, minlength=n * n * (n + 1))
     odd = np.cumsum(flips.reshape(n * n, n + 1)[:, :n], axis=1) % 2 == 1  # [iy * n + iz, ix]
-    occ[padding : padding + n, padding : padding + n, padding : padding + n] |= odd.reshape(n, n, n).transpose(2, 0, 1)
+    interior |= odd.reshape(n, n, n).transpose(2, 0, 1)
 
 
 def block_sums(values: np.ndarray, factor: int, dtype) -> np.ndarray:
@@ -278,29 +261,33 @@ def pool_voxels(grid: VoxelGrid, factor: int) -> np.ndarray:
 
 def save_grid(grid: VoxelGrid, path: str | Path) -> None:
     """Write the binary grid file: 16-byte header + little-endian packed bits, x-major."""
-    d = grid.dims
-    header = _HEADER.pack(_MAGIC, d, d, d, grid.padding)
+    header = _HEADER.pack(_MAGIC, DIMS, DIMS, DIMS, PADDING)
     bits = np.packbits(grid.occupancy.ravel(order="C").view(np.uint8), bitorder="little")
     Path(path).write_bytes(header + bits.tobytes())
 
 
 def load_grid(path: str | Path) -> VoxelGrid:
-    """Read a grid written by :func:`save_grid`."""
+    """Read a grid written by :func:`save_grid`.
+
+    Raises:
+        ValueError: naming the file, if it is truncated, has a bad magic, a
+            header other than dims 56^3 with padding 3, or a payload of the
+            wrong size.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise ValueError(f"{path}: truncated voxel grid file")
     magic, dx, dy, dz, padding = _HEADER.unpack_from(blob)
     if magic != _MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}")
-    if not dx == dy == dz:
-        raise ValueError(f"{path}: non-cubic dims {(dx, dy, dz)}")
-    n_bits = dx * dy * dz
+    if (dx, dy, dz, padding) != (DIMS, DIMS, DIMS, PADDING):
+        raise ValueError(
+            f"{path}: grid header reads dims {(dx, dy, dz)} with padding {padding}, "
+            f"expected {DIMS}^3 with padding {PADDING}"
+        )
+    n_bits = DIMS**3
     payload = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size)
-    if len(payload) != (n_bits + 7) // 8:
+    if len(payload) != n_bits // 8:
         raise ValueError(f"{path}: payload size mismatch")
-    flat = np.unpackbits(payload, count=n_bits, bitorder="little").astype(bool)
-    return VoxelGrid(
-        occupancy=flat.reshape(dx, dy, dz),
-        interior_size=dx - 2 * padding,
-        padding=padding,
-    )
+    flat = np.unpackbits(payload, bitorder="little").astype(bool)
+    return VoxelGrid(flat.reshape(DIMS, DIMS, DIMS))

@@ -13,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from viewsphere.mesh import TriangleMesh
-from viewsphere.render import DepthImage, RenderConfig, camera_rays, depth_codes, ray_triangle_hits
+from viewsphere import render
+from viewsphere.render import DepthImage, camera_rays, depth_codes, ray_triangle_hits
 from viewsphere.voxel import _TOUCH_EPS
 
 
@@ -74,21 +75,22 @@ def closed_cylinder_mesh(sides: int, radius: float = 0.4, half_height: float = 0
     return TriangleMesh(verts, np.array(faces))
 
 
-def brute_force_render(mesh: TriangleMesh, view, config: RenderConfig | None = None) -> DepthImage:
+def brute_force_render(mesh: TriangleMesh, view) -> DepthImage:
     """Nearest hit per pixel by testing every triangle against every pixel.
 
     Shares the ray/triangle kernel with the renderer (the bit-exactness
     contract requires identical per-pair arithmetic) but tests every triangle
     against every pixel instead of only the pixels of its guarded per-row spans.
+    Reads ``render.IMAGE_SIZE`` and ``render.VIEW_SQUARE_SIZE`` at call time,
+    like the renderer, so a test can narrow both.
     """
-    cfg = config or RenderConfig()
-    origins, direction = camera_rays(view, cfg)
+    origins, direction = camera_rays(view)
     ox, oy, oz = origins[..., 0], origins[..., 1], origins[..., 2]
-    best = np.full((cfg.height, cfg.width), np.inf)
+    best = np.full((render.IMAGE_SIZE, render.IMAGE_SIZE), np.inf)
     for v0, v1, v2 in mesh.triangles:
         t = ray_triangle_hits(ox, oy, oz, direction, v0, v1, v2)
         best = np.minimum(best, t)
-    return DepthImage(depth_codes(best, view.radius))
+    return DepthImage(depth_codes(best))
 
 
 def histogram_entropy(pixels: np.ndarray) -> float:
@@ -274,7 +276,7 @@ def reference_view_features(image: DepthImage) -> np.ndarray:
 
 def reference_voxel_features(grid) -> np.ndarray:
     """Float64 occupancy fractions of the 4^3 voxel blocks: the entropy features before integer counts."""
-    m = grid.dims // 4
+    m = len(grid.occupancy) // 4
     blocks = grid.occupancy.astype(np.float64).reshape(m, 4, m, 4, m, 4)
     return blocks.sum(axis=(1, 3, 5)).ravel() / 64.0
 

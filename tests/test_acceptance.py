@@ -92,7 +92,7 @@ def test_criterion_02_rig_geometry():
         rig = build_rig()
         assert len(rig) == 60
         for v in rig:
-            assert abs(float(np.linalg.norm(v.position)) - v.radius) <= 1e-9
+            assert abs(float(np.linalg.norm(v.position)) - 2.0) <= 1e-9
         assert sorted({v.phi_deg for v in rig}) == [30, 60, 90, 120, 150]
         for k in range(5):
             ring = [v for v in rig if v.ring == k]

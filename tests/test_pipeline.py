@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from viewsphere import pipeline, synthetic
-from viewsphere.cli import main
+from viewsphere.cli import _sigma_list, main
 from viewsphere.entropy import EntropyMap, write_map_csv
 from viewsphere.fusion import PoseOffset
 from viewsphere.predict import PredictionRecord, write_predictions
@@ -217,6 +217,20 @@ def test_evaluate_mismatch_errors(dataset):
         pipeline.evaluate(partial, records)
 
 
+def test_evaluate_without_test_split_errors(dataset, tmp_path, capsys):
+    out, records = dataset
+    with pytest.raises(ValueError, match="no test-split records"):
+        pipeline.evaluate([], [r for r in records if r.split == "train"])
+    lines = (out / "manifest.csv").read_text().splitlines(keepends=True)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("".join(line for line in lines if line.split(",")[2] != "test"))
+    results = tmp_path / "results.csv"
+    pipeline.write_results([], results)
+    args = ["evaluate", "--results", str(results), "--manifest", str(manifest), "--out", str(tmp_path / "e")]
+    assert main(args) == 1
+    assert "no test-split records" in capsys.readouterr().err
+
+
 def test_results_csv_round_trip(dataset, predictors, tmp_path):
     _, records = dataset
     _, view_predictor = predictors
@@ -269,6 +283,18 @@ def test_noise_sweep_max_views(dataset, predictors, model_root):
     _, view_predictor = predictors
     with pytest.raises(ValueError, match="max_views"):
         pipeline.noise_sweep(records, model_root, view_predictor, sigmas=[0.0], max_views=0)
+
+
+@pytest.mark.parametrize("sigmas", [",", " , ,", ""])
+def test_cli_noise_sweep_rejects_empty_sigma_list(dataset, model_root, tmp_path, capsys, sigmas):
+    out, _ = dataset
+    with pytest.raises(ValueError, match="no noise levels"):
+        _sigma_list(sigmas)
+    args = ["noise-sweep", "--manifest", str(out / "manifest.csv"), "--models", str(model_root)]
+    args += ["--sigmas", sigmas, "--view-model", "v.npz", "--out", str(tmp_path / "sweep")]
+    assert main(args) == 1
+    assert "--sigmas" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_emit_heatmap(tmp_path):

@@ -18,7 +18,6 @@ from viewsphere.predict import (
     KnnViewPredictor,
     PredictionRecord,
     ViewPrediction,
-    _accumulator,
     _l1_distances,
     knn_entropy_predictor_train,
     knn_view_predictor_train,
@@ -134,6 +133,15 @@ def test_knn_entropy_errors():
         knn_entropy_predictor_train([], k=3)
     with pytest.raises(ValueError, match="k must be"):
         knn_entropy_predictor_train([(_grid(0), _map(0))], k=0)
+
+
+def test_knn_view_errors():
+    with pytest.raises(ValueError, match="empty"):
+        knn_view_predictor_train([], k=3)
+    with pytest.raises(ValueError, match="k must be"):
+        knn_view_predictor_train([(_image(0), "a", 0)], k=0)
+    with pytest.raises(ValueError, match="viewpoints"):
+        knn_view_predictor_train([(_image(0), "a", 60)], k=1)
 
 
 def test_knn_view_exact_match_full_mass():
@@ -279,27 +287,34 @@ def _block_table(rng, n_rows, width, max_value, dtype):
 @pytest.mark.parametrize("cls, width", [(KnnViewPredictor, 784), (KnnEntropyPredictor, 2744)])
 def test_integer_distances_bit_equal_float_formula(cls, width):
     rng = np.random.default_rng(5)
+    assert cls.WIDTH == width
     table = _block_table(rng, 40, width, cls.MAX_FEATURE, cls.FEATURE_DTYPE)
-    assert _accumulator(table, cls) is np.int32
     other = rng.integers(0, cls.MAX_FEATURE + 1, size=width).astype(cls.FEATURE_DTYPE)
     for query in (table[0], table[1], table[7], other):
-        got = _l1_distances(table, query, _accumulator(table, cls), cls.BLOCK)
+        got = _l1_distances(table, query, cls.BLOCK)
         want = reference_knn_distances(table / float(cls.BLOCK), query / float(cls.BLOCK))
         assert got.dtype == np.float64
         assert np.array_equal(got, want)
-    farthest = _l1_distances(table, table[0], np.int32, cls.BLOCK)[1]
+    farthest = _l1_distances(table, table[0], cls.BLOCK)[1]
     assert farthest == width * cls.MAX_FEATURE / cls.BLOCK  # all-0 against all-max blocks
 
 
-def test_wide_tables_sum_in_int64():
-    # 131,587 features * 16,320 >= 2**31: an int32 row sum could overflow
-    rng = np.random.default_rng(6)
-    table = _block_table(rng, 3, 131_587, KnnViewPredictor.MAX_FEATURE, np.int16)
-    assert _accumulator(table[:, :-1], KnnViewPredictor) is np.int32
-    assert _accumulator(table, KnnViewPredictor) is np.int64
-    got = _l1_distances(table, table[0], np.int64, KnnViewPredictor.BLOCK)
-    assert np.array_equal(got, reference_knn_distances(table / 64.0, table[0] / 64.0))
-    assert got[1] == 131_587 * 255.0
+def _construct(cls, features):
+    """A ``cls`` predictor over ``features``, with valid labels or maps and k = 1."""
+    n = len(features)
+    if cls is KnnViewPredictor:
+        return cls(features, np.zeros(n, np.int64), np.zeros(n, np.int64), ["a"], 1)
+    return cls(features, np.zeros((n, 5, 12)), 1)
+
+
+def test_row_sums_fit_int32_and_tables_have_fixed_width():
+    # _l1_distances sums rows in int32; the constructors admit no table wider than WIDTH
+    for cls in (KnnViewPredictor, KnnEntropyPredictor):
+        assert cls.WIDTH * cls.MAX_FEATURE < 2**31
+        wide = np.zeros((2, cls.WIDTH + 1), dtype=cls.FEATURE_DTYPE)
+        _construct(cls, wide[:, :-1])
+        with pytest.raises(ValueError, match=rf"\(n, {cls.WIDTH}\)"):
+            _construct(cls, wide)
 
 
 def test_featurize_sums_blocks_exactly():
@@ -458,3 +473,27 @@ def test_loader_rejects_disagreeing_shapes(tmp_path):
             load_predictor(path)
     _save_view_model(tmp_path / "good.npz", views)
     assert load_predictor(tmp_path / "good.npz").features.shape == (3, 784)
+
+
+@pytest.mark.parametrize(
+    "case, overrides, message",
+    [
+        ("k0", dict(k=0), "k must be"),
+        ("category5", dict(category_ids=np.array([0, 5])), "category_ids"),
+        ("view60", dict(viewpoints=np.array([0, 60])), "viewpoints"),
+        ("view_negative", dict(viewpoints=np.array([-1, 0])), "viewpoints"),
+        ("float_views", dict(viewpoints=np.array([0.0, 1.0])), "viewpoints"),
+        ("width700", dict(features=np.zeros((2, 700), np.int16)), r"\(n, 784\)"),
+    ],
+)
+def test_loader_rejects_bad_values(tmp_path, capsys, case, overrides, message):
+    path = tmp_path / f"{case}.npz"
+    _save_view_model(path, overrides.pop("features", np.zeros((2, 784), np.int16)), **overrides)
+    with pytest.raises(ValueError, match=f"{case}.npz: .*{message}"):
+        load_predictor(path)
+    manifest = tmp_path / "manifest.csv"
+    row = dict(object_id="o", category="a", split="test", voxel_path="o.vox", entropies=np.zeros(60))
+    pipeline.write_manifest([{**row, "view_paths": [f"v{i:02d}.pgm" for i in range(60)]}], manifest)
+    args = ["recognize", "--manifest", str(manifest), "--view-model", str(path), "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert f"{case}.npz" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from viewsphere import render
 from viewsphere.mesh import MeshError, TriangleMesh
 from viewsphere.render import (
     DepthImage,
-    RenderConfig,
     camera_rays,
     depth_codes,
     ray_triangle_hits,
@@ -16,7 +15,7 @@ from viewsphere.render import (
     render_depth,
     write_pgm,
 )
-from viewsphere.viewrig import Viewpoint, build_rig, viewpoint_from_index
+from viewsphere.viewrig import RADIUS, Viewpoint, build_rig, viewpoint_from_index
 
 
 def test_empty_mesh_renders_background():
@@ -80,23 +79,29 @@ def _mixed_mesh():
     return TriangleMesh(np.vstack(verts), np.vstack(faces))
 
 
-#: 64 px over 1.2 units: cube faces still cover > 1,000 px, and corners leave the image.
-_NARROW = RenderConfig(width=64, height=64, view_size=1.2)
+def _narrow(monkeypatch):
+    """64 px over 1.2 units: cube faces still cover > 1,000 px, and corners leave the image."""
+    monkeypatch.setattr(render, "IMAGE_SIZE", 64)
+    monkeypatch.setattr(render, "VIEW_SQUARE_SIZE", 1.2)
 
 
 @pytest.fixture(scope="module")
 def mixed_mesh_and_oracle():
     mesh = _mixed_mesh()
-    return mesh, [brute_force_render(mesh, view, _NARROW) for view in build_rig()]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _narrow(monkeypatch)
+        return mesh, [brute_force_render(mesh, view) for view in build_rig()]
 
 
 @pytest.mark.parametrize("pair_chunk", [None, 7])
 def test_mixed_mesh_matches_brute_force_on_all_views(mixed_mesh_and_oracle, monkeypatch, pair_chunk):
     mesh, oracle = mixed_mesh_and_oracle
+    _narrow(monkeypatch)
     if pair_chunk is not None:
         monkeypatch.setattr(render, "_PAIR_CHUNK", pair_chunk)  # triangles and rows span blocks
     for view, expected in zip(build_rig(), oracle):
-        assert np.array_equal(render_depth(mesh, view, _NARROW).pixels, expected.pixels), view
+        assert expected.pixels.shape == (64, 64)
+        assert np.array_equal(render_depth(mesh, view).pixels, expected.pixels), view
 
 
 def _mirrored_mesh(seed):
@@ -142,7 +147,7 @@ def _guard_mesh():
       lies 0.1 eps ``|e1| |e2| / |a|`` outside that edge, where only the
       kernel's rounding decides whether it is hit.
     """
-    ucoords, vcoords = render._pixel_axes(RenderConfig())
+    ucoords, vcoords = render._pixel_axes()
     tris = []
     for n, (j, i) in enumerate([(60, 60), (100, 80), (140, 120), (70, 150), (150, 65), (111, 111)]):
         x, s = -0.3 + 0.1 * n, 3 + 2 * n
@@ -183,15 +188,15 @@ def test_cylinder_yaw_invariant_foreground():
 
 
 def test_depth_codes_antitone_and_clamped():
-    radius = 2.0
+    radius = RADIUS
     t = np.array([radius - 1.0, radius - 0.5, radius, radius + 0.5, radius + 1.0, np.inf])
-    codes = depth_codes(t, radius)
+    codes = depth_codes(t)
     assert codes[0] == 255 and codes[4] == 1 and codes[5] == 0
     hit = codes[:-1]
     assert (np.diff(hit.astype(int)) <= 0).all()
     # out-of-range hits clamp instead of wrapping
-    assert depth_codes(np.array([radius + 2.0]), radius)[0] == 1
-    assert depth_codes(np.array([radius - 2.0]), radius)[0] == 255
+    assert depth_codes(np.array([radius + 2.0]))[0] == 1
+    assert depth_codes(np.array([radius - 2.0]))[0] == 255
 
 
 def test_foreground_nonzero_background_zero():

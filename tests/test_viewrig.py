@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from viewsphere.viewrig import (
-    DEFAULT_RADIUS,
     N_VIEWS,
+    RADIUS,
     Viewpoint,
     build_rig,
     exact_trig,
@@ -23,7 +23,8 @@ def test_rig_has_60_views_with_expected_angles():
 
 
 def test_positions_on_sphere():
-    rig = build_rig(radius=2.0)
+    rig = build_rig()
+    assert RADIUS == 2.0
     for v in rig:
         assert abs(np.linalg.norm(v.position) - 2.0) < 1e-9
 
@@ -31,7 +32,7 @@ def test_positions_on_sphere():
 def test_equator_front_position():
     v = Viewpoint(ring=2, azimuth=0)
     assert v.phi_deg == 90 and v.theta_deg == 0
-    assert np.array_equal(v.position, [DEFAULT_RADIUS, 0.0, 0.0])
+    assert np.array_equal(v.position, [RADIUS, 0.0, 0.0])
 
 
 def test_successive_azimuths_subtend_30_degrees():
@@ -70,9 +71,8 @@ def test_out_of_range_indices():
         index_of(0, 12)
 
 
-def test_radius_inside_circumsphere_rejected():
-    with pytest.raises(ValueError, match="circumsphere"):
-        build_rig(radius=0.8)
+def test_radius_outside_unit_cube_circumsphere():
+    assert RADIUS > math.sqrt(3.0) / 2.0  # every camera sees the whole normalized mesh in front of it
 
 
 def _rounded_set(positions):
@@ -104,7 +104,7 @@ def test_camera_frame_orthonormal_and_aimed():
         assert abs(right @ toward) < 1e-12
         assert abs(up @ toward) < 1e-12
         # camera looks at the origin
-        assert np.allclose(toward, -v.position / v.radius, atol=1e-12)
+        assert np.allclose(toward, -v.position / RADIUS, atol=1e-12)
         # up is world +z projected onto the image plane
         assert up[2] > 0.0
         assert abs(right[2]) == 0.0

@@ -11,7 +11,10 @@ from oracles import (
     uv_sphere_mesh,
 )
 from viewsphere import synthetic, voxel
+from viewsphere.cli import main
+from viewsphere.entropy import EntropyMap
 from viewsphere.mesh import MeshError, TriangleMesh, load_off, normalize_to_unit_cube
+from viewsphere.predict import knn_entropy_predictor_train
 from viewsphere.voxel import VoxelGrid, load_grid, pool_voxels, save_grid, voxelize
 
 
@@ -36,7 +39,7 @@ def test_padding_shell_always_empty():
     for _ in range(10):
         grid = voxelize(random_mesh(rng, 20))
         occ = grid.occupancy
-        p = grid.padding
+        p = voxel.PADDING
         shell = occ.sum() - occ[p:-p, p:-p, p:-p].sum()
         assert shell == 0
         assert grid.occupied_count >= 1
@@ -74,11 +77,6 @@ def test_voxelize_rejects_unnormalized():
 def test_voxelize_rejects_empty_mesh():
     with pytest.raises(MeshError, match="no faces"):
         voxelize(TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=int)))
-
-
-def test_voxelize_rejects_bad_interior_size():
-    with pytest.raises(ValueError, match="interior_size"):
-        voxelize(unit_cube_mesh(), interior_size=0)
 
 
 def test_solid_fill_cube():
@@ -183,8 +181,6 @@ def test_grid_file_round_trip(tmp_path):
     save_grid(grid, path)
     again = load_grid(path)
     assert np.array_equal(grid.occupancy, again.occupancy)
-    assert again.interior_size == grid.interior_size
-    assert again.padding == grid.padding
     # byte determinism
     save_grid(again, tmp_path / "g2.vox")
     assert (tmp_path / "g.vox").read_bytes() == (tmp_path / "g2.vox").read_bytes()
@@ -199,6 +195,24 @@ def test_grid_file_header_is_16_bytes(tmp_path):
     assert blob[4:7] == bytes([56, 56, 56])
     assert blob[7] == 3
     assert len(blob) == 16 + 56**3 // 8
+
+
+@pytest.mark.parametrize("dims, padding", [(20, 2), (56, 2), (20, 3), (58, 4)])
+def test_load_grid_rejects_other_headers(tmp_path, capsys, dims, padding):
+    # a well-formed file for another grid geometry: header, dims^3 bits, shell empty
+    occ = np.zeros((dims, dims, dims), dtype=bool)
+    occ[padding:-padding, padding:-padding, padding:-padding] = True
+    bits = np.packbits(occ.ravel().view(np.uint8), bitorder="little")
+    path = tmp_path / "other.vox"
+    path.write_bytes(b"VOXG" + bytes([dims, dims, dims, padding]) + bytes(8) + bits.tobytes())
+    with pytest.raises(ValueError, match=r"other\.vox.*56\^3 with padding 3"):
+        load_grid(path)
+    ep = knn_entropy_predictor_train([(voxelize(unit_cube_mesh()), EntropyMap(np.zeros((5, 12))))], k=1)
+    ep.save(tmp_path / "e.npz")
+    args = ["predict-map", "--grid", str(path), "--model", str(tmp_path / "e.npz"), "--out", str(tmp_path / "m.csv")]
+    assert main(args) == 1
+    assert "other.vox" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_load_grid_rejects_bad_magic(tmp_path):
