@@ -24,19 +24,24 @@ from .voxel import load_grid
 
 
 def _fraction(text: str) -> float:
-    """Parse '0.25' or '1/3' style fractions."""
+    """Parse '0.25' or '1/3' style fractions.
+
+    Raises ``argparse.ArgumentTypeError``, whose message argparse prints; it
+    replaces a ``ValueError``'s message with "invalid _fraction value".
+    """
     if "/" in text:
         num, den = (float(tok) for tok in text.split("/", 1))
         if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
+            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
         return num / den
     return float(text)
 
 
 def _sigma_list(text: str) -> list[float]:
+    """Parse comma-separated noise levels; raises ``argparse.ArgumentTypeError`` like :func:`_fraction`."""
     sigmas = [float(tok) for tok in text.split(",") if tok.strip()]
     if not sigmas:
-        raise ValueError(f"no noise levels in {text!r}")
+        raise argparse.ArgumentTypeError(f"no noise levels in {text!r}")
     return sigmas
 
 

@@ -7,7 +7,9 @@ its projection. ``g`` bounds how far outside the exact triangle the rounded
 barycentric test of the kernel can accept a ray; :func:`_guard` derives it.
 All (triangle, pixel) pairs run through the one kernel, :func:`_hits`, in
 fixed-size blocks, and ``np.minimum.at`` keeps the nearest hit per pixel, so
-every image equals testing every triangle against every pixel.
+every image equals testing every triangle against every pixel. A view and
+its antipode see the same projection mirrored, so they share all of this but
+the kernel and the minimum (:func:`_cast_pair`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .mesh import TriangleMesh, assert_normalized, pair_chunks
-from .viewrig import RADIUS, Viewpoint
+from .viewrig import RADIUS, Viewpoint, antipode
 
 #: Every view is IMAGE_SIZE x IMAGE_SIZE pixels over a square of side VIEW_SQUARE_SIZE.
 IMAGE_SIZE = 224
@@ -230,32 +232,57 @@ def _row_spans(pu, pv, g, ucoords, vcoords):
         yield tri, row * len(ucoords) + col, n_cols
 
 
-def _cast_view(tris, view, origins, tbuf) -> None:
-    """Fold the nearest hit of every triangle into the flat depth buffer ``tbuf``.
+def _project(tris, axis):
+    """Coordinate of every corner along the image-plane ``axis``, written out term by term."""
+    return tris[..., 0] * axis[0] + tris[..., 1] * axis[1] + tris[..., 2] * axis[2]
 
-    ``origins`` holds the view's flat ray-origin planes. Candidate pairs
-    come from :func:`_row_spans` and run through ``_hits`` in blocks of at
-    most ``_PAIR_CHUNK``; ``np.minimum.at`` reduces them, and min is
-    order-independent, so the result equals testing every triangle against
-    every pixel.
+
+def _cast_pair(tris, views, origins, tbufs) -> None:
+    """Fold the nearest hit of every triangle into the flat depth buffer of each view.
+
+    ``views`` holds one view, or an antipodal pair in index order (see
+    :func:`viewrig.antipode`); ``origins`` and ``tbufs`` hold each view's flat
+    ray-origin planes and depth buffer. The triangle terms, projection,
+    spans, pair expansion and term gather come from the first view alone.
+    Its antipode has ``right' = -right``, ``up' = up`` and
+    ``toward' = -toward``, and negating one factor negates a rounded product,
+    sum or difference exactly. So the antipode's projection is the first
+    view's mirrored in u, its span on a row covers columns ``[W - c - n,
+    W - c)`` for ``[c, c + n)``, and its terms are the same with ``h`` and
+    ``f`` negated. Zeros may differ in sign, which no comparison, search or
+    hit test in the path sees. Only the ray origins differ, so ``_hits`` and
+    ``np.minimum.at`` run once per view, in blocks of at most
+    ``_PAIR_CHUNK``; min is order-independent, so each buffer equals testing
+    every triangle against every pixel of its view.
     """
-    right, up, direction = view.camera_frame()
+    right, up, direction = views[0].camera_frame()
     rows, a = _triangle_terms(direction, tris[:, 0], tris[:, 1], tris[:, 2])
     valid = a != 0.0
     tris, rows, a = tris[valid], rows[:, valid], a[valid]
     terms = np.vstack([rows, 1.0 / a])
 
-    x, y, z = tris[..., 0], tris[..., 1], tris[..., 2]
-    pu = x * right[0] + y * right[1] + z * right[2]
-    pv = x * up[0] + y * up[1] + z * up[2]
-    ox, oy, oz = origins
+    pu, pv = _project(tris, right), _project(tris, up)
+    directions = [view.camera_frame()[2] for view in views]
     for tri, first, n_cols in _row_spans(pu, pv, _guard(rows, a), *_pixel_axes()):
+        mirror = first + (IMAGE_SIZE - 1 - 2 * (first % IMAGE_SIZE))  # each span's first pixel, mirrored in u
         for block, span, k in pair_chunks(n_cols, _PAIR_CHUNK):
             pix = np.repeat(first[block], span) + k
             pair_terms = np.take(terms, np.repeat(tri[block], span), axis=1)
-            t = _hits(ox[pix], oy[pix], oz[pix], direction, pair_terms)
-            hit = t < np.inf
-            np.minimum.at(tbuf, pix[hit], t[hit])
+            for member, ((ox, oy, oz), direction, tbuf) in enumerate(zip(origins, directions, tbufs)):
+                if member:  # the antipode: mirrored pixels, and h and f negated in place
+                    pix = np.repeat(mirror[block], span) - k
+                    np.negative(pair_terms[9:], out=pair_terms[9:])
+                t = _hits(ox[pix], oy[pix], oz[pix], direction, pair_terms)
+                hit = t < np.inf
+                np.minimum.at(tbuf, pix[hit], t[hit])
+
+
+def _antipodal_groups(rig: list[Viewpoint]) -> list[list[Viewpoint]]:
+    """The distinct views of ``rig``, grouped by antipodal pair, each group in index order."""
+    groups: dict[int, set[Viewpoint]] = {}
+    for view in rig:
+        groups.setdefault(min(view.index, antipode(view).index), set()).add(view)
+    return [sorted(group, key=lambda view: view.index) for group in groups.values()]
 
 
 def render_depth(mesh: TriangleMesh, view: Viewpoint) -> DepthImage:
@@ -264,14 +291,16 @@ def render_depth(mesh: TriangleMesh, view: Viewpoint) -> DepthImage:
 
 
 def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImage]:
-    """Render every rig viewpoint, ordered by view index, one ray per pixel center.
+    """Render every rig viewpoint, in rig order, one ray per pixel center.
 
     Each triangle is tested only against the pixels of its per-row spans:
     the pixel centers within a rounding guard (:func:`_guard`) of its
     projection, so every pixel the kernel could hit is tested and the
     nearest hit per pixel equals testing every triangle against every pixel.
-    The depth buffer and the ray-origin planes are allocated once per call
-    and reused across views. Bit-identical for identical inputs.
+    A view and its antipode, when both are in the rig, share one projection,
+    one span list and one term gather (:func:`_cast_pair`). The depth
+    buffers and the ray-origin planes of the two are allocated once per call
+    and reused across pairs. Bit-identical for identical inputs.
     """
     shape = (IMAGE_SIZE, IMAGE_SIZE)
     if len(mesh.faces) == 0:
@@ -279,18 +308,23 @@ def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImag
     assert_normalized(mesh)
 
     tris = mesh.triangles
-    planes = [np.empty(shape) for _ in range(3)]
-    tbuf = np.empty(IMAGE_SIZE * IMAGE_SIZE)
-    images = []
-    for view in rig:
-        _ray_origins(view, planes)
-        tbuf.fill(np.inf)
-        _cast_view(tris, view, [p.reshape(-1) for p in planes], tbuf)
-        codes = np.zeros(IMAGE_SIZE * IMAGE_SIZE, dtype=np.uint8)
-        hit = np.flatnonzero(tbuf < np.inf)
-        codes[hit] = depth_codes(tbuf[hit])
-        images.append(DepthImage(codes.reshape(shape)))
-    return images
+    # one array per plane: glibc raises its mmap threshold to the largest
+    # mapped block the process frees, so one 2.4 MB block would move every
+    # later allocation of up to that size from mmap to the heap
+    planes = [[np.empty(shape) for _ in range(3)] for _ in range(2)]
+    tbufs = [np.empty(IMAGE_SIZE * IMAGE_SIZE) for _ in range(2)]
+    images = {}
+    for group in _antipodal_groups(rig):
+        for view, origins, tbuf in zip(group, planes, tbufs):
+            _ray_origins(view, origins)
+            tbuf.fill(np.inf)
+        _cast_pair(tris, group, [[p.reshape(-1) for p in origins] for origins in planes], tbufs)
+        for view, tbuf in zip(group, tbufs):
+            codes = np.zeros(IMAGE_SIZE * IMAGE_SIZE, dtype=np.uint8)
+            hit = np.flatnonzero(tbuf < np.inf)
+            codes[hit] = depth_codes(tbuf[hit])
+            images[view] = DepthImage(codes.reshape(shape))
+    return [images[view] for view in rig]
 
 
 def write_pgm_array(pixels: np.ndarray, path: str | Path) -> None:

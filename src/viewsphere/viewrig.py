@@ -122,6 +122,18 @@ def viewpoint_from_index(index: int) -> Viewpoint:
     return Viewpoint(ring=index // N_AZIMUTHS, azimuth=index % N_AZIMUTHS)
 
 
+def antipode(view: Viewpoint) -> Viewpoint:
+    """The view through the origin from ``view``: ring ``4 - r``, azimuth ``j + 6``.
+
+    Its pitch is ``180 - phi`` and its yaw ``theta + 180``. :func:`exact_trig`
+    returns ``(-cos, sin)`` of ``phi`` for the first and ``(-cos, -sin)`` of
+    ``theta`` for the second, exactly, so the antipode's ``position`` and its
+    ``right`` and ``toward`` axes are ``view``'s negated, and its ``up`` axis
+    is ``view``'s, value for value (a zero may change sign).
+    """
+    return Viewpoint(N_RINGS - 1 - view.ring, (view.azimuth + N_AZIMUTHS // 2) % N_AZIMUTHS)
+
+
 def build_rig() -> list[Viewpoint]:
     """All 60 viewpoints ordered by index (ring-major, then azimuth)."""
     return [Viewpoint(k, j) for k in range(N_RINGS) for j in range(N_AZIMUTHS)]

@@ -271,8 +271,8 @@ def load_grid(path: str | Path) -> VoxelGrid:
 
     Raises:
         ValueError: naming the file, if it is truncated, has a bad magic, a
-            header other than dims 56^3 with padding 3, or a payload of the
-            wrong size.
+            header other than dims 56^3 with padding 3, a payload of the
+            wrong size, or occupied voxels in the padding shell.
     """
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
@@ -290,4 +290,7 @@ def load_grid(path: str | Path) -> VoxelGrid:
     if len(payload) != n_bits // 8:
         raise ValueError(f"{path}: payload size mismatch")
     flat = np.unpackbits(payload, bitorder="little").astype(bool)
-    return VoxelGrid(flat.reshape(DIMS, DIMS, DIMS))
+    try:
+        return VoxelGrid(flat.reshape(DIMS, DIMS, DIMS))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

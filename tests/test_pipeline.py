@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -288,12 +290,13 @@ def test_noise_sweep_max_views(dataset, predictors, model_root):
 @pytest.mark.parametrize("sigmas", [",", " , ,", ""])
 def test_cli_noise_sweep_rejects_empty_sigma_list(dataset, model_root, tmp_path, capsys, sigmas):
     out, _ = dataset
-    with pytest.raises(ValueError, match="no noise levels"):
+    with pytest.raises(argparse.ArgumentTypeError, match="no noise levels"):
         _sigma_list(sigmas)
     args = ["noise-sweep", "--manifest", str(out / "manifest.csv"), "--models", str(model_root)]
     args += ["--sigmas", sigmas, "--view-model", "v.npz", "--out", str(tmp_path / "sweep")]
     assert main(args) == 1
-    assert "--sigmas" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--sigmas" in err and f"no noise levels in {sigmas!r}" in err
     assert not (tmp_path / "sweep").exists()
 
 
@@ -457,12 +460,14 @@ def test_cli_full_chain(model_root, tmp_path, capsys):
     assert heat.is_file()
 
 
-def test_cli_validation_failures(dataset, model_root, tmp_path):
+def test_cli_validation_failures(dataset, model_root, tmp_path, capsys):
     assert main(["build-dataset", "--input", str(tmp_path / "nope"), "--out", str(tmp_path)]) == 1
     assert main(["predict-map", "--out", str(tmp_path / "m.csv")]) == 1
     assert main(["evaluate", "--results", "missing.csv", "--manifest", "m", "--out", "o"]) == 1
     build = ["build-dataset", "--input", str(model_root), "--out", str(tmp_path / "ds")]
+    capsys.readouterr()
     assert main(build + ["--subsample", "1/0"]) == 1
+    assert "--subsample: zero denominator in '1/0'" in capsys.readouterr().err
 
     out, _ = dataset
     short = tmp_path / "short.csv"

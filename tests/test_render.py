@@ -1,6 +1,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import brute_force_render, closed_cylinder_mesh, random_mesh, unit_cube_mesh
 from viewsphere import render
@@ -15,7 +18,7 @@ from viewsphere.render import (
     render_depth,
     write_pgm,
 )
-from viewsphere.viewrig import RADIUS, Viewpoint, build_rig, viewpoint_from_index
+from viewsphere.viewrig import RADIUS, Viewpoint, antipode, build_rig, viewpoint_from_index
 
 
 def test_empty_mesh_renders_background():
@@ -99,9 +102,12 @@ def test_mixed_mesh_matches_brute_force_on_all_views(mixed_mesh_and_oracle, monk
     _narrow(monkeypatch)
     if pair_chunk is not None:
         monkeypatch.setattr(render, "_PAIR_CHUNK", pair_chunk)  # triangles and rows span blocks
-    for view, expected in zip(build_rig(), oracle):
+    # all 60 in one call: pairs of views share blocks, which split triangles at pair_chunk 7
+    batch = render_all_views(mesh, build_rig())
+    for view, expected, image in zip(build_rig(), oracle, batch):
         assert expected.pixels.shape == (64, 64)
         assert np.array_equal(render_depth(mesh, view).pixels, expected.pixels), view
+        assert np.array_equal(image.pixels, expected.pixels), view
 
 
 def _mirrored_mesh(seed):
@@ -134,6 +140,10 @@ def test_render_all_views_matches_single_view_renders():
     # the batch reuses its buffers across views; a stale one would leak into the next view
     for view, image in zip(rig, batch):
         assert np.array_equal(image.pixels, render_depth(mesh, view).pixels), view
+    # a rig may list a view twice, and hold one or both members of a pair, in any order
+    partial = [rig[40], antipode(rig[40]), rig[40], rig[5]]
+    for view, image in zip(partial, render_all_views(mesh, partial)):
+        assert np.array_equal(image.pixels, batch[view.index].pixels), view
 
 
 def _guard_mesh():
@@ -175,6 +185,48 @@ def test_guard_mesh_matches_brute_force_on_all_views():
     mesh = _guard_mesh()
     for view, image in zip(build_rig(), render_all_views(mesh, build_rig())):
         assert np.array_equal(image.pixels, brute_force_render(mesh, view).pixels), view
+
+
+def _terms_and_spans(tris, view):
+    """What the renderer derives from ``view``'s own frame: triangle terms, projection and spans."""
+    right, up, direction = view.camera_frame()
+    rows, a = render._triangle_terms(direction, tris[:, 0], tris[:, 1], tris[:, 2])
+    pu, pv = render._project(tris, right), render._project(tris, up)
+    spans = [(np.empty(0, dtype=np.int64),) * 3]
+    spans += render._row_spans(pu, pv, render._guard(rows, a), *render._pixel_axes())
+    tri, first, n_cols = (np.concatenate([span[i] for span in spans]) for i in range(3))
+    return rows, a, tri, first, n_cols
+
+
+def _assert_antipode_mirrors(tris, view):
+    """The antipode's terms are ``view``'s with h negated, and its spans are mirrored in u."""
+    _, _, direction = view.camera_frame()
+    _, a = render._triangle_terms(direction, tris[:, 0], tris[:, 1], tris[:, 2])
+    tris = tris[a != 0.0]  # the renderer drops triangles seen edge-on before it builds spans
+    rows, a, tri, first, n_cols = _terms_and_spans(tris, view)
+    a_rows, a_a, a_tri, a_first, a_n_cols = _terms_and_spans(tris, antipode(view))
+    assert np.array_equal(a_rows[:9], rows[:9]) and np.array_equal(a_rows[9:], -rows[9:])
+    assert np.array_equal(a_a, -a)
+    assert np.array_equal(a_tri, tri) and np.array_equal(a_n_cols, n_cols)
+    width = render.IMAGE_SIZE
+    row, col = np.divmod(first, width)
+    some = n_cols > 0  # an empty span's first pixel is never read
+    assert np.array_equal(a_first[some], (row * width + width - col - n_cols)[some])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tris=st.integers(1, 40).flatmap(lambda n: hnp.arrays(np.float64, (n, 3, 3), elements=st.floats(-0.5, 0.5))),
+    index=st.integers(0, 59),
+)
+def test_antipode_terms_and_spans_mirror_the_view(tris, index):
+    _assert_antipode_mirrors(tris, viewpoint_from_index(index))
+
+
+def test_antipode_terms_and_spans_mirror_the_view_on_guard_mesh():
+    tris = _guard_mesh().triangles
+    for view in build_rig()[:30]:  # one view of each of the 30 pairs
+        _assert_antipode_mirrors(tris, view)
 
 
 def test_cylinder_yaw_invariant_foreground():

@@ -7,6 +7,7 @@ from viewsphere.viewrig import (
     N_VIEWS,
     RADIUS,
     Viewpoint,
+    antipode,
     build_rig,
     exact_trig,
     index_of,
@@ -121,3 +122,20 @@ def test_exact_trig_mirror_symmetry():
         assert abs(s - math.sin(math.radians(a))) < 1e-15
     with pytest.raises(ValueError):
         exact_trig(45)
+
+
+def test_antipode_pairs_views_through_the_origin():
+    rig = build_rig()
+    pairs = {frozenset((v.index, antipode(v).index)) for v in rig}
+    assert len(pairs) == 30 and all(len(pair) == 2 for pair in pairs)
+    for v in rig:
+        w = antipode(v)
+        assert antipode(w) == v
+        assert (w.ring, w.azimuth) == (4 - v.ring, (v.azimuth + 6) % 12)
+        # exact, not approximate: the renderer shares its projection between the two
+        right, up, toward = v.camera_frame()
+        w_right, w_up, w_toward = w.camera_frame()
+        assert np.array_equal(w.position, -v.position)
+        assert np.array_equal(w_right, -right)
+        assert np.array_equal(w_up, up)
+        assert np.array_equal(w_toward, -toward)

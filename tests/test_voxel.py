@@ -215,6 +215,22 @@ def test_load_grid_rejects_other_headers(tmp_path, capsys, dims, padding):
     assert not (tmp_path / "m.csv").exists()
 
 
+def test_load_grid_names_file_with_occupied_padding_shell(tmp_path, capsys):
+    path = tmp_path / "shell.vox"
+    save_grid(voxelize(unit_cube_mesh()), path)
+    blob = bytearray(path.read_bytes())
+    blob[16] |= 1  # bit 0 is voxel [0, 0, 0], in the padding shell
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=r"shell\.vox: padding shell contains occupied voxels"):
+        load_grid(path)
+    ep = knn_entropy_predictor_train([(voxelize(unit_cube_mesh()), EntropyMap(np.zeros((5, 12))))], k=1)
+    ep.save(tmp_path / "e.npz")
+    args = ["predict-map", "--grid", str(path), "--model", str(tmp_path / "e.npz"), "--out", str(tmp_path / "m.csv")]
+    assert main(args) == 1
+    assert f"{path}: padding shell" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_load_grid_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.vox"
     path.write_bytes(b"NOPE" + bytes(12) + bytes(10))
