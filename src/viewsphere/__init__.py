@@ -52,7 +52,6 @@ from .render import (
     read_pgm,
     render_all_views,
     render_depth,
-    write_pgm,
 )
 from .viewrig import (
     N_AZIMUTHS,
@@ -64,6 +63,6 @@ from .viewrig import (
     index_of,
     viewpoint_from_index,
 )
-from .voxel import VoxelGrid, load_grid, pool_voxels, save_grid, voxelize
+from .voxel import VoxelGrid, load_grid, save_grid, voxelize
 
 __version__ = "0.1.0"

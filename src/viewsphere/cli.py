@@ -19,7 +19,7 @@ from .predict import (
     oracle_entropy_predictor,
     read_predictions,
 )
-from .viewrig import index_of
+from .viewrig import Viewpoint
 from .voxel import load_grid
 
 
@@ -102,11 +102,13 @@ def _cmd_predict_map(args) -> int:
 def _cmd_best_views(args) -> int:
     emap = read_map_csv(args.map)
     peaks = top_n_views(emap, args.top) if args.top is not None else find_peaks(emap)
-    lines = [
-        f"{index_of(p.ring, p.azimuth):2d} ring={p.ring} azimuth={p.azimuth} "
-        f"phi={30 * (p.ring + 1)} theta={30 * p.azimuth} entropy={p.value:.6f}"
-        for p in peaks
-    ]
+    lines = []
+    for p in peaks:
+        view = Viewpoint(p.ring, p.azimuth)
+        lines.append(
+            f"{view.index:2d} ring={p.ring} azimuth={p.azimuth} "
+            f"phi={view.phi_deg} theta={view.theta_deg} entropy={p.value:.6f}"
+        )
     print("\n".join(lines))
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n")

@@ -13,6 +13,9 @@ from .viewrig import N_AZIMUTHS, N_RINGS, N_VIEWS
 
 MAX_ENTROPY_BITS = 8.0  # 8-bit code alphabet
 
+#: Heatmap pixels per map cell along each axis.
+HEATMAP_SCALE = 20
+
 #: (drow, dcol) offsets of the 8-neighborhood.
 _NEIGHBOR_OFFSETS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
 
@@ -158,16 +161,24 @@ def write_map_csv(emap: EntropyMap, path: str | Path) -> None:
 
 
 def read_map_csv(path: str | Path) -> EntropyMap:
+    """Read a map written by :func:`write_map_csv`.
+
+    Raises:
+        ValueError: naming the file, if a value is not a number or the map
+            is not a valid 5x12 entropy map.
+    """
     with open(path, newline="") as fh:
-        rows = [[float(tok) for tok in row] for row in csv.reader(fh) if row]
-    return EntropyMap(np.array(rows))
+        try:
+            return EntropyMap(np.array([[float(tok) for tok in row] for row in csv.reader(fh) if row]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
-def map_to_pgm_pixels(emap: EntropyMap, scale: int = 1) -> np.ndarray:
+def map_to_pgm_pixels(emap: EntropyMap) -> np.ndarray:
     """8-bit heatmap pixels: linear min-max mapping, constant maps to mid-gray.
 
-    Rows follow rings, columns azimuths; ``scale`` repeats pixels
-    nearest-neighbor style.
+    Rows follow rings, columns azimuths; each map cell becomes a
+    HEATMAP_SCALE-pixel square.
     """
     values = emap.values
     lo = float(values.min())
@@ -176,6 +187,4 @@ def map_to_pgm_pixels(emap: EntropyMap, scale: int = 1) -> np.ndarray:
         pixels = np.full(values.shape, 128, dtype=np.uint8)
     else:
         pixels = np.rint((values - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    if scale > 1:
-        pixels = np.repeat(np.repeat(pixels, scale, axis=0), scale, axis=1)
-    return pixels
+    return np.repeat(np.repeat(pixels, HEATMAP_SCALE, axis=0), HEATMAP_SCALE, axis=1)

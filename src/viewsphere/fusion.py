@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,6 +57,14 @@ class FusedPrediction:
     views_used: int
 
 
+def _totals(pairs) -> dict:
+    """Sum of the values per key, exactly rounded (``math.fsum``), so the order of ``pairs`` cannot matter."""
+    groups = defaultdict(list)
+    for key, value in pairs:
+        groups[key].append(value)
+    return {key: math.fsum(values) for key, values in groups.items()}
+
+
 def _winner(tallies: dict, tie_scores: dict, smallest_key) -> object:
     """Option with the maximal tally; ties prefer higher summed scores, then smallest key."""
     best_tally = max(tallies.values())
@@ -77,6 +86,8 @@ def fuse(
     are broken by the larger summed scores among the tied options, then by
     the lexicographically smallest category / smallest (d_theta, d_phi). In
     ``score_sum`` mode the score mass itself is accumulated instead of votes.
+    Scores are summed exactly rounded, so the order of ``views`` never
+    changes the result.
 
     Raises:
         ValueError: empty input or unknown mode.
@@ -87,28 +98,20 @@ def fuse(
         raise ValueError(f"unknown fusion mode {mode!r}")
 
     if mode == "argmax":
-        class_votes: Counter[str] = Counter()
-        pose_votes: Counter[PoseOffset] = Counter()
-        class_tie: defaultdict[str, float] = defaultdict(float)
-        pose_tie: defaultdict[PoseOffset, float] = defaultdict(float)
+        class_hits, pose_hits = [], []
         for capture, prediction in views:
-            category = prediction.top_class()
-            view_index = prediction.top_viewpoint()
-            offset = pose_offset(capture, view_index)
-            class_votes[category] += 1
-            pose_votes[offset] += 1
-            class_tie[category] += prediction.class_scores[category]
-            pose_tie[offset] += float(prediction.viewpoint_scores[view_index])
+            category, view_index = prediction.top_class(), prediction.top_viewpoint()
+            class_hits.append((category, prediction.class_scores[category]))
+            pose_hits.append((pose_offset(capture, view_index), float(prediction.viewpoint_scores[view_index])))
+        class_votes = Counter(category for category, _ in class_hits)
+        pose_votes = Counter(offset for offset, _ in pose_hits)
+        class_tie, pose_tie = _totals(class_hits), _totals(pose_hits)
     else:
-        class_votes = defaultdict(float)
-        pose_votes = defaultdict(float)
-        for capture, prediction in views:
-            for category, score in prediction.class_scores.items():
-                class_votes[category] += score
-            for view_index, score in enumerate(prediction.viewpoint_scores):
-                pose_votes[pose_offset(capture, view_index)] += float(score)
-        class_tie = class_votes
-        pose_tie = pose_votes
+        class_votes = _totals(pair for _, p in views for pair in p.class_scores.items())
+        pose_votes = _totals(
+            (pose_offset(c, i), float(score)) for c, p in views for i, score in enumerate(p.viewpoint_scores)
+        )
+        class_tie, pose_tie = class_votes, pose_votes
 
     category = _winner(dict(class_votes), class_tie, smallest_key=lambda name: name)
     pose = _winner(dict(pose_votes), pose_tie, smallest_key=lambda off: (off.d_theta, off.d_phi))

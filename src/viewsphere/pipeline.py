@@ -34,7 +34,7 @@ from .predict import (
     knn_view_predictor_train,
 )
 from .render import read_pgm, render_all_views, write_pgm_array
-from .viewrig import N_VIEWS, Viewpoint, build_rig
+from .viewrig import N_AZIMUTHS, N_RINGS, N_VIEWS, Viewpoint, build_rig
 from .voxel import load_grid, save_grid, voxelize
 
 DEFAULT_SIGMAS = (0.02, 0.04, 0.06, 0.08, 0.10)
@@ -75,7 +75,7 @@ def write_manifest(rows: Sequence[dict], path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> list[DatasetRecord]:
-    """Read a manifest, resolving file paths relative to its directory."""
+    """Read a manifest, resolving file paths relative to its directory; errors name the file."""
     path = Path(path)
     base = path.parent
     records = []
@@ -89,13 +89,18 @@ def read_manifest(path: str | Path) -> list[DatasetRecord]:
                 continue
             if len(row) != len(MANIFEST_COLUMNS):
                 raise ValueError(f"{path}: row for {row[0]!r} has {len(row)} columns")
+            try:
+                entropies = np.array([float(v) for v in row[4 : 4 + N_VIEWS]])
+                EntropyMap(entropies.reshape(N_RINGS, N_AZIMUTHS))  # checks the range
+            except ValueError as exc:
+                raise ValueError(f"{path}: row for {row[0]!r}: {exc}") from None
             records.append(
                 DatasetRecord(
                     object_id=row[0],
                     category=row[1],
                     split=row[2],
                     voxel_path=base / row[3],
-                    entropies=np.array([float(v) for v in row[4 : 4 + N_VIEWS]]),
+                    entropies=entropies,
                     view_paths=[base / p for p in row[4 + N_VIEWS :]],
                 )
             )
@@ -347,6 +352,7 @@ def write_results(results: Sequence[RecognitionResult], path: str | Path) -> Non
 
 
 def read_results(path: str | Path) -> list[RecognitionResult]:
+    """Read a results file written by :func:`write_results`; errors name the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -358,16 +364,19 @@ def read_results(path: str | Path) -> list[RecognitionResult]:
                 continue
             if len(row) != len(RESULT_COLUMNS):
                 raise ValueError(f"{path}: row for {row[0]!r} has {len(row)} columns")
-            results.append(
-                RecognitionResult(
-                    object_id=row[0],
-                    true_category=row[1],
-                    predicted_category=row[2],
-                    true_offset=PoseOffset(int(row[3]), int(row[4])),
-                    predicted_offset=PoseOffset(int(row[5]), int(row[6])),
-                    views_used=int(row[7]),
+            try:
+                results.append(
+                    RecognitionResult(
+                        object_id=row[0],
+                        true_category=row[1],
+                        predicted_category=row[2],
+                        true_offset=PoseOffset(int(row[3]), int(row[4])),
+                        predicted_offset=PoseOffset(int(row[5]), int(row[6])),
+                        views_used=int(row[7]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}: row for {row[0]!r}: {exc}") from None
     return results
 
 
@@ -530,8 +539,7 @@ def write_sweep(rows: Sequence[dict], path: str | Path) -> None:
             )
 
 
-def emit_heatmap(emap: EntropyMap, path: str | Path, scale: int = 20) -> None:
+def emit_heatmap(emap: EntropyMap, path: str | Path) -> None:
     """Write a nearest-neighbor upscaled PGM heatmap plus a raw-values CSV sidecar."""
-    pixels = map_to_pgm_pixels(emap, scale=scale)
-    write_pgm_array(pixels, path)
+    write_pgm_array(map_to_pgm_pixels(emap), path)
     write_map_csv(emap, Path(path).with_suffix(".csv"))

@@ -57,14 +57,6 @@ class DepthImage:
         pixels.setflags(write=False)
         self.pixels = pixels
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 def _triangle_terms(direction, v0, v1, v2):
     """Moller-Trumbore terms that depend only on the triangle and the ray direction.
@@ -336,19 +328,26 @@ def write_pgm_array(pixels: np.ndarray, path: str | Path) -> None:
     Path(path).write_bytes(header + pixels.tobytes())
 
 
-def write_pgm(image: DepthImage, path: str | Path) -> None:
-    """Write a depth image as binary PGM."""
-    write_pgm_array(image.pixels, path)
-
-
 def read_pgm(path: str | Path) -> DepthImage:
-    """Read a binary PGM written by :func:`write_pgm` (or any P5 with maxval <= 255)."""
+    """Read a binary PGM written by :func:`write_pgm_array` (or any P5 with maxval <= 255).
+
+    Raises:
+        ValueError: naming the file, if it is not a P5 PGM, its header or
+            payload is truncated or malformed, or its image is empty.
+    """
     blob = Path(path).read_bytes()
+    try:
+        return _parse_pgm(blob)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_pgm(blob: bytes) -> DepthImage:
     pos = 0
     tokens = []
     while len(tokens) < 4:
         if pos >= len(blob):
-            raise ValueError(f"{path}: truncated PGM header")
+            raise ValueError("truncated PGM header")
         ch = blob[pos : pos + 1]
         if ch == b"#":
             while pos < len(blob) and blob[pos : pos + 1] != b"\n":
@@ -362,11 +361,11 @@ def read_pgm(path: str | Path) -> DepthImage:
             tokens.append(blob[start:pos])
     pos += 1  # single whitespace byte after maxval
     if tokens[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
+        raise ValueError(f"not a binary PGM (magic {tokens[0]!r})")
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if not 0 < maxval <= 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
+        raise ValueError(f"unsupported maxval {maxval}")
     if len(blob) - pos < width * height:
-        raise ValueError(f"{path}: truncated PGM payload")
+        raise ValueError("truncated PGM payload")
     data = np.frombuffer(blob, dtype=np.uint8, offset=pos, count=width * height)
     return DepthImage(data.reshape(height, width))

@@ -108,11 +108,7 @@ class Viewpoint:
 
 def index_of(ring: int, azimuth: int) -> int:
     """Flat view index of grid cell (ring, azimuth); row-major by ring."""
-    if not 0 <= ring < N_RINGS:
-        raise ValueError(f"ring must be in 0..{N_RINGS - 1}, got {ring}")
-    if not 0 <= azimuth < N_AZIMUTHS:
-        raise ValueError(f"azimuth must be in 0..{N_AZIMUTHS - 1}, got {azimuth}")
-    return N_AZIMUTHS * ring + azimuth
+    return Viewpoint(ring, azimuth).index
 
 
 def viewpoint_from_index(index: int) -> Viewpoint:

@@ -145,13 +145,11 @@ def _mark_surface(tris: np.ndarray, n: int, surface: np.ndarray) -> None:
         test_others(*map(np.concatenate, zip(*held)))
 
 
-def voxelize(mesh: TriangleMesh, solid: bool = False) -> VoxelGrid:
-    """Voxelize a normalized mesh onto the padded occupancy grid.
+def voxelize(mesh: TriangleMesh) -> VoxelGrid:
+    """Voxelize a normalized mesh onto the padded surface occupancy grid.
 
     A voxel is occupied iff its closed cell box intersects at least one
-    triangle (separating-axis test). With ``solid=True`` the surface grid is
-    additionally flood-filled by x-parity scanlines; this assumes reasonably
-    watertight geometry and is off by default.
+    triangle (separating-axis test).
 
     Raises:
         MeshError: mesh unnormalized or without faces.
@@ -167,66 +165,7 @@ def voxelize(mesh: TriangleMesh, solid: bool = False) -> VoxelGrid:
         _mark_surface(tris[first : first + _TRIANGLE_BLOCK], n, surface)
     occ = np.zeros((DIMS, DIMS, DIMS), dtype=bool)
     occ[_INTERIOR] = surface.reshape(n, n, n)
-
-    if solid:
-        _parity_fill(mesh, occ[_INTERIOR])
-
     return VoxelGrid(occ)
-
-
-def _parity_fill(mesh: TriangleMesh, interior: np.ndarray) -> None:
-    """Mark interior cells whose center lies inside the mesh, by x-ray parity.
-
-    Rays run along +x through cell centers; crossing counts are unreliable
-    exactly on shared edges, which has measure zero for generic meshes. Each
-    triangle is tested only against the rays through its y/z bounding box of
-    cells, one cell wider per side as in the surface pass, batched into
-    (triangle, ray) pairs. A ray a cell or more outside the box misses the
-    triangle by about ``cell / (2 * diameter)`` or more in barycentric terms,
-    far above the rounding of ``a`` and ``b`` unless ``|den|`` is below ~1e-13.
-    ``interior`` is the writable (n, n, n) interior of the grid.
-    """
-    n = len(interior)
-    cell = 1.0 / n
-    centers_1d = -0.5 + (np.arange(n) + 0.5) * cell
-    tris = mesh.triangles
-    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = tris.transpose(1, 2, 0)
-    den = (y1 - y0) * (z2 - z0) - (z1 - z0) * (y2 - y0)
-    keep = den != 0.0  # zero: edge-on to the x direction
-    yz = tris[keep][:, :, 1:]
-    lo_idx = np.maximum(np.floor((yz.min(axis=1) + 0.5) / cell).astype(int) - 1, 0)
-    hi_idx = np.minimum(np.floor((yz.max(axis=1) + 0.5) / cell).astype(int) + 1, n - 1)
-    ny, nz = (hi_idx - lo_idx + 1).T
-    rows = np.stack([x0, y0, z0, x1 - x0, y1 - y0, z1 - z0, x2 - x0, y2 - y0, z2 - z0, den])[:, keep]
-    per_tri = np.stack([nz, *lo_idx.T])
-
-    rays, xs_hit = [], []
-    for block, span, k in pair_chunks(ny * nz, _PAIR_CHUNK):
-        z_len, iy, iz = np.repeat(per_tri[:, block], span, axis=1)
-        dy, dz = np.divmod(k, z_len)
-        iy += dy
-        iz += dz
-        yc, zc = centers_1d[iy], centers_1d[iz]
-        px, py, pz, e1x, e1y, e1z, e2x, e2y, e2z, d = np.repeat(rows[:, block], span, axis=1)
-        a = ((yc - py) * e2z - (zc - pz) * e2y) / d
-        b = (e1y * (zc - pz) - e1z * (yc - py)) / d
-        inside = np.flatnonzero((a >= 0.0) & (b >= 0.0) & (a + b <= 1.0))
-        rays.append((iy * n + iz)[inside])
-        xs_hit.append((px + a * e1x + b * e2x)[inside])
-    if not rays:
-        return
-    ray, xs = np.concatenate(rays), np.concatenate(xs_hit)
-    order = np.lexsort((xs, ray))
-    ray, xs = ray[order], xs[order]
-    # coplanar triangles sharing an edge report the same crossing twice
-    fresh = np.ones(len(ray), dtype=bool)
-    fresh[1:] = (ray[1:] != ray[:-1]) | (xs[1:] != xs[:-1])
-    ray, xs = ray[fresh], xs[fresh]
-    # a crossing at x flips the parity of every cell center at or beyond x
-    first_flipped = np.searchsorted(centers_1d, xs, side="left")
-    flips = np.bincount(ray * (n + 1) + first_flipped, minlength=n * n * (n + 1))
-    odd = np.cumsum(flips.reshape(n * n, n + 1)[:, :n], axis=1) % 2 == 1  # [iy * n + iz, ix]
-    interior |= odd.reshape(n, n, n).transpose(2, 0, 1)
 
 
 def block_sums(values: np.ndarray, factor: int, dtype) -> np.ndarray:
@@ -248,15 +187,6 @@ def block_sums(values: np.ndarray, factor: int, dtype) -> np.ndarray:
             folded += sums[layer + (i,)]
         sums = folded
     return sums
-
-
-def pool_voxels(grid: VoxelGrid, factor: int) -> np.ndarray:
-    """Downsample to occupancy fractions over factor^3 blocks.
-
-    Raises:
-        ValueError: if factor does not divide the grid dimension.
-    """
-    return block_sums(grid.occupancy, factor, np.int64) / float(factor**3)
 
 
 def save_grid(grid: VoxelGrid, path: str | Path) -> None:

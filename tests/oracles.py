@@ -235,39 +235,6 @@ def reference_voxelize(mesh: TriangleMesh, interior: int = 50, padding: int = 3)
     return occ
 
 
-def reference_parity_fill(mesh: TriangleMesh, occ: np.ndarray, n: int, padding: int) -> None:
-    """Mark interior cells whose center lies inside the mesh, by x-ray parity, ray by ray.
-
-    Collects each ray's crossings in a Python list, dedupes them, and marks
-    the cells behind an odd number of crossings one at a time.
-    """
-    cell = 1.0 / n
-    centers_1d = -0.5 + (np.arange(n) + 0.5) * cell
-    yc, zc = np.meshgrid(centers_1d, centers_1d, indexing="ij")
-    yc = yc.ravel()
-    zc = zc.ravel()
-    crossings = [[] for _ in range(len(yc))]
-    for tri in mesh.triangles:
-        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = tri
-        den = (y1 - y0) * (z2 - z0) - (z1 - z0) * (y2 - y0)
-        if den == 0.0:
-            continue
-        a = ((yc - y0) * (z2 - z0) - (zc - z0) * (y2 - y0)) / den
-        b = ((y1 - y0) * (zc - z0) - (z1 - z0) * (yc - y0)) / den
-        inside = (a >= 0.0) & (b >= 0.0) & (a + b <= 1.0)
-        xs = x0 + a * (x1 - x0) + b * (x2 - x0)
-        for ray in np.flatnonzero(inside):
-            crossings[ray].append(xs[ray])
-    for ray, xs in enumerate(crossings):
-        if not xs:
-            continue
-        ordered = np.unique(np.array(xs))
-        parity = np.searchsorted(ordered, centers_1d, side="right") % 2
-        iy, iz = divmod(ray, n)
-        for ix in np.flatnonzero(parity == 1):
-            occ[padding + ix, padding + iy, padding + iz] = True
-
-
 def reference_view_features(image: DepthImage) -> np.ndarray:
     """Float64 means of the 8x8 pixel blocks: the view features before integer block sums."""
     h, w = image.pixels.shape

@@ -171,12 +171,12 @@ def test_map_csv_round_trip(tmp_path):
 
 def test_heatmap_pixels():
     constant = map_to_pgm_pixels(EntropyMap(np.full((5, 12), 2.0)))
-    assert constant.shape == (5, 12)
+    assert constant.shape == (100, 240)
     assert (constant == 128).all()
 
     values = np.zeros((5, 12))
     values[3, 7] = 4.0
-    spike = map_to_pgm_pixels(EntropyMap(values), scale=20)
+    spike = map_to_pgm_pixels(EntropyMap(values))
     assert spike.shape == (100, 240)
     assert spike[3 * 20 : 4 * 20, 7 * 20 : 8 * 20].min() == 255
     assert spike.sum() == 255 * 400

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viewsphere.fusion import PoseOffset, fuse, pose_offset
 from viewsphere.predict import ViewPrediction
@@ -160,3 +162,32 @@ def test_fuse_rejects_bad_input():
     views = [(rig[0], _prediction({"a": 1.0}, view_index=0))]
     with pytest.raises(ValueError, match="unknown fusion mode"):
         fuse(views, mode="median")
+
+
+_CATEGORIES = ("box", "cone", "sphere")
+
+
+@st.composite
+def _view_predictions(draw):
+    """(capture, prediction) pairs with arbitrary nonnegative scores, normalized to sum to 1."""
+    weights = st.floats(0.0, 1.0)
+    views = []
+    for _ in range(draw(st.integers(1, 8))):
+        capture = Viewpoint(draw(st.integers(0, 4)), draw(st.integers(0, 11)))
+        class_w = draw(st.lists(weights, min_size=len(_CATEGORIES), max_size=len(_CATEGORIES)).filter(any))
+        view_w = np.zeros(60)
+        for index, w in draw(st.lists(st.tuples(st.integers(0, 59), weights), min_size=1, max_size=4)):
+            view_w[index] += w
+        if not view_w.any():
+            view_w[draw(st.integers(0, 59))] = 1.0
+        total = sum(class_w)
+        scores = {name: w / total for name, w in zip(_CATEGORIES, class_w)}
+        views.append((capture, ViewPrediction(scores, view_w / view_w.sum())))
+    return views
+
+
+@settings(max_examples=150, deadline=None)
+@given(views=_view_predictions(), data=st.data(), mode=st.sampled_from(["argmax", "score_sum"]))
+def test_fuse_ignores_view_order(views, data, mode):
+    shuffled = data.draw(st.permutations(views))
+    assert fuse(shuffled, mode=mode) == fuse(views, mode=mode)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from viewsphere.mesh import (
     DegenerateGeometryError,
@@ -107,6 +110,25 @@ def test_write_then_load_round_trip(tmp_path):
     write_off(mesh, path)
     again = load_off(path)
     assert np.array_equal(mesh.vertices, again.vertices)
+    assert np.array_equal(mesh.faces, again.faces)
+
+
+@st.composite
+def _meshes(draw):
+    n_vertices = draw(st.integers(0, 30))
+    vertices = draw(hnp.arrays(np.float64, (n_vertices, 3), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    n_faces = draw(st.integers(0, 30)) if n_vertices else 0
+    faces = draw(hnp.arrays(np.int64, (n_faces, 3), elements=st.integers(0, max(n_vertices - 1, 0))))
+    return TriangleMesh(vertices, faces)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mesh=_meshes())
+def test_parse_off_inverts_write_off(tmp_path, mesh):
+    path = tmp_path / "m.off"
+    write_off(mesh, path)
+    again = parse_off(path.read_text())
+    assert np.array_equal(mesh.vertices.view(np.int64), again.vertices.view(np.int64))  # bit for bit, -0.0 too
     assert np.array_equal(mesh.faces, again.faces)
 
 

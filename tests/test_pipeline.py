@@ -9,6 +9,7 @@ from viewsphere.entropy import EntropyMap, write_map_csv
 from viewsphere.fusion import PoseOffset
 from viewsphere.predict import PredictionRecord, write_predictions
 from viewsphere.render import read_pgm
+from viewsphere.voxel import VoxelGrid, save_grid
 
 
 @pytest.fixture(scope="module")
@@ -480,6 +481,49 @@ def test_cli_validation_failures(dataset, model_root, tmp_path, capsys):
         np.savez(model, features=np.zeros((1, 4)), **arrays)
         predict_map = ["predict-map", "--grid", "g.vox", "--model", str(model), "--out", "m.csv"]
         assert main(predict_map) == 1
+
+
+def _csv(*rows) -> bytes:
+    return "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+def _manifest(entropy="0.0") -> bytes:
+    """One train object whose grid is ``g.vox``, whose views are all ``v.pgm`` and whose first entropy reads ``entropy``."""
+    return _csv(pipeline.MANIFEST_COLUMNS, ["box_0000", "box", "train", "g.vox", entropy] + ["0.0"] * 59 + ["v.pgm"] * 60)
+
+
+def _results(d_theta) -> bytes:
+    return _csv(pipeline.RESULT_COLUMNS, ["box_0000", "box", "box", d_theta, "0", "0", "0", "1"])
+
+
+_MAP_ROW = ["1.0"] * 12
+_BEST_VIEWS = ["best-views", "--map", "map.csv"]
+_TRAIN = ["train-knn", "--manifest", "manifest.csv", "--out", "out"]
+_EVALUATE = ["evaluate", "--results", "results.csv", "--manifest", "manifest.csv", "--out", "out"]
+
+
+@pytest.mark.parametrize(
+    "argv, files, bad",
+    [
+        pytest.param(_BEST_VIEWS, {"map.csv": _csv(["1.0", "2.0"], ["3.0", "4.0"])}, "map.csv", id="map-shape"),
+        pytest.param(_BEST_VIEWS, {"map.csv": _csv(["x"] + _MAP_ROW[1:], *[_MAP_ROW] * 4)}, "map.csv", id="map-value"),
+        pytest.param(_TRAIN, {"manifest.csv": _manifest(), "v.pgm": b"P5\nx 2\n255\n" + bytes(4)}, "v.pgm", id="pgm-width"),
+        pytest.param(_TRAIN, {"manifest.csv": _manifest(), "v.pgm": b"P5\n0 0\n255\n"}, "v.pgm", id="pgm-empty"),
+        pytest.param(_TRAIN, {"manifest.csv": _manifest(entropy="x")}, "manifest.csv", id="manifest-entropy"),
+        pytest.param(_TRAIN, {"manifest.csv": _manifest(entropy="-1.0")}, "manifest.csv", id="manifest-range"),
+        pytest.param(_EVALUATE, {"results.csv": _results("15")}, "results.csv", id="results-pose"),
+        pytest.param(_EVALUATE, {"results.csv": _results("x")}, "results.csv", id="results-value"),
+    ],
+)
+def test_cli_errors_name_the_bad_file(tmp_path, monkeypatch, capsys, argv, files, bad):
+    monkeypatch.chdir(tmp_path)
+    save_grid(VoxelGrid(np.zeros((56, 56, 56), dtype=bool)), "g.vox")  # train-knn reads it before the views
+    for name, blob in files.items():
+        (tmp_path / name).write_bytes(blob)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: "), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_wrong_model_kinds(dataset, predictors, model_root, tmp_path, capsys):

@@ -16,7 +16,7 @@ from viewsphere.render import (
     read_pgm,
     render_all_views,
     render_depth,
-    write_pgm,
+    write_pgm_array,
 )
 from viewsphere.viewrig import RADIUS, Viewpoint, antipode, build_rig, viewpoint_from_index
 
@@ -275,10 +275,10 @@ def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     img = DepthImage(rng.integers(0, 256, size=(224, 224), dtype=np.uint8))
     path = tmp_path / "v.pgm"
-    write_pgm(img, path)
+    write_pgm_array(img.pixels, path)
     again = read_pgm(path)
     assert np.array_equal(img.pixels, again.pixels)
-    write_pgm(again, tmp_path / "v2.pgm")
+    write_pgm_array(again.pixels, tmp_path / "v2.pgm")
     assert path.read_bytes() == (tmp_path / "v2.pgm").read_bytes()
 
 

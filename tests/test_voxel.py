@@ -3,9 +3,7 @@ import pytest
 
 from oracles import (
     analytic_cube_shell,
-    closed_cylinder_mesh,
     random_mesh,
-    reference_parity_fill,
     reference_voxelize,
     unit_cube_mesh,
     uv_sphere_mesh,
@@ -15,7 +13,7 @@ from viewsphere.cli import main
 from viewsphere.entropy import EntropyMap
 from viewsphere.mesh import MeshError, TriangleMesh, load_off, normalize_to_unit_cube
 from viewsphere.predict import knn_entropy_predictor_train
-from viewsphere.voxel import VoxelGrid, load_grid, pool_voxels, save_grid, voxelize
+from viewsphere.voxel import VoxelGrid, block_sums, load_grid, save_grid, voxelize
 
 
 def test_cube_shell_matches_analytic_oracle():
@@ -79,11 +77,6 @@ def test_voxelize_rejects_empty_mesh():
         voxelize(TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=int)))
 
 
-def test_solid_fill_cube():
-    grid = voxelize(unit_cube_mesh(), solid=True)
-    assert grid.occupied_count == 50**3
-
-
 def test_batched_voxelize_matches_reference_on_random_meshes():
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -111,21 +104,6 @@ def test_batched_voxelize_matches_reference_across_tiny_blocks(monkeypatch):
     mesh = unit_cube_mesh()
     expected = reference_voxelize(mesh)
     assert np.array_equal(voxelize(mesh).occupancy, expected)
-    reference_parity_fill(mesh, expected, 50, 3)
-    assert np.array_equal(voxelize(mesh, solid=True).occupancy, expected)
-
-
-@pytest.mark.parametrize(
-    "mesh",
-    [unit_cube_mesh(), uv_sphere_mesh(24), closed_cylinder_mesh(30), uv_sphere_mesh(40)],
-    ids=["cube", "sphere", "cylinder", "sphere3120"],
-)
-def test_parity_fill_matches_reference(mesh):
-    expected = voxelize(mesh).occupancy.copy()
-    reference_parity_fill(mesh, expected, 50, 3)
-    solid = voxelize(mesh, solid=True).occupancy
-    assert np.array_equal(solid, expected)
-    assert solid.sum() > voxelize(mesh).occupied_count  # the fill added interior cells
 
 
 def test_grid_validation():
@@ -138,7 +116,7 @@ def test_grid_validation():
 
 
 def test_pool_empty_grid():
-    out = pool_voxels(VoxelGrid(np.zeros((56, 56, 56), dtype=bool)), 4)
+    out = block_sums(VoxelGrid(np.zeros((56, 56, 56), dtype=bool)).occupancy, 4, np.int64)
     assert out.shape == (14, 14, 14)
     assert (out == 0).all()
 
@@ -146,16 +124,15 @@ def test_pool_empty_grid():
 def test_pool_full_interior_single_cell():
     occ = np.zeros((56, 56, 56), dtype=bool)
     occ[3:53, 3:53, 3:53] = True
-    out = pool_voxels(VoxelGrid(occ), 56)
+    out = block_sums(VoxelGrid(occ).occupancy, 56, np.int64)
     assert out.shape == (1, 1, 1)
-    assert out[0, 0, 0] == pytest.approx(50**3 / 56**3)
+    assert out[0, 0, 0] == 50**3
 
 
 def test_pool_conserves_mass():
-    grid = voxelize(unit_cube_mesh())
-    pooled = pool_voxels(grid, 4)
-    assert pooled.sum() * 4**3 == pytest.approx(14408, abs=1e-9)
-    assert (pooled >= 0).all() and (pooled <= 1).all()
+    pooled = block_sums(voxelize(unit_cube_mesh()).occupancy, 4, np.int64)
+    assert pooled.sum() == 14408
+    assert (pooled >= 0).all() and (pooled <= 4**3).all()
 
 
 @pytest.mark.parametrize("factor", [1, 2, 4, 7, 8, 14, 28, 56])
@@ -165,13 +142,15 @@ def test_pool_matches_strided_float_sums(factor):
     occ[3:53, 3:53, 3:53] = rng.random((50, 50, 50)) < 0.3
     m = 56 // factor
     want = occ.astype(np.float64).reshape(m, factor, m, factor, m, factor).sum(axis=(1, 3, 5))
-    assert np.array_equal(pool_voxels(VoxelGrid(occ), factor), want / float(factor**3))
+    got = block_sums(VoxelGrid(occ).occupancy, factor, np.int64)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def test_pool_rejects_non_divisor():
     grid = VoxelGrid(np.zeros((56, 56, 56), dtype=bool))
     with pytest.raises(ValueError, match="does not divide"):
-        pool_voxels(grid, 5)
+        block_sums(grid.occupancy, 5, np.int64)
 
 
 def test_grid_file_round_trip(tmp_path):
