@@ -14,7 +14,6 @@ from .entropy import (
     find_peaks,
     image_entropy,
     read_map_csv,
-    top_n_views,
     write_map_csv,
 )
 from .fusion import FusedPrediction, PoseOffset, fuse, pose_offset

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .entropy import find_peaks, read_map_csv, top_n_views, write_map_csv
+from .entropy import find_peaks, read_map_csv, write_map_csv
 from .mesh import MeshError, load_off, normalize_to_unit_cube
 from .predict import (
     EntropyPredictor,
@@ -100,8 +100,9 @@ def _cmd_predict_map(args) -> int:
 
 
 def _cmd_best_views(args) -> int:
-    emap = read_map_csv(args.map)
-    peaks = top_n_views(emap, args.top) if args.top is not None else find_peaks(emap)
+    if args.top is not None and args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
+    peaks = find_peaks(read_map_csv(args.map))[: args.top]
     lines = []
     for p in peaks:
         view = Viewpoint(p.ring, p.azimuth)
@@ -210,7 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key=value file mirroring the flags of this command")
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
 
     p = sub.add_parser("build-dataset", help="voxelize and render a ModelNet-style mesh tree")
     common(p)
@@ -218,6 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--subsample", type=_fraction, default=1.0, help="fraction like 0.25 or 1/3")
+    p.add_argument("--seed", type=int, default=0, help="seed of the subsample draw")
     p.set_defaults(func=_cmd_build_dataset, _parser=p)
 
     p = sub.add_parser("train-knn", help="train k-NN predictors from a dataset manifest")
@@ -275,6 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=list(pipeline.DEFAULT_SIGMAS),
         help="comma-separated noise levels",
     )
+    p.add_argument("--seed", type=int, default=0, help="seed of the vertex noise")
     p.add_argument("--out", required=True)
     recognition_flags(p)
     p.set_defaults(func=_cmd_noise_sweep, _parser=p)

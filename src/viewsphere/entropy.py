@@ -74,15 +74,15 @@ def _neighbors(ring: int, azimuth: int):
             yield r, (azimuth + dc) % N_AZIMUTHS
 
 
-def _plateau(values: np.ndarray, ring: int, azimuth: int) -> set[tuple[int, int]]:
+def _plateau(values: list[list[float]], ring: int, azimuth: int) -> set[tuple[int, int]]:
     """Connected component of equal-valued cells containing (ring, azimuth)."""
-    v = values[ring, azimuth]
+    v = values[ring][azimuth]
     seen = {(ring, azimuth)}
     frontier = [(ring, azimuth)]
     while frontier:
         r, c = frontier.pop()
         for nr, nc in _neighbors(r, c):
-            if (nr, nc) not in seen and values[nr, nc] == v:
+            if (nr, nc) not in seen and values[nr][nc] == v:
                 seen.add((nr, nc))
                 frontier.append((nr, nc))
     return seen
@@ -97,59 +97,26 @@ def find_peaks(emap: EntropyMap) -> list[Peak]:
     A constant map degenerates to the single peak (0, 0). Value ties are
     ordered by (ring, azimuth).
     """
-    values = emap.values
-    constant = bool((values == values[0, 0]).all())
-    if constant:
-        return [Peak(0, 0, float(values[0, 0]))]
-
-    # candidate mask: cell >= its 8 neighbors, computed by shifted comparisons
-    shifted_max = np.full_like(values, -np.inf)
-    for dr, dc in _NEIGHBOR_OFFSETS:
-        rolled = np.roll(values, -dc, axis=1)
-        if dr == 0:
-            neighbor = rolled
-        else:
-            neighbor = np.full_like(values, -np.inf)
-            if dr == -1:
-                neighbor[1:, :] = rolled[:-1, :]
-            else:
-                neighbor[:-1, :] = rolled[1:, :]
-        shifted_max = np.maximum(shifted_max, neighbor)
-    candidates = values >= shifted_max
+    values = emap.values.tolist()  # Python floats index faster than numpy scalars
+    first = values[0][0]
+    if all(v == first for row in values for v in row):
+        return [Peak(0, 0, first)]
 
     peaks = []
-    claimed: set[tuple[int, int]] = set()
     for ring in range(N_RINGS):
         for azimuth in range(N_AZIMUTHS):
-            if not candidates[ring, azimuth] or (ring, azimuth) in claimed:
+            v = values[ring][azimuth]
+            if any(values[r][c] > v for r, c in _neighbors(ring, azimuth)):
                 continue
             plateau = _plateau(values, ring, azimuth)
             if min(plateau) != (ring, azimuth):
                 continue
-            claimed |= plateau
-            v = values[ring, azimuth]
-            rises = any(
-                values[nr, nc] < v
-                for r, c in plateau
-                for nr, nc in _neighbors(r, c)
-                if (nr, nc) not in plateau
-            )
-            if rises:
-                peaks.append(Peak(ring, azimuth, float(v)))
+            # a strictly lower neighbor of a plateau cell lies outside the plateau
+            if any(values[r][c] < v for cell in plateau for r, c in _neighbors(*cell)):
+                peaks.append(Peak(ring, azimuth, v))
 
     peaks.sort(key=lambda p: (-p.value, p.ring, p.azimuth))
     return peaks
-
-
-def top_n_views(emap: EntropyMap, n: int) -> list[Peak]:
-    """The first min(n, peak count) peaks; never padded.
-
-    Raises:
-        ValueError: n < 1.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return find_peaks(emap)[:n]
 
 
 def write_map_csv(emap: EntropyMap, path: str | Path) -> None:

@@ -177,8 +177,15 @@ def parse_off(text: str | Iterable[str]) -> TriangleMesh:
 
 
 def load_off(path: str | Path) -> TriangleMesh:
-    """Parse the OFF file at ``path``."""
-    return parse_off(Path(path).read_text())
+    """Parse the OFF file at ``path``.
+
+    Raises:
+        MeshError: the file is not valid OFF text; the message starts with the path.
+    """
+    try:
+        return parse_off(Path(path).read_text())
+    except (MeshError, UnicodeDecodeError) as exc:
+        raise MeshError(f"{path}: {exc}") from None
 
 
 def write_off(mesh: TriangleMesh, path: str | Path) -> None:

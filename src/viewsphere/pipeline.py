@@ -19,7 +19,6 @@ from .entropy import (
     find_peaks,
     image_entropy,
     map_to_pgm_pixels,
-    top_n_views,
     write_map_csv,
 )
 from .fusion import FusedPrediction, PoseOffset, fuse
@@ -180,7 +179,10 @@ def _process_object(task: tuple[str, str, str, str, str]) -> dict:
             "view_paths": view_rels,
         }
     except Exception as exc:  # per-object failures become skips, not aborts
-        return {"object_id": object_id, "error": f"{off_path}: {exc}"}
+        message = str(exc)  # load_off's errors already name the file
+        if not message.startswith(f"{off_path}: "):
+            message = f"{off_path}: {message}"
+        return {"object_id": object_id, "error": message}
 
 
 def build_dataset(
@@ -263,7 +265,7 @@ def recognize_object(
     """
     if max_views is not None and max_views < 1:
         raise ValueError(f"max_views must be >= 1, got {max_views}")
-    peaks = find_peaks(emap) if max_views is None else top_n_views(emap, max_views)
+    peaks = find_peaks(emap)[:max_views]
     views = [Viewpoint(p.ring, p.azimuth) for p in peaks]
     fused = fuse([(v, predict_view(v.index)) for v in views], mode=fusion_mode)
     return RecognitionResult(
@@ -401,13 +403,17 @@ def evaluate(
     predicted offset equals the true offset. Order independent.
 
     Raises:
-        ValueError: the manifest has no test split, or the results do not
-            exactly cover it.
+        ValueError: the manifest has no test split, an object has more than
+            one result, or the results do not exactly cover the test split.
     """
     test = {r.object_id: r for r in records if r.split == "test"}
     if not test:
         raise ValueError("no test-split records in manifest")
-    got = {r.object_id: r for r in sorted(results, key=lambda r: r.object_id)}
+    counts = Counter(r.object_id for r in results)
+    repeated = sorted(object_id for object_id, n in counts.items() if n > 1)
+    if repeated:
+        raise ValueError(f"repeated object ids in results: {repeated[:5]}")
+    got = {r.object_id: r for r in results}
     if set(test) != set(got):
         missing = sorted(set(test) - set(got))[:5]
         extra = sorted(set(got) - set(test))[:5]

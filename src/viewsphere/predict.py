@@ -117,12 +117,12 @@ def _l1_distances(table: np.ndarray, query: np.ndarray, block: int) -> np.ndarra
     return d.sum(axis=1, dtype=np.int32) / float(block)
 
 
-def _knn_weights(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | int:
-    """Indices and 1/(d+eps) weights of the k nearest, or the index of an exact match."""
+def _knn_weights(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and 1/(d+eps) weights of the k nearest; the first exact match alone has weight 1."""
     exact = np.flatnonzero(distances == 0.0)
     if exact.size:
-        return int(exact[0])
-    order = np.argsort(distances, kind="stable")[: min(k, len(distances))]
+        return exact[:1], np.ones(1)
+    order = np.argsort(distances, kind="stable")[:k]
     return order, 1.0 / (distances[order] + KNN_EPSILON)
 
 
@@ -153,10 +153,7 @@ class KnnEntropyPredictor(EntropyPredictor):
 
     def predict_map(self, grid: VoxelGrid) -> EntropyMap:
         distances = _l1_distances(self.features, self.featurize(grid), self.BLOCK)
-        picked = _knn_weights(distances, self.k)
-        if isinstance(picked, int):
-            return EntropyMap(self.maps[picked])
-        order, weights = picked
+        order, weights = _knn_weights(distances, self.k)
         if len(order) == 1:
             return EntropyMap(self.maps[order[0]])  # verbatim, no w/w rounding
         blended = (weights[:, None, None] * self.maps[order]).sum(axis=0) / weights.sum()
@@ -224,12 +221,7 @@ class KnnViewPredictor(ViewPredictor):
         distances = _l1_distances(self.features, self.featurize(image), self.BLOCK)
         class_scores = dict.fromkeys(self.categories, 0.0)
         viewpoint_scores = np.zeros(N_VIEWS)
-        picked = _knn_weights(distances, self.k)
-        if isinstance(picked, int):
-            class_scores[self.categories[self.category_ids[picked]]] = 1.0
-            viewpoint_scores[self.viewpoints[picked]] = 1.0
-            return ViewPrediction(class_scores, viewpoint_scores)
-        order, weights = picked
+        order, weights = _knn_weights(distances, self.k)
         total = weights.sum()
         for idx, w in zip(order, weights):
             class_scores[self.categories[self.category_ids[idx]]] += w / total
@@ -368,9 +360,11 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
     """Read and validate an exchange file written by :func:`write_predictions`.
 
     Raises:
-        ValueError: any schema violation, reported with the line number.
+        ValueError: any schema violation, or a second record for the same
+            (object_id, view_index), reported with the line number.
     """
     records = []
+    seen = set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -393,6 +387,9 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
                 raise ValueError(f"{where}: object_id must be a string")
             if not isinstance(view_index, int) or not 0 <= view_index < N_VIEWS:
                 raise ValueError(f"{where}: view_index must be an integer in 0..{N_VIEWS - 1}")
+            if (object_id, view_index) in seen:
+                raise ValueError(f"{where}: repeated record for ({object_id!r}, {view_index})")
+            seen.add((object_id, view_index))
             vscores = raw["viewpoint_scores"]
             if not isinstance(vscores, list) or len(vscores) != N_VIEWS:
                 got = len(vscores) if isinstance(vscores, list) else type(vscores).__name__

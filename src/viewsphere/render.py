@@ -332,8 +332,8 @@ def read_pgm(path: str | Path) -> DepthImage:
     """Read a binary PGM written by :func:`write_pgm_array` (or any P5 with maxval <= 255).
 
     Raises:
-        ValueError: naming the file, if it is not a P5 PGM, its header or
-            payload is truncated or malformed, or its image is empty.
+        ValueError: naming the file, if it is not a P5 PGM, or its header
+            or payload is truncated or malformed.
     """
     blob = Path(path).read_bytes()
     try:
@@ -362,8 +362,11 @@ def _parse_pgm(blob: bytes) -> DepthImage:
     pos += 1  # single whitespace byte after maxval
     if tokens[0] != b"P5":
         raise ValueError(f"not a binary PGM (magic {tokens[0]!r})")
+    if not all(tok.isdigit() and int(tok) > 0 for tok in tokens[1:]):
+        header = b" ".join(tokens[1:]).decode("ascii", "replace")
+        raise ValueError(f"PGM header {header!r}: width, height and maxval must be positive integers")
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if not 0 < maxval <= 255:
+    if maxval > 255:
         raise ValueError(f"unsupported maxval {maxval}")
     if len(blob) - pos < width * height:
         raise ValueError("truncated PGM payload")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_peaks, histogram_entropy
 from viewsphere.entropy import (
@@ -10,7 +12,6 @@ from viewsphere.entropy import (
     image_entropy,
     map_to_pgm_pixels,
     read_map_csv,
-    top_n_views,
     write_map_csv,
 )
 from viewsphere.render import DepthImage
@@ -150,13 +151,36 @@ def test_top_n_views():
     values[0, 2] = 3.0
     values[2, 6] = 2.0
     values[4, 9] = 1.0
-    emap = EntropyMap(values)
-    assert len(top_n_views(emap, 5)) == 3  # never padded
-    assert top_n_views(emap, 1) == [Peak(0, 2, 3.0)]
-    ordered = top_n_views(emap, 3)
-    assert [p.value for p in ordered] == sorted((p.value for p in ordered), reverse=True)
-    with pytest.raises(ValueError, match="n must be"):
-        top_n_views(emap, 0)
+    peaks = find_peaks(EntropyMap(values))
+    assert len(peaks[:5]) == 3  # never padded
+    assert peaks[:1] == [Peak(0, 2, 3.0)]
+    assert [p.value for p in peaks] == [3.0, 2.0, 1.0]  # best first
+
+
+@st.composite
+def _level_maps(draw):
+    """5x12 maps over at most 4 distinct values, so plateaus and constant maps are common."""
+    levels = draw(st.lists(st.floats(0.0, 8.0), min_size=1, max_size=4, unique=True))
+    cells = draw(st.lists(st.sampled_from(levels), min_size=60, max_size=60))
+    return np.array(cells).reshape(5, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_level_maps())
+def test_find_peaks_matches_brute_force_on_plateaus(values):
+    peaks = find_peaks(EntropyMap(values))
+    assert [(p.ring, p.azimuth, p.value) for p in peaks] == brute_force_peaks(values)
+    assert all(type(p.value) is float for p in peaks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=st.lists(st.floats(0.0, 8.0), min_size=60, max_size=60, unique=True))
+def test_find_peaks_rolls_with_the_map(cells):
+    values = np.array(cells).reshape(5, 12)
+    base = find_peaks(EntropyMap(values))
+    for m in range(12):
+        rolled = find_peaks(EntropyMap(np.roll(values, m, axis=1)))
+        assert rolled == [Peak(p.ring, (p.azimuth + m) % 12, p.value) for p in base]
 
 
 def test_map_csv_round_trip(tmp_path):

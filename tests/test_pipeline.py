@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from viewsphere import pipeline, synthetic
-from viewsphere.cli import _sigma_list, main
+from viewsphere.cli import _build_parser, _sigma_list, main
 from viewsphere.entropy import EntropyMap, write_map_csv
 from viewsphere.fusion import PoseOffset
 from viewsphere.predict import PredictionRecord, write_predictions
@@ -102,7 +102,7 @@ def test_unreadable_file_is_skipped(model_root, tmp_path):
     out = tmp_path / "out"
     records, skipped = pipeline.build_dataset(broken_root, out, workers=1)
     assert len(records) == 6
-    assert len(skipped) == 1 and "box_9999" in skipped[0]
+    assert len(skipped) == 1 and skipped[0].count("box_9999") == 1  # the path, once
     manifest_ids = {r.object_id for r in records}
     assert "box_9999" not in manifest_ids
 
@@ -500,22 +500,53 @@ _MAP_ROW = ["1.0"] * 12
 _BEST_VIEWS = ["best-views", "--map", "map.csv"]
 _TRAIN = ["train-knn", "--manifest", "manifest.csv", "--out", "out"]
 _EVALUATE = ["evaluate", "--results", "results.csv", "--manifest", "manifest.csv", "--out", "out"]
+_ORACLE_MAP = ["predict-map", "--oracle", "--mesh", "bad.off", "--out", "out"]
+
+
+def test_evaluate_rejects_repeated_object_ids(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    row = ["box", "test", "g.vox"] + ["0.0"] * 60 + ["v.pgm"] * 60
+    (tmp_path / "manifest.csv").write_bytes(_csv(pipeline.MANIFEST_COLUMNS, ["box_0000", *row], ["box_0001", *row]))
+    result = ["0", "0", "0", "0", "1"]
+    (tmp_path / "results.csv").write_bytes(
+        _csv(
+            pipeline.RESULT_COLUMNS,
+            ["box_0000", "box", "box", *result],
+            ["box_0001", "box", "box", *result],
+            ["box_0001", "box", "cone", *result],
+        )
+    )
+    assert main(_EVALUATE) == 1
+    assert "repeated object ids in results: ['box_0001']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_seed_only_where_something_is_random():
+    (subcommands,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    seeded = {name for name, p in subcommands.choices.items() if any(a.dest == "seed" for a in p._actions)}
+    assert seeded == {"build-dataset", "noise-sweep"}
+
+
+_BAD_OFF = b"OFF\n3 1 0\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n"
 
 
 @pytest.mark.parametrize(
-    "argv, files, bad",
+    "argv, files, bad, says",
     [
-        pytest.param(_BEST_VIEWS, {"map.csv": _csv(["1.0", "2.0"], ["3.0", "4.0"])}, "map.csv", id="map-shape"),
-        pytest.param(_BEST_VIEWS, {"map.csv": _csv(["x"] + _MAP_ROW[1:], *[_MAP_ROW] * 4)}, "map.csv", id="map-value"),
-        pytest.param(_TRAIN, {"manifest.csv": _manifest(), "v.pgm": b"P5\nx 2\n255\n" + bytes(4)}, "v.pgm", id="pgm-width"),
-        pytest.param(_TRAIN, {"manifest.csv": _manifest(), "v.pgm": b"P5\n0 0\n255\n"}, "v.pgm", id="pgm-empty"),
-        pytest.param(_TRAIN, {"manifest.csv": _manifest(entropy="x")}, "manifest.csv", id="manifest-entropy"),
-        pytest.param(_TRAIN, {"manifest.csv": _manifest(entropy="-1.0")}, "manifest.csv", id="manifest-range"),
-        pytest.param(_EVALUATE, {"results.csv": _results("15")}, "results.csv", id="results-pose"),
-        pytest.param(_EVALUATE, {"results.csv": _results("x")}, "results.csv", id="results-value"),
+        pytest.param(_BEST_VIEWS, {"map.csv": _csv(["1.0", "2.0"], ["3.0", "4.0"])}, "map.csv", "5x12", id="map-shape"),
+        pytest.param(_BEST_VIEWS, {"map.csv": _csv(["x"] + _MAP_ROW[1:], *[_MAP_ROW] * 4)}, "map.csv", "'x'", id="map-value"),
+        pytest.param(_TRAIN, {"manifest.csv": _manifest(), "v.pgm": b"P5\nx 2\n255\n" + bytes(4)}, "v.pgm", "PGM header 'x 2 255'", id="pgm-width"),
+        pytest.param(_TRAIN, {"manifest.csv": _manifest(), "v.pgm": b"P5\n0 0\n255\n"}, "v.pgm", "PGM header '0 0 255'", id="pgm-empty"),
+        pytest.param(_TRAIN, {"manifest.csv": _manifest(), "v.pgm": b"P5\n-1 -1\n255\nab"}, "v.pgm", "PGM header '-1 -1 255'", id="pgm-negative"),
+        pytest.param(_TRAIN, {"manifest.csv": _manifest(), "v.pgm": b"P5\n-2 2\n255\n"}, "v.pgm", "PGM header '-2 2 255'", id="pgm-negative-width"),
+        pytest.param(_TRAIN, {"manifest.csv": _manifest(entropy="x")}, "manifest.csv", "'x'", id="manifest-entropy"),
+        pytest.param(_TRAIN, {"manifest.csv": _manifest(entropy="-1.0")}, "manifest.csv", "[0, 8.0]", id="manifest-range"),
+        pytest.param(_EVALUATE, {"results.csv": _results("15")}, "results.csv", "15", id="results-pose"),
+        pytest.param(_EVALUATE, {"results.csv": _results("x")}, "results.csv", "'x'", id="results-value"),
+        pytest.param(_ORACLE_MAP, {"bad.off": _BAD_OFF}, "bad.off", "line 4: non-numeric vertex coordinate", id="off-vertex"),
     ],
 )
-def test_cli_errors_name_the_bad_file(tmp_path, monkeypatch, capsys, argv, files, bad):
+def test_cli_errors_name_the_bad_file(tmp_path, monkeypatch, capsys, argv, files, bad, says):
     monkeypatch.chdir(tmp_path)
     save_grid(VoxelGrid(np.zeros((56, 56, 56), dtype=bool)), "g.vox")  # train-knn reads it before the views
     for name, blob in files.items():
@@ -523,6 +554,7 @@ def test_cli_errors_name_the_bad_file(tmp_path, monkeypatch, capsys, argv, files
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: "), err
+    assert says in err and err.count(bad) == 1, err
     assert not (tmp_path / "out").exists()
 
 

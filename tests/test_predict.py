@@ -243,6 +243,15 @@ def test_exchange_rejects_schema_violations(tmp_path):
         read_predictions(path)
 
 
+def test_exchange_rejects_repeated_records(tmp_path):
+    prediction = ViewPrediction({"a": 1.0}, np.full(60, 1.0 / 60))
+    keys = [("o", 0), ("o", 1), ("p", 0), ("o", 1)]
+    path = tmp_path / "twice.jsonl"
+    write_predictions([PredictionRecord(object_id, i, prediction) for object_id, i in keys], path)
+    with pytest.raises(ValueError, match=r"twice\.jsonl:4: repeated record for \('o', 1\)"):
+        read_predictions(path)
+
+
 def test_exchange_normalizes_sloppy_sums(tmp_path):
     path = tmp_path / "sloppy.jsonl"
     vec = [1.0 / 60] * 60
