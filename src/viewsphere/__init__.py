@@ -32,7 +32,6 @@ from .predict import (
     EntropyPredictor,
     KnnEntropyPredictor,
     KnnViewPredictor,
-    PredictionRecord,
     ViewPrediction,
     ViewPredictor,
     knn_entropy_predictor_train,

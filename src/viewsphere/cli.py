@@ -130,7 +130,7 @@ def _load_view_source(args):
         raise ValueError("provide exactly one of --view-model or --predictions")
     if args.view_model:
         return _load_model(args.view_model, ViewPredictor)
-    return {(r.object_id, r.view_index): r.prediction for r in read_predictions(args.predictions)}
+    return read_predictions(args.predictions)
 
 
 def _load_entropy_source(args):

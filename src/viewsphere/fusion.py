@@ -67,13 +67,7 @@ def _totals(pairs) -> dict:
 
 def _winner(tallies: dict, tie_scores: dict, smallest_key) -> object:
     """Option with the maximal tally; ties prefer higher summed scores, then smallest key."""
-    best_tally = max(tallies.values())
-    tied = [option for option, tally in tallies.items() if tally == best_tally]
-    if len(tied) == 1:
-        return tied[0]
-    best_score = max(tie_scores[option] for option in tied)
-    tied = [option for option in tied if tie_scores[option] == best_score]
-    return min(tied, key=smallest_key)
+    return min(tallies, key=lambda option: (-tallies[option], -tie_scores[option], smallest_key(option)))
 
 
 def fuse(

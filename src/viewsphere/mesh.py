@@ -76,15 +76,15 @@ def pair_chunks(counts: np.ndarray, chunk_size: int) -> Iterator[tuple[slice, np
         yield tris, span, np.arange(p0, p1) - np.repeat(starts[tris], span)
 
 
-def _logical_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, tokens) for non-empty lines, with '#' comments stripped."""
+def _logical_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Yield (line number, text) for non-empty lines, with '#' comments and outer whitespace stripped."""
     for no, raw in enumerate(lines, start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
-            yield no, body.split()
+            yield no, body
 
 
-def parse_off(text: str | Iterable[str]) -> TriangleMesh:
+def parse_off(text: str) -> TriangleMesh:
     """Parse an OFF-family mesh file.
 
     Accepts the plain ``OFF`` header as well as the header fused with the
@@ -94,27 +94,22 @@ def parse_off(text: str | Iterable[str]) -> TriangleMesh:
     Raises:
         OffParseError: on any malformed content, with the offending line number.
     """
-    lines = text.splitlines() if isinstance(text, str) else list(text)
-    stream = _logical_lines(lines)
+    lines = text.splitlines()
     end_no = len(lines) + 1
+    rows = list(_logical_lines(lines))
+    if not rows:
+        raise OffParseError(1, "empty input, expected OFF header")
 
-    try:
-        header_no, header = next(stream)
-    except StopIteration:
-        raise OffParseError(1, "empty input, expected OFF header") from None
-
-    if header[0] == "OFF" and len(header) == 1:
-        try:
-            counts_no, counts = next(stream)
-        except StopIteration:
-            raise OffParseError(end_no, "missing counts line") from None
-    elif header[0].startswith("OFF") and header[0] != "OFF":
-        # header fused with counts: "OFF490 581 0"
-        counts_no, counts = header_no, [header[0][3:], *header[1:]]
-    elif header[0] == "OFF":
-        counts_no, counts = header_no, header[1:]
-    else:
-        raise OffParseError(header_no, f"expected OFF header, got {header[0]!r}")
+    (header_no, header), body = rows[0], rows[1:]
+    if not header.startswith("OFF"):
+        raise OffParseError(header_no, f"expected OFF header, got {header.split()[0]!r}")
+    # counts may follow the header on its line, even fused with it: "OFF490 581 0"
+    counts_no, counts = header_no, header[3:].split()
+    if not counts:
+        if not body:
+            raise OffParseError(end_no, "missing counts line")
+        counts_no, counts = body[0][0], body[0][1].split()
+        body = body[1:]
 
     if len(counts) != 3:
         raise OffParseError(counts_no, f"expected 3 counts (vertices faces edges), got {len(counts)}")
@@ -126,29 +121,25 @@ def parse_off(text: str | Iterable[str]) -> TriangleMesh:
     if n_vertices < 0 or n_faces < 0:
         raise OffParseError(counts_no, "negative vertex or face count")
 
-    vertices = np.zeros((n_vertices, 3))
-    for i in range(n_vertices):
-        try:
-            no, tokens = next(stream)
-        except StopIteration:
-            raise OffParseError(
-                end_no, f"vertex count mismatch: expected {n_vertices} vertex lines, found {i}"
-            ) from None
+    vertex_rows = body[:n_vertices]
+    coords: list[float] = []
+    for no, line in vertex_rows:
+        tokens = line.split()
         if len(tokens) != 3:
             raise OffParseError(no, f"expected 3 vertex coordinates, got {len(tokens)}")
         try:
-            vertices[i] = [float(t) for t in tokens]
+            coords.extend(map(float, tokens))
         except ValueError:
             raise OffParseError(no, f"non-numeric vertex coordinate in {' '.join(tokens)!r}") from None
+    if len(vertex_rows) < n_vertices:
+        raise OffParseError(
+            end_no, f"vertex count mismatch: expected {n_vertices} vertex lines, found {len(vertex_rows)}"
+        )
 
+    face_rows = body[n_vertices : n_vertices + n_faces]
     triples: list[tuple[int, int, int]] = []
-    for i in range(n_faces):
-        try:
-            no, tokens = next(stream)
-        except StopIteration:
-            raise OffParseError(
-                end_no, f"face count mismatch: expected {n_faces} face lines, found {i}"
-            ) from None
+    for no, line in face_rows:
+        tokens = line.split()
         try:
             arity = int(tokens[0])
         except ValueError:
@@ -166,10 +157,14 @@ def parse_off(text: str | Iterable[str]) -> TriangleMesh:
                 raise OffParseError(no, f"vertex index {v} out of range (0..{n_vertices - 1})")
         for k in range(1, arity - 1):
             triples.append((idx[0], idx[k], idx[k + 1]))
-
-    for no, _ in stream:
+    if len(face_rows) < n_faces:
+        raise OffParseError(
+            end_no, f"face count mismatch: expected {n_faces} face lines, found {len(face_rows)}"
+        )
+    for no, _ in body[n_vertices + n_faces :]:
         raise OffParseError(no, f"unexpected content after {n_faces} declared faces")
 
+    vertices = np.array(coords, dtype=np.float64).reshape(-1, 3)
     faces = np.array(triples, dtype=np.int64).reshape(-1, 3)
     if not np.isfinite(vertices).all():
         raise OffParseError(counts_no, "non-finite vertex coordinate")

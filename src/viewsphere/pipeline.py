@@ -60,17 +60,37 @@ class DatasetRecord:
         return EntropyMap(self.entropies.reshape(5, 12))
 
 
-def write_manifest(rows: Sequence[dict], path: str | Path) -> None:
-    """Write manifest rows (already containing relative path strings) as CSV."""
+def _write_table(path: str | Path, columns: Sequence[str], rows) -> None:
+    """Write a CSV table: the header row ``columns``, then ``rows``; LF line ends."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row["object_id"], row["category"], row["split"], row["voxel_path"]]
-                + [repr(float(v)) for v in row["entropies"]]
-                + row["view_paths"]
-            )
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _read_table(path: str | Path, columns: list[str], what: str):
+    """Yield the non-blank rows of a CSV table whose header must be ``columns``; errors name the file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != columns:
+            raise ValueError(f"{path}: unexpected {what} header")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(columns):
+                raise ValueError(f"{path}: row for {row[0]!r} has {len(row)} columns")
+            yield row
+
+
+def write_manifest(rows: Sequence[dict], path: str | Path) -> None:
+    """Write manifest rows (already containing relative path strings) as CSV."""
+    table = (
+        [row["object_id"], row["category"], row["split"], row["voxel_path"]]
+        + [repr(float(v)) for v in row["entropies"]]
+        + row["view_paths"]
+        for row in rows
+    )
+    _write_table(path, MANIFEST_COLUMNS, table)
 
 
 def read_manifest(path: str | Path) -> list[DatasetRecord]:
@@ -78,31 +98,22 @@ def read_manifest(path: str | Path) -> list[DatasetRecord]:
     path = Path(path)
     base = path.parent
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_COLUMNS:
-            raise ValueError(f"{path}: unexpected manifest header")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(MANIFEST_COLUMNS):
-                raise ValueError(f"{path}: row for {row[0]!r} has {len(row)} columns")
-            try:
-                entropies = np.array([float(v) for v in row[4 : 4 + N_VIEWS]])
-                EntropyMap(entropies.reshape(N_RINGS, N_AZIMUTHS))  # checks the range
-            except ValueError as exc:
-                raise ValueError(f"{path}: row for {row[0]!r}: {exc}") from None
-            records.append(
-                DatasetRecord(
-                    object_id=row[0],
-                    category=row[1],
-                    split=row[2],
-                    voxel_path=base / row[3],
-                    entropies=entropies,
-                    view_paths=[base / p for p in row[4 + N_VIEWS :]],
-                )
+    for row in _read_table(path, MANIFEST_COLUMNS, "manifest"):
+        try:
+            entropies = np.array([float(v) for v in row[4 : 4 + N_VIEWS]])
+            EntropyMap(entropies.reshape(N_RINGS, N_AZIMUTHS))  # checks the range
+        except ValueError as exc:
+            raise ValueError(f"{path}: row for {row[0]!r}: {exc}") from None
+        records.append(
+            DatasetRecord(
+                object_id=row[0],
+                category=row[1],
+                split=row[2],
+                voxel_path=base / row[3],
+                entropies=entropies,
+                view_paths=[base / p for p in row[4 + N_VIEWS :]],
             )
+        )
     return records
 
 
@@ -335,50 +346,32 @@ RESULT_COLUMNS = [
 
 def write_results(results: Sequence[RecognitionResult], path: str | Path) -> None:
     """One CSV row per object: truth, prediction, and the number of fused views."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for r in sorted(results, key=lambda r: r.object_id):
-            writer.writerow(
-                [
-                    r.object_id,
-                    r.true_category,
-                    r.predicted_category,
-                    r.true_offset.d_theta,
-                    r.true_offset.d_phi,
-                    r.predicted_offset.d_theta,
-                    r.predicted_offset.d_phi,
-                    r.views_used,
-                ]
-            )
+    rows = (
+        [r.object_id, r.true_category, r.predicted_category]
+        + [r.true_offset.d_theta, r.true_offset.d_phi, r.predicted_offset.d_theta, r.predicted_offset.d_phi]
+        + [r.views_used]
+        for r in sorted(results, key=lambda r: r.object_id)
+    )
+    _write_table(path, RESULT_COLUMNS, rows)
 
 
 def read_results(path: str | Path) -> list[RecognitionResult]:
     """Read a results file written by :func:`write_results`; errors name the file."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RESULT_COLUMNS:
-            raise ValueError(f"{path}: unexpected results header")
-        results = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(RESULT_COLUMNS):
-                raise ValueError(f"{path}: row for {row[0]!r} has {len(row)} columns")
-            try:
-                results.append(
-                    RecognitionResult(
-                        object_id=row[0],
-                        true_category=row[1],
-                        predicted_category=row[2],
-                        true_offset=PoseOffset(int(row[3]), int(row[4])),
-                        predicted_offset=PoseOffset(int(row[5]), int(row[6])),
-                        views_used=int(row[7]),
-                    )
+    results = []
+    for row in _read_table(path, RESULT_COLUMNS, "results"):
+        try:
+            results.append(
+                RecognitionResult(
+                    object_id=row[0],
+                    true_category=row[1],
+                    predicted_category=row[2],
+                    true_offset=PoseOffset(int(row[3]), int(row[4])),
+                    predicted_offset=PoseOffset(int(row[5]), int(row[6])),
+                    views_used=int(row[7]),
                 )
-            except ValueError as exc:
-                raise ValueError(f"{path}: row for {row[0]!r}: {exc}") from None
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: row for {row[0]!r}: {exc}") from None
     return results
 
 
@@ -459,17 +452,16 @@ def write_report(report: EvaluationReport, out_dir: str | Path) -> None:
         f"seconds_per_object {timing}",
     ]
     (out / "report.txt").write_text("\n".join(lines) + "\n")
-    with open(out / "confusion.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["true\\predicted"] + report.categories)
-        for i, category in enumerate(report.categories):
-            writer.writerow([category] + [int(v) for v in report.confusion[i]])
-    with open(out / "views.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["category", "views_used"])
-        for category in report.categories:
-            for m in report.views_used.get(category, []):
-                writer.writerow([category, m])
+    _write_table(
+        out / "confusion.csv",
+        ["true\\predicted"] + report.categories,
+        ([category] + [int(v) for v in report.confusion[i]] for i, category in enumerate(report.categories)),
+    )
+    _write_table(
+        out / "views.csv",
+        ["category", "views_used"],
+        ([category, m] for category in report.categories for m in report.views_used.get(category, [])),
+    )
 
 
 def noise_sweep(
@@ -503,10 +495,9 @@ def noise_sweep(
     for sigma_index, sigma in enumerate(sigmas):
         results = []
         for record in test:
-            mesh_path = root / record.category / record.split / f"{record.object_id}.off"
-            if not mesh_path.is_file():
-                raise FileNotFoundError(f"source mesh not found: {mesh_path}")
-            mesh = normalize_to_unit_cube(load_off(mesh_path))
+            mesh = normalize_to_unit_cube(
+                load_off(root / record.category / record.split / f"{record.object_id}.off")
+            )
             noise_seed = np.random.SeedSequence(
                 [seed, sigma_index, zlib.crc32(record.object_id.encode())]
             ).generate_state(1)[0]
@@ -535,14 +526,12 @@ def noise_sweep(
     return rows
 
 
+SWEEP_COLUMNS = ["sigma", "class_accuracy", "pose_accuracy", "mean_views"]
+
+
 def write_sweep(rows: Sequence[dict], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sigma", "class_accuracy", "pose_accuracy", "mean_views"])
-        for row in rows:
-            writer.writerow(
-                [row["sigma"], row["class_accuracy"], row["pose_accuracy"], row["mean_views"]]
-            )
+    """One CSV row per noise level, as :func:`noise_sweep` returns them."""
+    _write_table(path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
 
 
 def emit_heatmap(emap: EntropyMap, path: str | Path) -> None:

@@ -6,7 +6,7 @@ import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -35,12 +35,16 @@ class ViewPrediction:
         scores = np.array(self.viewpoint_scores, dtype=np.float64, copy=True)
         if scores.shape != (N_VIEWS,):
             raise ValueError(f"viewpoint_scores must have {N_VIEWS} entries, got {scores.shape}")
-        if (scores < 0).any() or not self.class_scores or min(self.class_scores.values()) < 0:
-            raise ValueError("scores must be nonnegative")
-        if abs(scores.sum() - 1.0) > SCORE_SUM_TOL:
-            raise ValueError(f"viewpoint scores sum to {scores.sum()!r}, expected 1")
-        class_total = sum(self.class_scores.values())
-        if abs(class_total - 1.0) > SCORE_SUM_TOL:
+        if (scores < 0).any():
+            raise ValueError("negative viewpoint score: scores must be nonnegative")
+        if min(self.class_scores.values(), default=0.0) < 0:
+            raise ValueError("negative class score: scores must be nonnegative")
+        # "not <=" so that a NaN sum fails too
+        total = float(scores.sum())
+        if not abs(total - 1.0) <= SCORE_SUM_TOL:
+            raise ValueError(f"viewpoint scores sum to {total!r}, expected 1")
+        class_total = float(sum(self.class_scores.values()))
+        if not abs(class_total - 1.0) <= SCORE_SUM_TOL:
             raise ValueError(f"class scores sum to {class_total!r}, expected 1")
         scores.setflags(write=False)
         object.__setattr__(self, "viewpoint_scores", scores)
@@ -139,10 +143,12 @@ class KnnEntropyPredictor(EntropyPredictor):
     WIDTH = (DIMS // VOXEL_POOL_FACTOR) ** 3
 
     def __init__(self, features: np.ndarray, maps: np.ndarray, k: int):
-        """Raises ValueError for a bad table or ``k``, or maps other than (n, 5, 12)."""
+        """Raises ValueError for a bad table or ``k``, or maps other than (n, 5, 12) valid entropy maps."""
         _check_knn(type(self), features, k)
         if maps.shape != (len(features), N_RINGS, N_AZIMUTHS):
             raise ValueError(f"maps must be ({len(features)}, {N_RINGS}, {N_AZIMUTHS}), got {maps.shape}")
+        for values in maps:
+            EntropyMap(values)  # checks the range
         self.features = features
         self.maps = maps
         self.k = k
@@ -327,44 +333,35 @@ def map_mse(a: EntropyMap, b: EntropyMap) -> float:
     return float(((a.values - b.values) ** 2).mean())
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One exchange-file record: scores for one (object, view) pair."""
-
-    object_id: str
-    view_index: int
-    prediction: ViewPrediction
-
-
-def write_predictions(records: Iterable[PredictionRecord], path: str | Path) -> None:
-    """Write records as JSON lines; floats round-trip losslessly."""
+def write_predictions(predictions: Mapping[tuple[str, int], ViewPrediction], path: str | Path) -> None:
+    """Write (object_id, view_index) -> prediction as JSON lines; floats round-trip losslessly."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "object_id": rec.object_id,
-                        "view_index": rec.view_index,
-                        "class_scores": {
-                            name: rec.prediction.class_scores[name]
-                            for name in sorted(rec.prediction.class_scores)
-                        },
-                        "viewpoint_scores": [float(s) for s in rec.prediction.viewpoint_scores],
-                    }
-                )
-                + "\n"
-            )
+        for (object_id, view_index), prediction in predictions.items():
+            record = {
+                "object_id": object_id,
+                "view_index": view_index,
+                "class_scores": dict(sorted(prediction.class_scores.items())),
+                "viewpoint_scores": prediction.viewpoint_scores.tolist(),
+            }
+            fh.write(json.dumps(record) + "\n")
 
 
-def read_predictions(path: str | Path) -> list[PredictionRecord]:
-    """Read and validate an exchange file written by :func:`write_predictions`.
+def _is_number(value) -> bool:
+    """Whether a decoded JSON value is a number (a bool is not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_predictions(path: str | Path) -> dict[tuple[str, int], ViewPrediction]:
+    """Read an exchange file written by :func:`write_predictions`.
+
+    Scores that sum to within ``EXCHANGE_SUM_TOL`` of 1 are rescaled to sum
+    to 1; :class:`ViewPrediction` checks the values.
 
     Raises:
-        ValueError: any schema violation, or a second record for the same
-            (object_id, view_index), reported with the line number.
+        ValueError: any schema or value violation, or a second record for the
+            same (object_id, view_index), reported with the line number.
     """
-    records = []
-    seen = set()
+    predictions = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -381,50 +378,40 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
                 "viewpoint_scores",
             }:
                 raise ValueError(f"{where}: record must have exactly the four schema keys")
-            object_id = raw["object_id"]
-            view_index = raw["view_index"]
+            key = object_id, view_index = raw["object_id"], raw["view_index"]
             if not isinstance(object_id, str):
                 raise ValueError(f"{where}: object_id must be a string")
-            if not isinstance(view_index, int) or not 0 <= view_index < N_VIEWS:
+            if type(view_index) is not int or not 0 <= view_index < N_VIEWS:  # a bool is not an index
                 raise ValueError(f"{where}: view_index must be an integer in 0..{N_VIEWS - 1}")
-            if (object_id, view_index) in seen:
+            if key in predictions:
                 raise ValueError(f"{where}: repeated record for ({object_id!r}, {view_index})")
-            seen.add((object_id, view_index))
             vscores = raw["viewpoint_scores"]
             if not isinstance(vscores, list) or len(vscores) != N_VIEWS:
                 got = len(vscores) if isinstance(vscores, list) else type(vscores).__name__
                 raise ValueError(f"{where}: viewpoint_scores must be a list of {N_VIEWS} numbers, got {got}")
-            if not all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in vscores):
+            if not all(_is_number(s) for s in vscores):
                 raise ValueError(f"{where}: viewpoint_scores must be numbers")
-            varr = np.array(vscores, dtype=np.float64)
-            if (varr < 0).any():
-                raise ValueError(f"{where}: negative viewpoint score")
-            vsum = float(varr.sum())
-            if abs(vsum - 1.0) > EXCHANGE_SUM_TOL:
-                raise ValueError(f"{where}: viewpoint scores sum to {vsum!r}, expected 1")
             cscores = raw["class_scores"]
             if (
                 not isinstance(cscores, dict)
                 or not cscores
                 or not all(isinstance(name, str) for name in cscores)
-                or not all(
-                    isinstance(s, (int, float)) and not isinstance(s, bool) for s in cscores.values()
-                )
+                or not all(_is_number(s) for s in cscores.values())
             ):
                 raise ValueError(f"{where}: class_scores must be a non-empty name->number mapping")
-            if min(cscores.values()) < 0:
-                raise ValueError(f"{where}: negative class score")
-            csum = float(sum(cscores.values()))
-            if abs(csum - 1.0) > EXCHANGE_SUM_TOL:
-                raise ValueError(f"{where}: class scores sum to {csum!r}, expected 1")
-            # keep bit-exact values when already normalized; rescale sloppy external sums
-            if abs(vsum - 1.0) > SCORE_SUM_TOL:
-                varr = varr / vsum
-            if abs(csum - 1.0) > SCORE_SUM_TOL:
-                class_scores = {name: float(s) / csum for name, s in cscores.items()}
-            else:
+            try:
+                varr = np.array(vscores, dtype=np.float64)
+                vsum, csum = float(varr.sum()), float(sum(cscores.values()))
                 class_scores = {name: float(s) for name, s in cscores.items()}
-            records.append(
-                PredictionRecord(object_id, view_index, ViewPrediction(class_scores, varr))
-            )
-    return records
+            except OverflowError:  # an integer beyond the float range
+                raise ValueError(f"{where}: score too large for a float") from None
+            # keep bit-exact values when already normalized; rescale sloppy external sums
+            if SCORE_SUM_TOL < abs(vsum - 1.0) <= EXCHANGE_SUM_TOL:
+                varr = varr / vsum
+            if SCORE_SUM_TOL < abs(csum - 1.0) <= EXCHANGE_SUM_TOL:
+                class_scores = {name: s / csum for name, s in class_scores.items()}
+            try:
+                predictions[key] = ViewPrediction(class_scores, varr)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    return predictions

@@ -103,6 +103,23 @@ def test_parse_face_index_arity_error():
         parse_off("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 2\n")
 
 
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("", 1, "empty input, expected OFF header"),
+        ("OFF\n# no counts\n\n", 4, "missing counts line"),
+        # a malformed line wins over the short block it sits in
+        ("OFF\n4 0 0\n0 0 0\n0 x 0\n", 4, "non-numeric vertex coordinate in '0 x 0'"),
+        ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 5\n", 6, r"vertex index 5 out of range \(0..2\)"),
+        (MINIMAL_OFF + "# tail\n3 0 1 2\n", 8, "unexpected content after 1 declared faces"),
+    ],
+)
+def test_parse_off_error_lines(text, line_no, message):
+    with pytest.raises(OffParseError, match=f"^line {line_no}: {message}$") as info:
+        parse_off(text)
+    assert info.value.line_no == line_no
+
+
 def test_write_then_load_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     mesh = TriangleMesh(rng.normal(size=(50, 3)), rng.integers(0, 50, size=(30, 3)))

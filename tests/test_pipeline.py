@@ -7,7 +7,7 @@ from viewsphere import pipeline, synthetic
 from viewsphere.cli import _build_parser, _sigma_list, main
 from viewsphere.entropy import EntropyMap, write_map_csv
 from viewsphere.fusion import PoseOffset
-from viewsphere.predict import PredictionRecord, write_predictions
+from viewsphere.predict import read_predictions, write_predictions
 from viewsphere.render import read_pgm
 from viewsphere.voxel import VoxelGrid, save_grid
 
@@ -141,17 +141,14 @@ def test_recognition_from_exchange_file(dataset, predictors, tmp_path):
     _, records = dataset
     _, view_predictor = predictors
     test = [r for r in records if r.split == "test"]
-    exchange = [
-        PredictionRecord(r.object_id, i, view_predictor.predict(read_pgm(path)))
+    exchange = {
+        (r.object_id, i): view_predictor.predict(read_pgm(path))
         for r in test
         for i, path in enumerate(r.view_paths)
-    ]
+    }
     path = tmp_path / "preds.jsonl"
     write_predictions(exchange, path)
-    from viewsphere.predict import read_predictions
-
-    table = {(p.object_id, p.view_index): p.prediction for p in read_predictions(path)}
-    via_file = pipeline.run_recognition(test, "oracle", table)
+    via_file = pipeline.run_recognition(test, "oracle", read_predictions(path))
     via_model = pipeline.run_recognition(test, "oracle", view_predictor)
     for a, b in zip(via_file, via_model):
         assert a.predicted_category == b.predicted_category
@@ -286,6 +283,18 @@ def test_noise_sweep_max_views(dataset, predictors, model_root):
     _, view_predictor = predictors
     with pytest.raises(ValueError, match="max_views"):
         pipeline.noise_sweep(records, model_root, view_predictor, sigmas=[0.0], max_views=0)
+
+
+def test_cli_noise_sweep_missing_source_mesh(dataset, predictors, tmp_path, capsys):
+    out, records = dataset
+    _, view_predictor = predictors
+    view_npz = tmp_path / "view_knn.npz"
+    view_predictor.save(view_npz)
+    first = min((r for r in records if r.split == "test"), key=lambda r: r.object_id)
+    args = ["noise-sweep", "--manifest", str(out / "manifest.csv"), "--models", str(tmp_path / "empty")]
+    args += ["--sigmas", "0.0", "--view-model", str(view_npz), "--out", str(tmp_path / "sweep")]
+    assert main(args) == 1
+    assert str(tmp_path / "empty" / first.category / "test" / f"{first.object_id}.off") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sigmas", [",", " , ,", ""])
@@ -579,7 +588,7 @@ def test_cli_rejects_wrong_model_kinds(dataset, predictors, model_root, tmp_path
     predictions = tmp_path / "preds.jsonl"
     record = next(r for r in pipeline.read_manifest(out / "manifest.csv") if r.split == "test")
     prediction = view_predictor.predict(read_pgm(record.view_paths[0]))
-    write_predictions([PredictionRecord(record.object_id, 0, prediction)], predictions)
+    write_predictions({(record.object_id, 0): prediction}, predictions)
     sweep = ["noise-sweep", *manifest, *run, "--models", str(model_root), "--sigmas", "0.0"]
     assert main(sweep + ["--predictions", str(predictions)]) == 1
     assert "view predictor" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from viewsphere.mesh import TriangleMesh
 from viewsphere.predict import (
     KnnEntropyPredictor,
     KnnViewPredictor,
-    PredictionRecord,
     ViewPrediction,
     _l1_distances,
     knn_entropy_predictor_train,
@@ -182,21 +183,19 @@ def test_map_metrics():
 
 def test_exchange_round_trip(tmp_path):
     rng = np.random.default_rng(7)
-    records = []
+    predictions = {}
     for i in range(4):
         viewpoint = rng.random(60)
         viewpoint /= viewpoint.sum()
         class_scores = {"chair": 0.25, "table": 0.75}
-        records.append(PredictionRecord(f"obj_{i}", i * 3, ViewPrediction(class_scores, viewpoint)))
+        predictions[f"obj_{i}", i * 3] = ViewPrediction(class_scores, viewpoint)
     path = tmp_path / "preds.jsonl"
-    write_predictions(records, path)
+    write_predictions(predictions, path)
     again = read_predictions(path)
-    assert len(again) == 4
-    for before, after in zip(records, again):
-        assert before.object_id == after.object_id
-        assert before.view_index == after.view_index
-        assert before.prediction.class_scores == after.prediction.class_scores
-        assert np.array_equal(before.prediction.viewpoint_scores, after.prediction.viewpoint_scores)
+    assert list(again) == list(predictions)
+    for key, before in predictions.items():
+        assert before.class_scores == again[key].class_scores
+        assert np.array_equal(before.viewpoint_scores, again[key].viewpoint_scores)
 
 
 def test_exchange_rejects_wrong_vector_length(tmp_path):
@@ -241,13 +240,22 @@ def test_exchange_rejects_schema_violations(tmp_path):
     )
     with pytest.raises(ValueError, match="view_index"):
         read_predictions(path)
+    huge = "1" + "0" * 400  # a JSON integer that no float holds
+    for class_scores, viewpoint_scores in [(huge, good_vec), ("1.0", [huge] + [0] * 59)]:
+        path.write_text(
+            f'{{"object_id": "o", "view_index": 0, "class_scores": {{"a": {class_scores}}}, '
+            f'"viewpoint_scores": [{", ".join(map(str, viewpoint_scores))}]}}\n'
+        )
+        with pytest.raises(ValueError, match=r"bad\.jsonl:1: score too large"):
+            read_predictions(path)
 
 
 def test_exchange_rejects_repeated_records(tmp_path):
     prediction = ViewPrediction({"a": 1.0}, np.full(60, 1.0 / 60))
-    keys = [("o", 0), ("o", 1), ("p", 0), ("o", 1)]
     path = tmp_path / "twice.jsonl"
-    write_predictions([PredictionRecord(object_id, i, prediction) for object_id, i in keys], path)
+    write_predictions(dict.fromkeys([("o", 0), ("o", 1), ("p", 0)], prediction), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[1]]) + "\n")  # ("o", 1) again on line 4
     with pytest.raises(ValueError, match=r"twice\.jsonl:4: repeated record for \('o', 1\)"):
         read_predictions(path)
 
@@ -260,9 +268,31 @@ def test_exchange_normalizes_sloppy_sums(tmp_path):
         '{"object_id": "o", "view_index": 3, "class_scores": {"a": 1.0000004}, '
         f'"viewpoint_scores": {vec}}}\n'
     )
-    records = read_predictions(path)
-    assert abs(records[0].prediction.viewpoint_scores.sum() - 1.0) <= 1e-9
-    assert abs(sum(records[0].prediction.class_scores.values()) - 1.0) <= 1e-9
+    prediction = read_predictions(path)["o", 3]
+    assert abs(prediction.viewpoint_scores.sum() - 1.0) <= 1e-9
+    assert abs(sum(prediction.class_scores.values()) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "class_scores, viewpoint_scores",
+    [({"a": float("nan")}, [1 / 60] * 60), ({"a": 1.0}, [float("nan")] + [1 / 59] * 59)],
+)
+def test_nan_scores_are_rejected(tmp_path, class_scores, viewpoint_scores):
+    with pytest.raises(ValueError, match="sum to nan"):
+        ViewPrediction(class_scores, np.array(viewpoint_scores))
+    path = tmp_path / "nan.jsonl"
+    record = dict(object_id="o", view_index=0, class_scores=class_scores, viewpoint_scores=viewpoint_scores)
+    path.write_text(json.dumps(record) + "\n")  # json writes a NaN score as the token NaN
+    with pytest.raises(ValueError, match=r"nan\.jsonl:1: .*sum to nan"):
+        read_predictions(path)
+
+
+def test_exchange_rejects_boolean_view_index(tmp_path):
+    path = tmp_path / "bool.jsonl"
+    record = dict(object_id="o", view_index=True, class_scores={"a": 1.0}, viewpoint_scores=[1 / 60] * 60)
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=r"bool\.jsonl:1: view_index must be an integer"):
+        read_predictions(path)
 
 
 def test_predictor_save_load_round_trip(tmp_path):
@@ -484,6 +514,12 @@ def test_loader_rejects_disagreeing_shapes(tmp_path):
     assert load_predictor(tmp_path / "good.npz").features.shape == (3, 784)
 
 
+def _maps_with(value):
+    maps = np.zeros((2, 5, 12))
+    maps[1, 2, 3] = value
+    return maps
+
+
 @pytest.mark.parametrize(
     "case, overrides, message",
     [
@@ -493,16 +529,23 @@ def test_loader_rejects_disagreeing_shapes(tmp_path):
         ("view_negative", dict(viewpoints=np.array([-1, 0])), "viewpoints"),
         ("float_views", dict(viewpoints=np.array([0.0, 1.0])), "viewpoints"),
         ("width700", dict(features=np.zeros((2, 700), np.int16)), r"\(n, 784\)"),
+        ("map_nan", dict(maps=_maps_with(np.nan)), "non-finite"),
+        ("map_9", dict(maps=_maps_with(9.0)), "entropy values must lie in"),
+        ("map_negative", dict(maps=_maps_with(-1.0)), "entropy values must lie in"),
     ],
 )
 def test_loader_rejects_bad_values(tmp_path, capsys, case, overrides, message):
     path = tmp_path / f"{case}.npz"
-    _save_view_model(path, overrides.pop("features", np.zeros((2, 784), np.int16)), **overrides)
+    if "maps" in overrides:  # entropy models: `recognize --entropy knn` fails at load
+        _save_entropy_model(path, np.zeros((2, 2744), np.int8), overrides["maps"])
+        model = ["--entropy", "knn", "--entropy-model", str(path), "--predictions", str(tmp_path / "p.jsonl")]
+    else:
+        _save_view_model(path, overrides.pop("features", np.zeros((2, 784), np.int16)), **overrides)
+        model = ["--view-model", str(path)]
     with pytest.raises(ValueError, match=f"{case}.npz: .*{message}"):
         load_predictor(path)
     manifest = tmp_path / "manifest.csv"
     row = dict(object_id="o", category="a", split="test", voxel_path="o.vox", entropies=np.zeros(60))
     pipeline.write_manifest([{**row, "view_paths": [f"v{i:02d}.pgm" for i in range(60)]}], manifest)
-    args = ["recognize", "--manifest", str(manifest), "--view-model", str(path), "--out", str(tmp_path / "out")]
-    assert main(args) == 1
+    assert main(["recognize", "--manifest", str(manifest), *model, "--out", str(tmp_path / "out")]) == 1
     assert f"{case}.npz" in capsys.readouterr().err
