@@ -209,40 +209,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        """Add subcommand ``name``, which runs ``func``; ``--config`` is its first flag."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key=value file mirroring the flags of this command")
+        p.set_defaults(func=func, _parser=p)
+        return p
 
-    p = sub.add_parser("build-dataset", help="voxelize and render a ModelNet-style mesh tree")
-    common(p)
+    p = command("build-dataset", _cmd_build_dataset, "voxelize and render a ModelNet-style mesh tree")
     p.add_argument("--input", required=True, help="model root: category/split/*.off")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--subsample", type=_fraction, default=1.0, help="fraction like 0.25 or 1/3")
     p.add_argument("--seed", type=int, default=0, help="seed of the subsample draw")
-    p.set_defaults(func=_cmd_build_dataset, _parser=p)
 
-    p = sub.add_parser("train-knn", help="train k-NN predictors from a dataset manifest")
-    common(p)
+    p = command("train-knn", _cmd_train_knn, "train k-NN predictors from a dataset manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="directory for entropy_knn.npz and view_knn.npz")
     p.add_argument("--k", type=int, default=5)
-    p.set_defaults(func=_cmd_train_knn, _parser=p)
 
-    p = sub.add_parser("predict-map", help="predict or compute an entropy map")
-    common(p)
+    p = command("predict-map", _cmd_predict_map, "predict or compute an entropy map")
     p.add_argument("--grid", help="voxel grid file (with --model)")
     p.add_argument("--model", help="entropy_knn.npz predictor")
     p.add_argument("--mesh", help="OFF mesh (with --oracle)")
     p.add_argument("--oracle", action="store_true", help="render and measure instead of predicting")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_predict_map, _parser=p)
 
-    p = sub.add_parser("best-views", help="list entropy-map peaks, best first")
-    common(p)
+    p = command("best-views", _cmd_best_views, "list entropy-map peaks, best first")
     p.add_argument("--map", required=True, help="entropy map CSV")
     p.add_argument("--top", type=int, default=None, help="keep at most N peaks")
     p.add_argument("--out", help="optional output text file")
-    p.set_defaults(func=_cmd_best_views, _parser=p)
 
     def recognition_flags(p):
         p.add_argument("--entropy", choices=["oracle", "knn"], default="oracle")
@@ -252,22 +248,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-views", type=int, default=None)
         p.add_argument("--fusion", choices=["argmax", "score-sum"], default="argmax")
 
-    p = sub.add_parser("recognize", help="fused recognition over the manifest's test split")
-    common(p)
+    p = command("recognize", _cmd_recognize, "fused recognition over the manifest's test split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory for results.csv")
     recognition_flags(p)
-    p.set_defaults(func=_cmd_recognize, _parser=p)
 
-    p = sub.add_parser("evaluate", help="score a results.csv against its manifest")
-    common(p)
+    p = command("evaluate", _cmd_evaluate, "score a results.csv against its manifest")
     p.add_argument("--results", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory for the report files")
-    p.set_defaults(func=_cmd_evaluate, _parser=p)
 
-    p = sub.add_parser("noise-sweep", help="accuracy under increasing vertex noise")
-    common(p)
+    p = command("noise-sweep", _cmd_noise_sweep, "accuracy under increasing vertex noise")
     p.add_argument("--manifest", required=True)
     p.add_argument("--models", required=True, help="mesh root the manifest was built from")
     p.add_argument(
@@ -279,13 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed of the vertex noise")
     p.add_argument("--out", required=True)
     recognition_flags(p)
-    p.set_defaults(func=_cmd_noise_sweep, _parser=p)
 
-    p = sub.add_parser("heatmap", help="render an entropy map CSV as a PGM heatmap")
-    common(p)
+    p = command("heatmap", _cmd_heatmap, "render an entropy map CSV as a PGM heatmap")
     p.add_argument("--map", required=True)
     p.add_argument("--out", required=True, help="output PGM path (CSV sidecar written alongside)")
-    p.set_defaults(func=_cmd_heatmap, _parser=p)
 
     return parser
 

@@ -98,17 +98,15 @@ def find_peaks(emap: EntropyMap) -> list[Peak]:
     ordered by (ring, azimuth).
     """
     values = emap.values.tolist()  # Python floats index faster than numpy scalars
-    first = values[0][0]
-    if all(v == first for row in values for v in row):
-        return [Peak(0, 0, first)]
-
     peaks = []
+    searched = set()  # cells of the plateaus searched so far; each plateau is searched once
     for ring in range(N_RINGS):
         for azimuth in range(N_AZIMUTHS):
             v = values[ring][azimuth]
-            if any(values[r][c] > v for r, c in _neighbors(ring, azimuth)):
+            if any(values[r][c] > v for r, c in _neighbors(ring, azimuth)) or (ring, azimuth) in searched:
                 continue
             plateau = _plateau(values, ring, azimuth)
+            searched |= plateau
             if min(plateau) != (ring, azimuth):
                 continue
             # a strictly lower neighbor of a plateau cell lies outside the plateau
@@ -116,7 +114,7 @@ def find_peaks(emap: EntropyMap) -> list[Peak]:
                 peaks.append(Peak(ring, azimuth, v))
 
     peaks.sort(key=lambda p: (-p.value, p.ring, p.azimuth))
-    return peaks
+    return peaks or [Peak(0, 0, values[0][0])]  # only a constant map has no peak
 
 
 def write_map_csv(emap: EntropyMap, path: str | Path) -> None:

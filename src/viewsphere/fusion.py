@@ -65,9 +65,9 @@ def _totals(pairs) -> dict:
     return {key: math.fsum(values) for key, values in groups.items()}
 
 
-def _winner(tallies: dict, tie_scores: dict, smallest_key) -> object:
-    """Option with the maximal tally; ties prefer higher summed scores, then smallest key."""
-    return min(tallies, key=lambda option: (-tallies[option], -tie_scores[option], smallest_key(option)))
+def _winner(tallies: dict, tie_scores: dict) -> object:
+    """Option with the maximal tally; ties prefer higher summed scores, then the smallest option."""
+    return min(tallies, key=lambda option: (-tallies[option], -tie_scores[option], option))
 
 
 def fuse(
@@ -107,8 +107,8 @@ def fuse(
         )
         class_tie, pose_tie = class_votes, pose_votes
 
-    category = _winner(dict(class_votes), class_tie, smallest_key=lambda name: name)
-    pose = _winner(dict(pose_votes), pose_tie, smallest_key=lambda off: (off.d_theta, off.d_phi))
+    category = _winner(dict(class_votes), class_tie)
+    pose = _winner(dict(pose_votes), pose_tie)
     return FusedPrediction(
         category=category,
         pose=pose,

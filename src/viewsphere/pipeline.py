@@ -57,7 +57,7 @@ class DatasetRecord:
     view_paths: list[Path]
 
     def entropy_map(self) -> EntropyMap:
-        return EntropyMap(self.entropies.reshape(5, 12))
+        return EntropyMap(self.entropies.reshape(N_RINGS, N_AZIMUTHS))
 
 
 def _write_table(path: str | Path, columns: Sequence[str], rows) -> None:

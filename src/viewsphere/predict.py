@@ -87,12 +87,18 @@ def _check_knn(cls, features: np.ndarray, k: int) -> None:
 
     Raises:
         ValueError: ``features`` is not a non-empty (n, ``cls.WIDTH``) table
-            of ``cls.FEATURE_DTYPE``, or ``k < 1``.
+            of ``cls.FEATURE_DTYPE`` block sums in 0..``cls.MAX_FEATURE``, or
+            ``k < 1``.
     """
     if features.shape[1:] != (cls.WIDTH,) or not len(features) or features.dtype != cls.FEATURE_DTYPE:
         raise ValueError(
             f"{cls.__name__} features must be a non-empty (n, {cls.WIDTH}) "
             f"{np.dtype(cls.FEATURE_DTYPE)} table, got {features.dtype} of shape {features.shape}"
+        )
+    lo, hi = features.min(), features.max()
+    if lo < 0 or hi > cls.MAX_FEATURE:
+        raise ValueError(
+            f"{cls.__name__} features must be block sums in 0..{cls.MAX_FEATURE}, got {lo}..{hi}"
         )
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -109,8 +115,9 @@ def _check_labels(name: str, labels: np.ndarray, n_rows: int, bound: int) -> Non
 def _l1_distances(table: np.ndarray, query: np.ndarray, block: int) -> np.ndarray:
     """L1 distances from ``query`` to each row of an integer block-sum table, in block means.
 
-    The features are signed, so ``table - query`` cannot wrap, and each row
-    sum fits int32: it is at most ``WIDTH * MAX_FEATURE``, 784 * 16,320 for
+    The features are signed and the constructors keep them in
+    0..``MAX_FEATURE``, so ``table - query`` cannot wrap, and each row sum
+    fits int32: it is at most ``WIDTH * MAX_FEATURE``, 784 * 16,320 for
     views and 2,744 * 64 for grids, both below 2**31. An integer sum over
     ``block`` equals the float64 distance between the block means bit for
     bit: every term and partial sum of that distance is a multiple of
@@ -278,19 +285,22 @@ def _feature_table(features: np.ndarray, cls) -> np.ndarray:
     """Return a stored feature table as ``cls``'s integer block sums.
 
     Tables saved before the features were integers hold float64 block means;
-    they are scaled by the block size, which is exact, and must come out
-    integral and in range.
+    they are scaled by the block size, which is exact. The cast to
+    ``cls.FEATURE_DTYPE`` must keep every value; the constructor checks the
+    range.
     """
     if features.dtype.kind == "f":
         features = features * float(cls.BLOCK)
     elif features.dtype.kind not in "iu":
         raise ValueError(f"features have unsupported dtype {features.dtype}")
-    if not ((features >= 0) & (features <= cls.MAX_FEATURE) & (features == np.round(features))).all():
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+        table = features.astype(cls.FEATURE_DTYPE)
+    if not np.array_equal(table, features):
         raise ValueError(
-            f"features are not block sums in 0..{cls.MAX_FEATURE} "
+            f"features are not {np.dtype(cls.FEATURE_DTYPE)} block sums "
             f"(or block means that are multiples of 1/{cls.BLOCK})"
         )
-    return features.astype(cls.FEATURE_DTYPE)
+    return table
 
 
 def load_predictor(path: str | Path) -> KnnEntropyPredictor | KnnViewPredictor:
@@ -298,9 +308,8 @@ def load_predictor(path: str | Path) -> KnnEntropyPredictor | KnnViewPredictor:
 
     Raises:
         ValueError: naming the file, if an array is missing, the kind is
-            unknown, a feature table does not hold block sums (or, in older
-            files, block means) in range, or the constructor rejects the
-            arrays.
+            unknown, a feature table does not hold integer block sums (or, in
+            older files, block means), or the constructor rejects the arrays.
     """
     with np.load(path, allow_pickle=False) as blob:
         try:

@@ -15,8 +15,6 @@ import numpy as np
 
 from .mesh import TriangleMesh, write_off
 
-CATEGORIES = ("box", "cylinder", "cone", "pyramid", "sphere")
-
 #: Side count for bodies of revolution; coprime with the 12 rig azimuths, so no
 #: 30-degree grid rotation maps a facet pattern onto itself.
 REVOLUTION_SIDES = 11
@@ -172,6 +170,9 @@ _MAKERS = {
     "pyramid": make_pyramid,
     "sphere": make_sphere,
 }
+
+#: Category names in the order that seeds each category's meshes.
+CATEGORIES = tuple(_MAKERS)
 
 
 def make_primitive(category: str, rng: np.random.Generator) -> TriangleMesh:

@@ -11,12 +11,6 @@ N_RINGS = 5
 N_AZIMUTHS = 12
 N_VIEWS = N_RINGS * N_AZIMUTHS
 
-#: Pitch angle of each ring, in degrees from the +z axis.
-RING_PITCH_DEG = (30, 60, 90, 120, 150)
-
-#: Azimuth step between neighbouring cameras on a ring, degrees.
-AZIMUTH_STEP_DEG = 30
-
 #: Distance of every camera from the origin, outside the unit cube's circumsphere (sqrt(3) / 2).
 RADIUS = 2.0
 

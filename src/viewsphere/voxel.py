@@ -101,13 +101,14 @@ def _overlaps(table: np.ndarray, cx: np.ndarray, cy: np.ndarray, cz: np.ndarray)
     return (lo - s <= r) & (hi - s >= neg_r)
 
 
-def _mark_surface(tris: np.ndarray, n: int, surface: np.ndarray) -> None:
-    """Set ``surface[(ix * n + iy) * n + iz]`` for every cell that a triangle touches.
+def _mark_surface(tris: np.ndarray, surface: np.ndarray) -> None:
+    """Set ``surface[(ix * n + iy) * n + iz]``, n = ``INTERIOR_SIZE``, for every cell that a triangle touches.
 
     Candidates are each triangle's bounding box of cells, one cell wider per
     side. The normal axis rejects most of them; its survivors are regrouped
     into full blocks before the other twelve axes.
     """
+    n = INTERIOR_SIZE
     cell = 1.0 / n
     half = cell / 2.0
     lo_idx = np.maximum(np.floor((tris.min(axis=1) + 0.5) / cell).astype(int) - 1, 0)
@@ -162,7 +163,7 @@ def voxelize(mesh: TriangleMesh) -> VoxelGrid:
     surface = np.zeros(n**3, dtype=bool)
     tris = mesh.triangles
     for first in range(0, len(tris), _TRIANGLE_BLOCK):
-        _mark_surface(tris[first : first + _TRIANGLE_BLOCK], n, surface)
+        _mark_surface(tris[first : first + _TRIANGLE_BLOCK], surface)
     occ = np.zeros((DIMS, DIMS, DIMS), dtype=bool)
     occ[_INTERIOR] = surface.reshape(n, n, n)
     return VoxelGrid(occ)

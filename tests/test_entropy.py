@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_peaks, histogram_entropy
+from viewsphere import entropy
 from viewsphere.entropy import (
     EntropyMap,
     Peak,
@@ -114,6 +115,24 @@ def test_wraparound_adjacency_suppresses_dominated_cell():
 def test_constant_map_single_peak():
     peaks = find_peaks(EntropyMap(np.full((5, 12), 3.3)))
     assert peaks == [Peak(0, 0, 3.3)]
+
+
+def test_find_peaks_searches_each_plateau_once(monkeypatch):
+    calls = []
+    plateau = entropy._plateau
+
+    def counting_plateau(values, ring, azimuth):
+        calls.append((ring, azimuth))
+        return plateau(values, ring, azimuth)
+
+    monkeypatch.setattr(entropy, "_plateau", counting_plateau)
+    values = np.ones((5, 12))
+    values[2] = 3.0  # three plateaus: rings 0-1, ring 2, rings 3-4
+    assert find_peaks(EntropyMap(values)) == [Peak(2, 0, 3.0)]
+    assert calls == [(0, 0), (2, 0), (4, 0)]
+    calls.clear()
+    assert find_peaks(EntropyMap(np.full((5, 12), 2.5))) == [Peak(0, 0, 2.5)]
+    assert calls == [(0, 0)]
 
 
 def test_find_peaks_matches_brute_force():

@@ -3,7 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
-from viewsphere import pipeline, synthetic
+from viewsphere import cli, pipeline, synthetic
 from viewsphere.cli import _build_parser, _sigma_list, main
 from viewsphere.entropy import EntropyMap, write_map_csv
 from viewsphere.fusion import PoseOffset
@@ -530,9 +530,29 @@ def test_evaluate_rejects_repeated_object_ids(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_seed_only_where_something_is_random():
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
     (subcommands,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    seeded = {name for name, p in subcommands.choices.items() if any(a.dest == "seed" for a in p._actions)}
+    return subcommands.choices
+
+
+_COMMANDS = "build-dataset train-knn predict-map best-views recognize evaluate noise-sweep heatmap".split()
+
+
+@pytest.mark.parametrize("name", _COMMANDS)
+def test_cli_subcommand_wiring(name):
+    parser = _subcommands()[name]
+    assert parser._actions[1].option_strings == ["--config"]  # first flag after --help
+    assert parser.get_default("func") is getattr(cli, f"_cmd_{name.replace('-', '_')}")
+    assert parser.get_default("_parser") is parser
+
+
+def test_cli_has_exactly_the_listed_subcommands():
+    assert list(_subcommands()) == _COMMANDS
+
+
+def test_cli_seed_only_where_something_is_random():
+    subcommands = _subcommands()
+    seeded = {name for name, p in subcommands.items() if any(a.dest == "seed" for a in p._actions)}
     assert seeded == {"build-dataset", "noise-sweep"}
 
 

@@ -356,6 +356,18 @@ def test_row_sums_fit_int32_and_tables_have_fixed_width():
             _construct(cls, wide)
 
 
+@pytest.mark.parametrize("cls", [KnnViewPredictor, KnnEntropyPredictor])
+@pytest.mark.parametrize("at", ["low", "high"])
+def test_constructors_reject_out_of_range_tables(cls, at):
+    # a wrapped table - query would give a wrong L1 distance, so no table may leave 0..MAX_FEATURE
+    table = np.zeros((2, cls.WIDTH), dtype=cls.FEATURE_DTYPE)
+    table[1, 5] = cls.MAX_FEATURE
+    _construct(cls, table)
+    table[1, 7] = -1 if at == "low" else cls.MAX_FEATURE + 1
+    with pytest.raises(ValueError, match=rf"block sums in 0\.\.{cls.MAX_FEATURE}"):
+        _construct(cls, table)
+
+
 def test_featurize_sums_blocks_exactly():
     images = [_image(i) for i in range(3)]
     images += [DepthImage(np.zeros((224, 224), np.uint8)), DepthImage(np.full((224, 224), 255, np.uint8))]
@@ -514,6 +526,12 @@ def test_loader_rejects_disagreeing_shapes(tmp_path):
     assert load_predictor(tmp_path / "good.npz").features.shape == (3, 784)
 
 
+def _table_with(width, dtype, value):
+    table = np.zeros((2, width), dtype)
+    table[1, 5] = value
+    return table
+
+
 def _maps_with(value):
     maps = np.zeros((2, 5, 12))
     maps[1, 2, 3] = value
@@ -532,12 +550,18 @@ def _maps_with(value):
         ("map_nan", dict(maps=_maps_with(np.nan)), "non-finite"),
         ("map_9", dict(maps=_maps_with(9.0)), "entropy values must lie in"),
         ("map_negative", dict(maps=_maps_with(-1.0)), "entropy values must lie in"),
+        ("view_int_negative", dict(features=_table_with(784, np.int16, -1)), r"0\.\.16320"),
+        ("view_int_high", dict(features=_table_with(784, np.int16, 16321)), r"0\.\.16320"),
+        ("voxel_int_negative", dict(voxels=_table_with(2744, np.int8, -1)), r"0\.\.64"),
+        ("voxel_int_high", dict(voxels=_table_with(2744, np.int8, 65)), r"0\.\.64"),
+        ("voxel_int64_wraps", dict(voxels=_table_with(2744, np.int64, 300)), "block sums"),
     ],
 )
 def test_loader_rejects_bad_values(tmp_path, capsys, case, overrides, message):
     path = tmp_path / f"{case}.npz"
-    if "maps" in overrides:  # entropy models: `recognize --entropy knn` fails at load
-        _save_entropy_model(path, np.zeros((2, 2744), np.int8), overrides["maps"])
+    if {"maps", "voxels"} & set(overrides):  # entropy models: `recognize --entropy knn` fails at load
+        voxels = overrides.get("voxels", np.zeros((2, 2744), np.int8))
+        _save_entropy_model(path, voxels, overrides.get("maps", np.zeros((2, 5, 12))))
         model = ["--entropy", "knn", "--entropy-model", str(path), "--predictions", str(tmp_path / "p.jsonl")]
     else:
         _save_view_model(path, overrides.pop("features", np.zeros((2, 784), np.int16)), **overrides)
