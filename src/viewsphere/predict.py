@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,7 +119,9 @@ def _l1_distances(table: np.ndarray, query: np.ndarray, block: int) -> np.ndarra
     The features are signed and the constructors keep them in
     0..``MAX_FEATURE``, so ``table - query`` cannot wrap, and each row sum
     fits int32: it is at most ``WIDTH * MAX_FEATURE``, 784 * 16,320 for
-    views and 2,744 * 64 for grids, both below 2**31. An integer sum over
+    views and 2,744 * 64 for grids, both below 2**31. The int32 pooled
+    tables of :func:`_nearest` hold the same totals in fewer, larger
+    values, so their row sums are no larger. An integer sum over
     ``block`` equals the float64 distance between the block means bit for
     bit: every term and partial sum of that distance is a multiple of
     1/block far below 2**53.
@@ -137,17 +140,47 @@ def _knn_weights(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     return order, 1.0 / (distances[order] + KNN_EPSILON)
 
 
+def _nearest(predictor, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and weights that :func:`_knn_weights` picks from a full scan of ``predictor.features``.
+
+    The search is exact but reads few rows. By the triangle inequality,
+    |sum(a) - sum(b)| <= sum(|a - b|) over any block, so the L1 distance
+    between pooled rows is a lower bound on the distance between the rows
+    (the successive elimination bound of Li & Salari, IEEE TIP 4(1), 1995).
+    The k rows with the smallest bounds give an upper bound ``kth`` on the
+    k-th smallest distance, and only rows whose bound is at most ``kth`` can
+    be picked. Every exact match (bound 0) and every row within ``kth``
+    survive, in index order, so the stable sort and the first-exact-match
+    rule of :func:`_knn_weights` pick the same rows with the same weights.
+    Bounds and distances are both in block means: dividing integers by the
+    same block size cannot reverse their order.
+    """
+    table, block, k = predictor.features, predictor.BLOCK, predictor.k
+    if k >= len(table):
+        return _knn_weights(_l1_distances(table, query, block), k)
+    pooled_query = block_sums(query.reshape(predictor.FEATURE_SHAPE), predictor.BOUND_POOL, np.int32).ravel()
+    bounds = _l1_distances(predictor.pooled, pooled_query, block)
+    kth = _l1_distances(table[np.argpartition(bounds, k - 1)[:k]], query, block).max()
+    rows = np.flatnonzero(bounds <= kth)
+    order, weights = _knn_weights(_l1_distances(table[rows], query, block), k)
+    return rows[order], weights
+
+
 class KnnEntropyPredictor(EntropyPredictor):
     """Distance-weighted k-NN regression from pooled voxel occupancy to entropy maps.
 
     ``features`` holds one row of int8 occupied-voxel counts per 4^3 block for
     each training grid; distances are L1 over the occupancy fractions.
+    ``pooled`` sums each row's 14^3 counts over 2^3 blocks for the search
+    bounds of :func:`_nearest`; it is built here, so model files never hold it.
     """
 
     BLOCK = VOXEL_POOL_FACTOR**3
     FEATURE_DTYPE = np.int8
     MAX_FEATURE = BLOCK
-    WIDTH = (DIMS // VOXEL_POOL_FACTOR) ** 3
+    FEATURE_SHAPE = (DIMS // VOXEL_POOL_FACTOR,) * 3
+    WIDTH = math.prod(FEATURE_SHAPE)
+    BOUND_POOL = 2
 
     def __init__(self, features: np.ndarray, maps: np.ndarray, k: int):
         """Raises ValueError for a bad table or ``k``, or maps other than (n, 5, 12) valid entropy maps."""
@@ -157,6 +190,10 @@ class KnnEntropyPredictor(EntropyPredictor):
         for values in maps:
             EntropyMap(values)  # checks the range
         self.features = features
+        # BOUND_POOL divides FEATURE_SHAPE[0], so no block spans two rows
+        self.pooled = block_sums(
+            features.reshape((-1,) + self.FEATURE_SHAPE[1:]), self.BOUND_POOL, np.int32
+        ).reshape(len(features), -1)
         self.maps = maps
         self.k = k
 
@@ -165,8 +202,7 @@ class KnnEntropyPredictor(EntropyPredictor):
         return block_sums(grid.occupancy, VOXEL_POOL_FACTOR, KnnEntropyPredictor.FEATURE_DTYPE).ravel()
 
     def predict_map(self, grid: VoxelGrid) -> EntropyMap:
-        distances = _l1_distances(self.features, self.featurize(grid), self.BLOCK)
-        order, weights = _knn_weights(distances, self.k)
+        order, weights = _nearest(self, self.featurize(grid))
         if len(order) == 1:
             return EntropyMap(self.maps[order[0]])  # verbatim, no w/w rounding
         blended = (weights[:, None, None] * self.maps[order]).sum(axis=0) / weights.sum()
@@ -200,13 +236,17 @@ class KnnViewPredictor(ViewPredictor):
     ``features`` holds one row of int16 pixel sums per 8x8 block for each
     training view; distances are L1 over the block means. Scores are neighbor
     votes on both heads, normalized to sum to one; an exact feature match
-    takes the whole mass.
+    takes the whole mass. ``pooled`` sums each row's 28x28 block sums over
+    4x4 blocks for the search bounds of :func:`_nearest`; it is built here,
+    so model files never hold it.
     """
 
     BLOCK = IMAGE_POOL_FACTOR**2
     FEATURE_DTYPE = np.int16
     MAX_FEATURE = BLOCK * 255
-    WIDTH = (IMAGE_SIZE // IMAGE_POOL_FACTOR) ** 2
+    FEATURE_SHAPE = (IMAGE_SIZE // IMAGE_POOL_FACTOR,) * 2
+    WIDTH = math.prod(FEATURE_SHAPE)
+    BOUND_POOL = 4
 
     def __init__(
         self,
@@ -221,6 +261,10 @@ class KnnViewPredictor(ViewPredictor):
         _check_labels("category_ids", category_ids, len(features), len(categories))
         _check_labels("viewpoints", viewpoints, len(features), N_VIEWS)
         self.features = features
+        # BOUND_POOL divides FEATURE_SHAPE[0], so no block spans two rows
+        self.pooled = block_sums(
+            features.reshape((-1,) + self.FEATURE_SHAPE[1:]), self.BOUND_POOL, np.int32
+        ).reshape(len(features), -1)
         self.category_ids = category_ids
         self.viewpoints = viewpoints
         self.categories = list(categories)
@@ -231,10 +275,9 @@ class KnnViewPredictor(ViewPredictor):
         return block_sums(image.pixels, IMAGE_POOL_FACTOR, KnnViewPredictor.FEATURE_DTYPE).ravel()
 
     def predict(self, image: DepthImage) -> ViewPrediction:
-        distances = _l1_distances(self.features, self.featurize(image), self.BLOCK)
         class_scores = dict.fromkeys(self.categories, 0.0)
         viewpoint_scores = np.zeros(N_VIEWS)
-        order, weights = _knn_weights(distances, self.k)
+        order, weights = _nearest(self, self.featurize(image))
         total = weights.sum()
         for idx, w in zip(order, weights):
             class_scores[self.categories[self.category_ids[idx]]] += w / total

@@ -30,14 +30,14 @@ class VoxelGrid:
         occ = np.array(self.occupancy, dtype=bool, copy=True)
         if occ.shape != (DIMS, DIMS, DIMS):
             raise ValueError(f"occupancy must have shape ({DIMS}, {DIMS}, {DIMS}), got {occ.shape}")
-        if occ.sum() != occ[_INTERIOR].sum():
+        if np.count_nonzero(occ) != np.count_nonzero(occ[_INTERIOR]):
             raise ValueError("padding shell contains occupied voxels")
         occ.setflags(write=False)
         object.__setattr__(self, "occupancy", occ)
 
     @property
     def occupied_count(self) -> int:
-        return int(self.occupancy.sum())
+        return int(np.count_nonzero(self.occupancy))
 
 
 #: Absolute slack in the separation comparisons. Cell coordinates are rounded
@@ -220,7 +220,7 @@ def load_grid(path: str | Path) -> VoxelGrid:
     payload = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size)
     if len(payload) != n_bits // 8:
         raise ValueError(f"{path}: payload size mismatch")
-    flat = np.unpackbits(payload, bitorder="little").astype(bool)
+    flat = np.unpackbits(payload, bitorder="little")  # 0/1 bytes; VoxelGrid copies them to bool
     try:
         return VoxelGrid(flat.reshape(DIMS, DIMS, DIMS))
     except ValueError as exc:

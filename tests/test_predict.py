@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    _reference_neighbors,
     random_mesh,
     reference_entropy_values,
     reference_knn_distances,
@@ -11,7 +14,7 @@ from oracles import (
     reference_view_prediction,
     reference_voxel_features,
 )
-from viewsphere import pipeline, synthetic
+from viewsphere import pipeline, predict, synthetic
 from viewsphere.cli import main
 from viewsphere.entropy import EntropyMap
 from viewsphere.mesh import TriangleMesh
@@ -20,6 +23,7 @@ from viewsphere.predict import (
     KnnViewPredictor,
     ViewPrediction,
     _l1_distances,
+    _nearest,
     knn_entropy_predictor_train,
     knn_view_predictor_train,
     load_predictor,
@@ -30,7 +34,7 @@ from viewsphere.predict import (
     write_predictions,
 )
 from viewsphere.render import DepthImage, read_pgm
-from viewsphere.voxel import VoxelGrid, load_grid, voxelize
+from viewsphere.voxel import VoxelGrid, block_sums, load_grid, voxelize
 
 
 def _uniform_prediction(categories=("a", "b")):
@@ -311,6 +315,13 @@ def test_predictor_save_load_round_trip(tmp_path):
     assert vp.predict(img).class_scores == vp2.predict(img).class_scores
     assert np.array_equal(vp.predict(img).viewpoint_scores, vp2.predict(img).viewpoint_scores)
 
+    # the pooled tables are rebuilt on load, not stored
+    assert np.array_equal(ep2.pooled, ep.pooled) and np.array_equal(vp2.pooled, vp.pooled)
+    with np.load(tmp_path / "e.npz") as blob:
+        assert set(blob.files) == {"kind", "features", "maps", "k"}
+    with np.load(tmp_path / "v.npz") as blob:
+        assert set(blob.files) == {"kind", "features", "category_ids", "viewpoints", "categories", "k"}
+
 
 # --- integer features ----------------------------------------------------
 
@@ -338,12 +349,12 @@ def test_integer_distances_bit_equal_float_formula(cls, width):
     assert farthest == width * cls.MAX_FEATURE / cls.BLOCK  # all-0 against all-max blocks
 
 
-def _construct(cls, features):
-    """A ``cls`` predictor over ``features``, with valid labels or maps and k = 1."""
+def _construct(cls, features, k=1):
+    """A ``cls`` predictor over ``features``, with valid labels or maps."""
     n = len(features)
     if cls is KnnViewPredictor:
-        return cls(features, np.zeros(n, np.int64), np.zeros(n, np.int64), ["a"], 1)
-    return cls(features, np.zeros((n, 5, 12)), 1)
+        return cls(features, np.zeros(n, np.int64), np.zeros(n, np.int64), ["a"], k)
+    return cls(features, np.zeros((n, 5, 12)), k)
 
 
 def test_row_sums_fit_int32_and_tables_have_fixed_width():
@@ -366,6 +377,66 @@ def test_constructors_reject_out_of_range_tables(cls, at):
     table[1, 7] = -1 if at == "low" else cls.MAX_FEATURE + 1
     with pytest.raises(ValueError, match=rf"block sums in 0\.\.{cls.MAX_FEATURE}"):
         _construct(cls, table)
+
+
+@st.composite
+def _knn_cases(draw, cls):
+    """A (table, query, k) case for a ``cls`` predictor, built to trip a pruned search.
+
+    Rows are one random base row with a few of its first 32 values moved by
+    small steps, so distances tie often and opposite steps in one pooled
+    block cancel in its bound. Some rows copy others or are replaced by far
+    random rows; k may reach past the table; the query is a row, the base,
+    all zeros or random.
+    """
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n + 2))
+    top = cls.MAX_FEATURE
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(0, top + 1, cls.WIDTH)
+    table = np.repeat(base[None], n, axis=0)
+    move = st.tuples(st.integers(0, 31), st.sampled_from([-2, -1, 1, 2, top]))
+    for row in table:
+        for cell, step in draw(st.lists(move, max_size=4)):
+            row[cell] = min(max(row[cell] + step, 0), top)
+    rows = st.integers(0, n - 1)
+    for i, j in draw(st.lists(st.tuples(rows, rows), max_size=3)):
+        table[i] = table[j]
+    for i in draw(st.lists(rows, max_size=2)):
+        table[i] = rng.integers(0, top + 1, cls.WIDTH)
+    query = {
+        "row": table[draw(rows)],
+        "base": base,
+        "zeros": np.zeros(cls.WIDTH, np.int64),
+        "random": rng.integers(0, top + 1, cls.WIDTH),
+    }[draw(st.sampled_from(["row", "base", "zeros", "random"]))]
+    return table.astype(cls.FEATURE_DTYPE), query.astype(cls.FEATURE_DTYPE), k
+
+
+@pytest.mark.parametrize("cls", [KnnViewPredictor, KnnEntropyPredictor])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_nearest_matches_full_scan_oracle(cls, data):
+    table, query, k = data.draw(_knn_cases(cls))
+    order, weights = _nearest(_construct(cls, table, k), query)
+    want_order, want_weights = _reference_neighbors(
+        reference_knn_distances(table / float(cls.BLOCK), query / float(cls.BLOCK)), k
+    )
+    assert order.tolist() == want_order
+    assert np.array_equal(weights, np.ones(1) if want_weights is None else want_weights)
+
+
+def test_pooled_tables_are_int32_block_sums():
+    rng = np.random.default_rng(3)
+    for cls, blocks in ((KnnViewPredictor, 7**2), (KnnEntropyPredictor, 7**3)):
+        table = _block_table(rng, 4, cls.WIDTH, cls.MAX_FEATURE, cls.FEATURE_DTYPE)
+        pooled = _construct(cls, table).pooled
+        assert pooled.dtype == np.int32 and pooled.shape == (4, blocks)
+        f = cls.BOUND_POOL
+        for row, got in zip(table, pooled):
+            feature = row.reshape(cls.FEATURE_SHAPE)
+            want = [feature[tuple(slice(f * i, f * i + f) for i in at)].sum() for at in np.ndindex(*(n // f for n in cls.FEATURE_SHAPE))]
+            assert got.tolist() == want
 
 
 def test_featurize_sums_blocks_exactly():
@@ -459,6 +530,7 @@ def test_legacy_float_models_load_exactly(desk_seed0, tmp_path):
     ep2, vp2 = load_predictor(tmp_path / "e.npz"), load_predictor(tmp_path / "v.npz")
     assert ep2.features.dtype == np.int8 and np.array_equal(ep2.features, ep.features)
     assert vp2.features.dtype == np.int16 and np.array_equal(vp2.features, vp.features)
+    assert np.array_equal(ep2.pooled, ep.pooled) and np.array_equal(vp2.pooled, vp.pooled)
     for record in test:
         grid = load_grid(record.voxel_path)
         assert np.array_equal(ep2.predict_map(grid).values, ep.predict_map(grid).values)
@@ -466,6 +538,25 @@ def test_legacy_float_models_load_exactly(desk_seed0, tmp_path):
             image = read_pgm(path)
             a, b = vp.predict(image), vp2.predict(image)
             assert _same_prediction(a, b.class_scores, b.viewpoint_scores)
+
+
+def test_desk_view_queries_read_few_rows(desk_seed0, monkeypatch):
+    # a search that fell back to a full scan would pass the exactness tests
+    train, test, (ep, vp) = desk_seed0
+    rows_read = []
+    l1 = predict._l1_distances
+
+    def counting(table, query, block):
+        if table.shape[1] == vp.pooled.shape[1]:  # the bounds open a view query
+            rows_read.append(0)
+        elif table.shape[1] == vp.WIDTH:
+            rows_read[-1] += len(table)
+        return l1(table, query, block)
+
+    monkeypatch.setattr(predict, "_l1_distances", counting)
+    results = pipeline.run_recognition(test, ep, vp)
+    assert len(rows_read) == sum(r.views_used for r in results) > 0
+    assert max(rows_read) <= 0.05 * len(vp.features)
 
 
 def _save_view_model(path, features, n=None, **overrides):
