@@ -29,16 +29,13 @@ from .mesh import (
     write_off,
 )
 from .predict import (
-    EntropyPredictor,
     KnnEntropyPredictor,
     KnnViewPredictor,
     ViewPrediction,
-    ViewPredictor,
     knn_entropy_predictor_train,
     knn_view_predictor_train,
     load_predictor,
     map_mae,
-    map_mse,
     oracle_entropy_predictor,
     read_predictions,
     write_predictions,

@@ -13,8 +13,8 @@ from . import pipeline
 from .entropy import find_peaks, read_map_csv, write_map_csv
 from .mesh import MeshError, load_off, normalize_to_unit_cube
 from .predict import (
-    EntropyPredictor,
-    ViewPredictor,
+    KnnEntropyPredictor,
+    KnnViewPredictor,
     load_predictor,
     oracle_entropy_predictor,
     read_predictions,
@@ -86,14 +86,14 @@ def _cmd_train_knn(args) -> int:
 
 
 def _cmd_predict_map(args) -> int:
-    if args.oracle:
-        if not args.mesh:
-            raise ValueError("--oracle requires --mesh")
+    if args.mesh:
+        if args.grid or args.model:
+            raise ValueError("--mesh renders the map; it takes no --grid or --model")
         emap = oracle_entropy_predictor(normalize_to_unit_cube(load_off(args.mesh)))
+    elif args.grid and args.model:
+        emap = _load_model(args.model, KnnEntropyPredictor).predict_map(load_grid(args.grid))
     else:
-        if not (args.grid and args.model):
-            raise ValueError("provide --grid and --model, or --mesh with --oracle")
-        emap = _load_model(args.model, EntropyPredictor).predict_map(load_grid(args.grid))
+        raise ValueError("provide --grid and --model, or --mesh")
     write_map_csv(emap, args.out)
     print(f"wrote entropy map to {args.out}")
     return 0
@@ -116,11 +116,11 @@ def _cmd_best_views(args) -> int:
     return 0
 
 
-def _load_model(path: str, kind: type[EntropyPredictor] | type[ViewPredictor]):
+def _load_model(path: str, kind: type[KnnEntropyPredictor] | type[KnnViewPredictor]):
     """Load a saved predictor and check that it is of the given kind."""
     model = load_predictor(path)
     if not isinstance(model, kind):
-        noun = "an entropy" if kind is EntropyPredictor else "a view"
+        noun = "an entropy" if kind is KnnEntropyPredictor else "a view"
         raise ValueError(f"{path} is not {noun} predictor")
     return model
 
@@ -129,16 +129,13 @@ def _load_view_source(args):
     if bool(args.view_model) == bool(args.predictions):
         raise ValueError("provide exactly one of --view-model or --predictions")
     if args.view_model:
-        return _load_model(args.view_model, ViewPredictor)
+        return _load_model(args.view_model, KnnViewPredictor)
     return read_predictions(args.predictions)
 
 
 def _load_entropy_source(args):
-    if args.entropy == "oracle":
-        return "oracle"
-    if not args.entropy_model:
-        raise ValueError("--entropy knn requires --entropy-model")
-    return _load_model(args.entropy_model, EntropyPredictor)
+    """The ``--entropy-model`` predictor; without one, the ground-truth entropies (``"oracle"``)."""
+    return _load_model(args.entropy_model, KnnEntropyPredictor) if args.entropy_model else "oracle"
 
 
 def _cmd_recognize(args) -> int:
@@ -173,11 +170,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_noise_sweep(args) -> int:
+    if not args.view_model:
+        # an exchange file scores the clean views, not the noisy renders
+        raise ValueError("noise-sweep needs --view-model")
     records = pipeline.read_manifest(args.manifest)
     rows = pipeline.noise_sweep(
         records,
         args.models,
-        view_source=_load_view_source(args),
+        view_source=_load_model(args.view_model, KnnViewPredictor),
         entropy_source=_load_entropy_source(args),
         sigmas=args.sigmas,
         seed=args.seed,
@@ -231,8 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("predict-map", _cmd_predict_map, "predict or compute an entropy map")
     p.add_argument("--grid", help="voxel grid file (with --model)")
     p.add_argument("--model", help="entropy_knn.npz predictor")
-    p.add_argument("--mesh", help="OFF mesh (with --oracle)")
-    p.add_argument("--oracle", action="store_true", help="render and measure instead of predicting")
+    p.add_argument("--mesh", help="OFF mesh to render and measure instead of predicting")
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = command("best-views", _cmd_best_views, "list entropy-map peaks, best first")
@@ -241,10 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional output text file")
 
     def recognition_flags(p):
-        p.add_argument("--entropy", choices=["oracle", "knn"], default="oracle")
-        p.add_argument("--entropy-model", help="entropy_knn.npz (required with --entropy knn)")
+        p.add_argument("--entropy-model", help="entropy_knn.npz predictor; without it, the measured entropies")
         p.add_argument("--view-model", help="view_knn.npz predictor")
-        p.add_argument("--predictions", help="JSON-lines exchange file from an external model")
         p.add_argument("--max-views", type=int, default=None)
         p.add_argument("--fusion", choices=["argmax", "score-sum"], default="argmax")
 
@@ -252,6 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory for results.csv")
     recognition_flags(p)
+    p.add_argument("--predictions", help="JSON-lines exchange file from an external model (not with --view-model)")
 
     p = command("evaluate", _cmd_evaluate, "score a results.csv against its manifest")
     p.add_argument("--results", required=True)

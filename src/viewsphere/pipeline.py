@@ -24,11 +24,9 @@ from .entropy import (
 from .fusion import FusedPrediction, PoseOffset, fuse
 from .mesh import add_gaussian_noise, is_normalized, load_off, normalize_to_unit_cube
 from .predict import (
-    EntropyPredictor,
     KnnEntropyPredictor,
     KnnViewPredictor,
     ViewPrediction,
-    ViewPredictor,
     knn_entropy_predictor_train,
     knn_view_predictor_train,
 )
@@ -291,7 +289,7 @@ def recognize_object(
 
 def _view_lookup(view_source, record: DatasetRecord) -> Callable[[int], ViewPrediction]:
     """The predictions for the stored views of ``record``, by view index."""
-    if isinstance(view_source, ViewPredictor):
+    if isinstance(view_source, KnnViewPredictor):
         return lambda i: view_source.predict(read_pgm(record.view_paths[i]))
 
     def exchange(i: int) -> ViewPrediction:
@@ -305,16 +303,16 @@ def _view_lookup(view_source, record: DatasetRecord) -> Callable[[int], ViewPred
 
 def run_recognition(
     records: Sequence[DatasetRecord],
-    entropy_source: str | EntropyPredictor,
-    view_source: ViewPredictor | Mapping[tuple[str, int], ViewPrediction],
+    entropy_source: str | KnnEntropyPredictor,
+    view_source: KnnViewPredictor | Mapping[tuple[str, int], ViewPrediction],
     max_views: int | None = None,
     fusion_mode: str = "argmax",
 ) -> list[RecognitionResult]:
     """Best-view recognition for every record.
 
     ``entropy_source`` is either the string ``"oracle"`` (use the manifest's
-    stored ground-truth entropies) or an EntropyPredictor applied to the
-    stored voxel grid. ``view_source`` is a ViewPredictor or an exchange-file
+    stored ground-truth entropies) or a KnnEntropyPredictor applied to the
+    stored voxel grid. ``view_source`` is a KnnViewPredictor or an exchange-file
     mapping (object_id, view_index) -> ViewPrediction.
     """
     results = []
@@ -467,8 +465,8 @@ def write_report(report: EvaluationReport, out_dir: str | Path) -> None:
 def noise_sweep(
     records: Sequence[DatasetRecord],
     model_root: str | Path,
-    view_source: ViewPredictor,
-    entropy_source: str | EntropyPredictor = "oracle",
+    view_source: KnnViewPredictor,
+    entropy_source: str | KnnEntropyPredictor = "oracle",
     sigmas: Sequence[float] = DEFAULT_SIGMAS,
     seed: int = 0,
     max_views: int | None = None,
@@ -482,10 +480,10 @@ def noise_sweep(
     degradation trend is reported, not enforced.
 
     Raises:
-        ValueError: ``view_source`` is not a ViewPredictor (exchange records
-            score the clean views, not the noisy renders).
+        ValueError: ``view_source`` is not a KnnViewPredictor (exchange
+            records score the clean views, not the noisy renders).
     """
-    if not isinstance(view_source, ViewPredictor):
+    if not isinstance(view_source, KnnViewPredictor):
         raise ValueError("noise_sweep needs a view predictor to score the noisy renders")
     root = Path(model_root)
     test = sorted((r for r in records if r.split == "test"), key=lambda r: r.object_id)

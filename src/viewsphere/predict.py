@@ -1,10 +1,14 @@
-"""Predictor seams standing in for learned models: k-NN baselines, metrics, exchange files."""
+"""The two models of best-view recognition as k-NN tables, the map metric, and exchange files.
+
+The entropy model maps a voxel grid to an entropy map; the view model maps a
+depth view to class and viewpoint scores. External view models plug in
+through the JSON-lines exchange files, not through a class.
+"""
 
 from __future__ import annotations
 
 import json
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -60,49 +64,13 @@ class ViewPrediction:
         return int(np.argmax(self.viewpoint_scores))
 
 
-class EntropyPredictor(ABC):
-    """Predicts a spherical entropy map from a voxel grid; must be deterministic."""
-
-    @abstractmethod
-    def predict_map(self, grid: VoxelGrid) -> EntropyMap: ...
-
-
-class ViewPredictor(ABC):
-    """Predicts category and viewpoint scores from one depth view; must be deterministic."""
-
-    @abstractmethod
-    def predict(self, image: DepthImage) -> ViewPrediction: ...
-
-
 def oracle_entropy_predictor(mesh: TriangleMesh) -> EntropyMap:
     """Ground-truth entropy map: render all 60 views and measure their entropy.
 
     This is the expensive path that learned predictors approximate; use it to
-    score any EntropyPredictor.
+    score a :class:`KnnEntropyPredictor`.
     """
     return entropy_map_from_views(render_all_views(mesh, build_rig()))
-
-
-def _check_knn(cls, features: np.ndarray, k: int) -> None:
-    """Check the feature table and ``k`` of a ``cls`` predictor.
-
-    Raises:
-        ValueError: ``features`` is not a non-empty (n, ``cls.WIDTH``) table
-            of ``cls.FEATURE_DTYPE`` block sums in 0..``cls.MAX_FEATURE``, or
-            ``k < 1``.
-    """
-    if features.shape[1:] != (cls.WIDTH,) or not len(features) or features.dtype != cls.FEATURE_DTYPE:
-        raise ValueError(
-            f"{cls.__name__} features must be a non-empty (n, {cls.WIDTH}) "
-            f"{np.dtype(cls.FEATURE_DTYPE)} table, got {features.dtype} of shape {features.shape}"
-        )
-    lo, hi = features.min(), features.max()
-    if lo < 0 or hi > cls.MAX_FEATURE:
-        raise ValueError(
-            f"{cls.__name__} features must be block sums in 0..{cls.MAX_FEATURE}, got {lo}..{hi}"
-        )
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def _check_labels(name: str, labels: np.ndarray, n_rows: int, bound: int) -> None:
@@ -166,13 +134,44 @@ def _nearest(predictor, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[order], weights
 
 
-class KnnEntropyPredictor(EntropyPredictor):
+class _KnnTable:
+    """A k-NN table of integer block sums and its ``k``, as both predictors hold them.
+
+    A subclass sets ``BLOCK`` (pixels or voxels per block), ``FEATURE_DTYPE``,
+    ``MAX_FEATURE``, ``FEATURE_SHAPE`` (the block grid of one row), ``WIDTH``
+    and ``BOUND_POOL``. ``pooled`` sums each row over ``BOUND_POOL``-wide
+    blocks for the search bounds of :func:`_nearest`; it is built here, so
+    model files never hold it.
+    """
+
+    def __init__(self, features: np.ndarray, k: int):
+        """Raises ValueError for ``k < 1`` or a table other than a non-empty
+        (n, ``WIDTH``) table of ``FEATURE_DTYPE`` block sums in 0..``MAX_FEATURE``."""
+        name = type(self).__name__
+        if features.shape[1:] != (self.WIDTH,) or not len(features) or features.dtype != self.FEATURE_DTYPE:
+            raise ValueError(
+                f"{name} features must be a non-empty (n, {self.WIDTH}) "
+                f"{np.dtype(self.FEATURE_DTYPE)} table, got {features.dtype} of shape {features.shape}"
+            )
+        lo, hi = features.min(), features.max()
+        if lo < 0 or hi > self.MAX_FEATURE:
+            raise ValueError(f"{name} features must be block sums in 0..{self.MAX_FEATURE}, got {lo}..{hi}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        self.features = features
+        # BOUND_POOL divides FEATURE_SHAPE[0], so no block spans two rows
+        self.pooled = block_sums(
+            features.reshape((-1,) + self.FEATURE_SHAPE[1:]), self.BOUND_POOL, np.int32
+        ).reshape(len(features), -1)
+        self.k = k
+
+
+class KnnEntropyPredictor(_KnnTable):
     """Distance-weighted k-NN regression from pooled voxel occupancy to entropy maps.
 
     ``features`` holds one row of int8 occupied-voxel counts per 4^3 block for
     each training grid; distances are L1 over the occupancy fractions.
-    ``pooled`` sums each row's 14^3 counts over 2^3 blocks for the search
-    bounds of :func:`_nearest`; it is built here, so model files never hold it.
+    ``pooled`` sums each row's 14^3 counts over 2^3 blocks.
     """
 
     BLOCK = VOXEL_POOL_FACTOR**3
@@ -184,18 +183,12 @@ class KnnEntropyPredictor(EntropyPredictor):
 
     def __init__(self, features: np.ndarray, maps: np.ndarray, k: int):
         """Raises ValueError for a bad table or ``k``, or maps other than (n, 5, 12) valid entropy maps."""
-        _check_knn(type(self), features, k)
+        super().__init__(features, k)
         if maps.shape != (len(features), N_RINGS, N_AZIMUTHS):
             raise ValueError(f"maps must be ({len(features)}, {N_RINGS}, {N_AZIMUTHS}), got {maps.shape}")
         for values in maps:
             EntropyMap(values)  # checks the range
-        self.features = features
-        # BOUND_POOL divides FEATURE_SHAPE[0], so no block spans two rows
-        self.pooled = block_sums(
-            features.reshape((-1,) + self.FEATURE_SHAPE[1:]), self.BOUND_POOL, np.int32
-        ).reshape(len(features), -1)
         self.maps = maps
-        self.k = k
 
     @staticmethod
     def featurize(grid: VoxelGrid) -> np.ndarray:
@@ -230,15 +223,14 @@ def knn_entropy_predictor_train(
     return KnnEntropyPredictor(np.array(features), np.array(maps), k)
 
 
-class KnnViewPredictor(ViewPredictor):
+class KnnViewPredictor(_KnnTable):
     """Distance-weighted k-NN over average-pooled depth images.
 
     ``features`` holds one row of int16 pixel sums per 8x8 block for each
     training view; distances are L1 over the block means. Scores are neighbor
     votes on both heads, normalized to sum to one; an exact feature match
     takes the whole mass. ``pooled`` sums each row's 28x28 block sums over
-    4x4 blocks for the search bounds of :func:`_nearest`; it is built here,
-    so model files never hold it.
+    4x4 blocks.
     """
 
     BLOCK = IMAGE_POOL_FACTOR**2
@@ -257,18 +249,12 @@ class KnnViewPredictor(ViewPredictor):
         k: int,
     ):
         """Raises ValueError for a bad table or ``k``, or labels that index no category or view."""
-        _check_knn(type(self), features, k)
+        super().__init__(features, k)
         _check_labels("category_ids", category_ids, len(features), len(categories))
         _check_labels("viewpoints", viewpoints, len(features), N_VIEWS)
-        self.features = features
-        # BOUND_POOL divides FEATURE_SHAPE[0], so no block spans two rows
-        self.pooled = block_sums(
-            features.reshape((-1,) + self.FEATURE_SHAPE[1:]), self.BOUND_POOL, np.int32
-        ).reshape(len(features), -1)
         self.category_ids = category_ids
         self.viewpoints = viewpoints
         self.categories = list(categories)
-        self.k = k
 
     @staticmethod
     def featurize(image: DepthImage) -> np.ndarray:
@@ -378,11 +364,6 @@ def load_predictor(path: str | Path) -> KnnEntropyPredictor | KnnViewPredictor:
 def map_mae(a: EntropyMap, b: EntropyMap) -> float:
     """Mean absolute error over the 60 cells, bits."""
     return float(np.abs(a.values - b.values).mean())
-
-
-def map_mse(a: EntropyMap, b: EntropyMap) -> float:
-    """Mean squared error over the 60 cells, bits^2."""
-    return float(((a.values - b.values) ** 2).mean())
 
 
 def write_predictions(predictions: Mapping[tuple[str, int], ViewPrediction], path: str | Path) -> None:

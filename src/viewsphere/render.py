@@ -200,12 +200,14 @@ def _row_spans(pu, pv, g, ucoords, vcoords):
     # edges p -> q, one per row of each (3, T) field. A horizontal edge divides
     # by 1 instead of 0 and takes an infinite width, which clamps it to its
     # whole u-extent without forming inf * 0; fmax/fmin fall back to the
-    # u-extent should an overflowed slope make a crossing NaN.
+    # u-extent should an overflowed slope or width make a crossing NaN, so
+    # the overflow is expected and not reported.
     pu, pv = pu.T, pv.T
     qu, qv = np.roll(pu, -1, axis=0), np.roll(pv, -1, axis=0)
     horizontal = pv == qv
-    slope = (qu - pu) / np.where(horizontal, 1.0, qv - pv)
-    width = g * np.where(horizontal, np.inf, np.abs(slope) + 1.0)  # |du/dv| g + g
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = (qu - pu) / np.where(horizontal, 1.0, qv - pv)
+        width = g * np.where(horizontal, np.inf, np.abs(slope) + 1.0)  # |du/dv| g + g
     v_extent = [np.minimum(pv, qv) - g, np.maximum(pv, qv) + g]
     edges = [pu, pv, slope, width, *v_extent, np.minimum(pu, qu), np.maximum(pu, qu)]
 
@@ -215,10 +217,11 @@ def _row_spans(pu, pv, g, ucoords, vcoords):
         y = vcoords[row]
         e_pu, e_pv, e_slope, e_width, v_lo, v_hi, u_lo, u_hi = (np.take(field, tri, axis=1) for field in edges)
         e_g = g[tri]
-        cross = e_pu + (y - e_pv) * e_slope
         near = (v_lo <= y) & (y <= v_hi)
-        lo = np.where(near, np.fmax(cross - e_width, u_lo), np.inf).min(axis=0) - e_g
-        hi = np.where(near, np.fmin(cross + e_width, u_hi), -np.inf).max(axis=0) + e_g
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = e_pu + (y - e_pv) * e_slope
+            lo = np.where(near, np.fmax(cross - e_width, u_lo), np.inf).min(axis=0) - e_g
+            hi = np.where(near, np.fmin(cross + e_width, u_hi), -np.inf).max(axis=0) + e_g
         col = np.searchsorted(ucoords, lo, side="left")
         n_cols = np.maximum(np.searchsorted(ucoords, hi, side="right") - col, 0)
         yield tri, row * len(ucoords) + col, n_cols

@@ -1,4 +1,6 @@
 import argparse
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,15 @@ from viewsphere import cli, pipeline, synthetic
 from viewsphere.cli import _build_parser, _sigma_list, main
 from viewsphere.entropy import EntropyMap, write_map_csv
 from viewsphere.fusion import PoseOffset
-from viewsphere.predict import read_predictions, write_predictions
+from viewsphere.mesh import load_off, normalize_to_unit_cube
+from viewsphere.predict import (
+    KnnEntropyPredictor,
+    KnnViewPredictor,
+    load_predictor,
+    oracle_entropy_predictor,
+    read_predictions,
+    write_predictions,
+)
 from viewsphere.render import read_pgm
 from viewsphere.voxel import VoxelGrid, save_grid
 
@@ -413,8 +423,6 @@ def test_cli_full_chain(model_root, tmp_path, capsys):
                 manifest,
                 "--out",
                 str(results_dir),
-                "--entropy",
-                "knn",
                 "--entropy-model",
                 str(models / "entropy_knn.npz"),
                 "--view-model",
@@ -509,7 +517,7 @@ _MAP_ROW = ["1.0"] * 12
 _BEST_VIEWS = ["best-views", "--map", "map.csv"]
 _TRAIN = ["train-knn", "--manifest", "manifest.csv", "--out", "out"]
 _EVALUATE = ["evaluate", "--results", "results.csv", "--manifest", "manifest.csv", "--out", "out"]
-_ORACLE_MAP = ["predict-map", "--oracle", "--mesh", "bad.off", "--out", "out"]
+_ORACLE_MAP = ["predict-map", "--mesh", "bad.off", "--out", "out"]
 
 
 def test_evaluate_rejects_repeated_object_ids(tmp_path, monkeypatch, capsys):
@@ -601,17 +609,135 @@ def test_cli_rejects_wrong_model_kinds(dataset, predictors, model_root, tmp_path
     assert "is not an entropy predictor" in capsys.readouterr().err
     assert main(["recognize", *manifest, *run, "--view-model", str(entropy_npz)]) == 1
     assert "is not a view predictor" in capsys.readouterr().err
-    knn = ["--entropy", "knn", "--entropy-model", str(view_npz), "--view-model", str(view_npz)]
+    knn = ["--entropy-model", str(view_npz), "--view-model", str(view_npz)]
     assert main(["recognize", *manifest, *run, *knn]) == 1
     assert "is not an entropy predictor" in capsys.readouterr().err
 
-    predictions = tmp_path / "preds.jsonl"
-    record = next(r for r in pipeline.read_manifest(out / "manifest.csv") if r.split == "test")
-    prediction = view_predictor.predict(read_pgm(record.view_paths[0]))
-    write_predictions({(record.object_id, 0): prediction}, predictions)
+    # noise-sweep predicts on its noisy renders: it takes a view model, never an exchange file
     sweep = ["noise-sweep", *manifest, *run, "--models", str(model_root), "--sigmas", "0.0"]
-    assert main(sweep + ["--predictions", str(predictions)]) == 1
-    assert "view predictor" in capsys.readouterr().err
+    assert main(sweep + ["--view-model", str(entropy_npz)]) == 1
+    assert "is not a view predictor" in capsys.readouterr().err
+    assert main(sweep + ["--view-model", str(view_npz), "--entropy-model", str(view_npz)]) == 1
+    assert "is not an entropy predictor" in capsys.readouterr().err
+    assert main(sweep + ["--predictions", "preds.jsonl"]) == 1
+    assert "unrecognized arguments: --predictions" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture
+def model_files(predictors, tmp_path):
+    """The module's predictors saved as ``entropy_knn.npz`` and ``view_knn.npz``."""
+    paths = tmp_path / "entropy_knn.npz", tmp_path / "view_knn.npz"
+    for predictor, path in zip(predictors, paths):
+        predictor.save(path)
+    return paths
+
+
+def test_cli_recognize_entropy_model_given_means_knn(dataset, model_files, tmp_path):
+    out, records = dataset
+    entropy_npz, view_npz = model_files
+    test = [r for r in records if r.split == "test"]
+    view_predictor = load_predictor(view_npz)
+
+    def expected(entropy_source):
+        path = tmp_path / "expected.csv"
+        pipeline.write_results(pipeline.run_recognition(test, entropy_source, view_predictor), path)
+        return path.read_bytes()
+
+    def recognize(name, *flags):
+        args = ["recognize", "--manifest", str(out / "manifest.csv"), "--out", str(tmp_path / name)]
+        assert main([*args, "--view-model", str(view_npz), *flags]) == 0
+        return (tmp_path / name / "results.csv").read_bytes()
+
+    knn, oracle = expected(load_predictor(entropy_npz)), expected("oracle")
+    assert knn != oracle  # the two sources pick different views here
+    assert recognize("knn", "--entropy-model", str(entropy_npz)) == knn
+    assert recognize("oracle") == oracle
+
+
+def test_cli_predict_map_mesh_means_oracle(model_root, tmp_path):
+    mesh = min((model_root / "box" / "test").glob("*.off"))
+    assert main(["predict-map", "--mesh", str(mesh), "--out", str(tmp_path / "cli.csv")]) == 0
+    write_map_csv(oracle_entropy_predictor(normalize_to_unit_cube(load_off(mesh))), tmp_path / "direct.csv")
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+_SWEEP = ["noise-sweep", "--manifest", "manifest.csv", "--models", "models", "--out", "out"]
+_MESH_ALONE = "--mesh renders the map; it takes no --grid or --model"
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["predict-map", "--mesh", "m.off", "--grid", "g.vox", "--out", "out"], _MESH_ALONE),
+        (["predict-map", "--mesh", "m.off", "--model", "e.npz", "--out", "out"], _MESH_ALONE),
+        (["predict-map", "--grid", "g.vox", "--out", "out"], "provide --grid and --model, or --mesh"),
+        (_SWEEP, "noise-sweep needs --view-model"),
+    ],
+    ids=["mesh-and-grid", "mesh-and-model", "grid-without-model", "sweep-without-view-model"],
+)
+def test_cli_rejects_missing_or_conflicting_flags(tmp_path, monkeypatch, capsys, argv, says):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {says}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_supplies_the_models(dataset, model_files, model_root, tmp_path, monkeypatch):
+    out, _ = dataset
+    entropy_npz, view_npz = model_files
+    config = tmp_path / "run.cfg"
+    manifest = ["--manifest", str(out / "manifest.csv")]
+
+    def recognize(name, text):
+        config.write_text(text)
+        assert main(["recognize", *manifest, "--out", str(tmp_path / name), "--config", str(config)]) == 0
+        return (tmp_path / name / "results.csv").read_bytes()
+
+    def flags(name, *extra):
+        args = ["recognize", *manifest, "--out", str(tmp_path / name), "--view-model", str(view_npz)]
+        assert main([*args, *extra]) == 0
+        return (tmp_path / name / "results.csv").read_bytes()
+
+    assert recognize("cfg_knn", f"entropy-model={entropy_npz}\nview-model={view_npz}\n") == flags(
+        "knn", "--entropy-model", str(entropy_npz)
+    )
+    # `entropy` names no flag, so `entropy=knn` is ignored and the measured entropies pick the views
+    assert recognize("cfg_oracle", f"entropy=knn\nview_model={view_npz}\n") == flags("oracle")
+
+    seen = {}
+
+    def fake_noise_sweep(records, model_root, view_source, entropy_source, **kwargs):
+        seen.update(view=view_source, entropy=entropy_source)
+        return [dict(sigma=0.0, class_accuracy=1.0, pose_accuracy=1.0, mean_views=1.0)]
+
+    monkeypatch.setattr(pipeline, "noise_sweep", fake_noise_sweep)
+    sweep = ["noise-sweep", *manifest, "--models", str(model_root), "--out", str(tmp_path / "sweep")]
+    config.write_text(f"entropy_model={entropy_npz}\nview-model={view_npz}\n")
+    assert main([*sweep, "--config", str(config)]) == 0
+    assert isinstance(seen["view"], KnnViewPredictor) and isinstance(seen["entropy"], KnnEntropyPredictor)
+    assert np.array_equal(seen["entropy"].features, load_predictor(entropy_npz).features)
+    config.write_text(f"view_model={view_npz}\n")
+    assert main([*sweep, "--config", str(config)]) == 0
+    assert seen["entropy"] == "oracle"
+
+
+def _readme_cli_lines() -> list[str]:
+    """The ``viewsphere ...`` commands of README's ``## CLI`` block, ``\\`` continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("viewsphere ")]
+
+
+def test_readme_cli_lines_parse():
+    lines = _readme_cli_lines()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        try:
+            _build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+    assert {shlex.split(line)[1] for line in lines} == set(_COMMANDS)
 
 
 def test_cli_best_views_top_must_be_positive(tmp_path, capsys):

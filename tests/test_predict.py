@@ -28,7 +28,6 @@ from viewsphere.predict import (
     knn_view_predictor_train,
     load_predictor,
     map_mae,
-    map_mse,
     oracle_entropy_predictor,
     read_predictions,
     write_predictions,
@@ -175,14 +174,11 @@ def test_knn_view_scores_sum_to_one():
 def test_map_metrics():
     a = _map(1)
     assert map_mae(a, a) == 0.0
-    assert map_mse(a, a) == 0.0
     shifted = EntropyMap(np.clip(a.values + 0.5, 0.0, 8.0))
     if (a.values <= 7.5).all():
         assert abs(map_mae(a, shifted) - 0.5) < 1e-12
-        assert abs(map_mse(a, shifted) - 0.25) < 1e-12
     b = _map(2)
     assert abs(map_mae(a, b) - np.mean(np.abs(a.values - b.values))) < 1e-12
-    assert abs(map_mse(a, b) - np.mean((a.values - b.values) ** 2)) < 1e-12
 
 
 def test_exchange_round_trip(tmp_path):
@@ -650,10 +646,10 @@ def _maps_with(value):
 )
 def test_loader_rejects_bad_values(tmp_path, capsys, case, overrides, message):
     path = tmp_path / f"{case}.npz"
-    if {"maps", "voxels"} & set(overrides):  # entropy models: `recognize --entropy knn` fails at load
+    if {"maps", "voxels"} & set(overrides):  # entropy models: `recognize --entropy-model` fails at load
         voxels = overrides.get("voxels", np.zeros((2, 2744), np.int8))
         _save_entropy_model(path, voxels, overrides.get("maps", np.zeros((2, 5, 12))))
-        model = ["--entropy", "knn", "--entropy-model", str(path), "--predictions", str(tmp_path / "p.jsonl")]
+        model = ["--entropy-model", str(path), "--predictions", str(tmp_path / "p.jsonl")]
     else:
         _save_view_model(path, overrides.pop("features", np.zeros((2, 784), np.int16)), **overrides)
         model = ["--view-model", str(path)]

@@ -1,3 +1,4 @@
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,18 @@ def _assert_antipode_mirrors(tris, view):
 )
 def test_antipode_terms_and_spans_mirror_the_view(tris, index):
     _assert_antipode_mirrors(tris, viewpoint_from_index(index))
+
+
+def test_overflowing_edge_slope_renders_like_brute_force_without_warnings():
+    # found by the mirror test above: the edge from the first corner falls
+    # 1.8e-252 in v over 0.25 in u, so |du/dv| times the guard overflows
+    tris = np.array([[[0.0, 1.79374896e-252, 0.0], [0.25, 0.0, 0.0], [0.5, 0.0, 0.0]]])
+    mesh = TriangleMesh(tris.reshape(-1, 3), np.arange(3).reshape(1, 3))
+    view = viewpoint_from_index(45)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        image = render_depth(mesh, view)
+        assert np.array_equal(image.pixels, brute_force_render(mesh, view).pixels)
 
 
 def test_antipode_terms_and_spans_mirror_the_view_on_guard_mesh():
