@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 validation failure, 2 completed with partial skips.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -276,19 +278,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str] | None) -> None:
+    """Make the values of the command's ``--config`` file its defaults.
+
+    Defaults are converted with each flag's type, and an explicit flag wins.
+    A file may supply a flag the command requires, so this parse, which only
+    finds the command and its file, checks for no flag; it prints nothing and
+    leaves usage errors and ``--help`` to the parse that follows.
+    """
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    required = [a for p in subcommands.choices.values() for a in p._actions if a.required]
+    for action in required:
+        action.required = False
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = parser.parse_args(argv)
+    except SystemExit:
+        return
+    finally:
+        for action in required:
+            action.required = True
+    if not args.config:
+        return
+    config = _read_config(args.config)
+    for key in _INTERNAL_DESTS.intersection(config):
+        raise ValueError(f"{args.config}: {key!r} is not a flag that a config file can set")
+    supplied = [action for action in args._parser._actions if action.dest in config]
+    args._parser.set_defaults(**{action.dest: config[action.dest] for action in supplied})
+    for action in supplied:
+        action.required = False
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
+        _apply_config(parser, argv)
         args = parser.parse_args(argv)
-        if args.config:
-            # config values become defaults, which argparse converts with each
-            # flag's type; a second parse lets every explicit flag win
-            config = _read_config(args.config)
-            for key in _INTERNAL_DESTS.intersection(config):
-                raise ValueError(f"{args.config}: {key!r} is not a flag that a config file can set")
-            flags = {action.dest for action in args._parser._actions}
-            args._parser.set_defaults(**{k: v for k, v in config.items() if k in flags})
-            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for partial skips

@@ -104,11 +104,15 @@ def ray_triangle_hits(ox, oy, oz, direction, v0, v1, v2):
     against every ray, or per-pair corners (N, 3) matched to rays of shape
     (N,). The component arithmetic is written out term by term, so results
     are bit-identical however the pairs are shaped, sliced or ordered.
-    Degenerate (zero-area) triangles never register hits.
+    Degenerate (zero-area) triangles never register hits, nor do triangles
+    whose ``a`` is so small that ``f = 1 / a`` overflows.
     """
     rows, a = _triangle_terms(direction, np.asarray(v0), np.asarray(v1), np.asarray(v2))
-    f = 1.0 / np.where(a != 0.0, a, np.nan)  # NaN fails every hit comparison
-    return _hits(ox, oy, oz, direction, (*rows, f))
+    with np.errstate(divide="ignore", over="ignore"):
+        f = 1.0 / a
+    # a zero or subnormal ``a`` makes ``f`` infinite, and then ``u`` infinite or
+    # NaN, which no hit passes; a NaN ``f`` fails every hit comparison quietly
+    return _hits(ox, oy, oz, direction, (*rows, np.where(np.isfinite(f), f, np.nan)))
 
 
 def _pixel_axes() -> tuple[np.ndarray, np.ndarray]:
@@ -119,19 +123,26 @@ def _pixel_axes() -> tuple[np.ndarray, np.ndarray]:
     return ucoords, vcoords
 
 
-def _ray_origins(view: Viewpoint, planes: list[np.ndarray]) -> None:
-    """Fill ``planes`` with the x, y and z of the per-pixel ray origins: position + u * right + v * up."""
+def _origin_terms(view: Viewpoint, mirrored: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Ray-origin terms of ``view``: per column ``position + u * right``, per row ``v * up``, each (3, W).
+
+    The origin of pixel (r, c) is ``columns[:, c] + rows[:, r]``, one rounded
+    addition per component. With ``mirrored`` the columns run in reverse u
+    order, so column index c names pixel column ``W - 1 - c``: an antipode
+    reads its origins with the column indices of its pair's first view.
+    """
     right, up, _ = view.camera_frame()
     ucoords, vcoords = _pixel_axes()
-    for c, plane in enumerate(planes):
-        np.add(view.position[c] + ucoords[None, :] * right[c], vcoords[:, None] * up[c], out=plane)
+    if mirrored:
+        ucoords = ucoords[::-1]
+    columns = view.position[:, None] + ucoords[None, :] * right[:, None]
+    return columns, vcoords[None, :] * up[:, None]
 
 
 def camera_rays(view: Viewpoint):
     """Orthographic per-pixel ray origins (h, w, 3) and the shared unit direction."""
-    origins = np.empty((IMAGE_SIZE, IMAGE_SIZE, 3))
-    _ray_origins(view, [origins[..., c] for c in range(3)])
-    return origins, view.camera_frame()[2]
+    columns, rows = _origin_terms(view)
+    return columns.T[None, :, :] + rows.T[:, None, :], view.camera_frame()[2]
 
 
 def depth_codes(distances: np.ndarray) -> np.ndarray:
@@ -176,7 +187,10 @@ def _guard(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
     """
     e1 = np.sqrt(rows[3] * rows[3] + rows[4] * rows[4] + rows[5] * rows[5])
     e2 = np.sqrt(rows[6] * rows[6] + rows[7] * rows[7] + rows[8] * rows[8])
-    return _GUARD_K * np.finfo(np.float64).eps * (e1 * e2 / np.abs(a)) + _GUARD_FLOOR
+    with np.errstate(over="ignore"):
+        # a subnormal ``a`` overflows the guard to inf, which only widens the
+        # triangle's spans to every pixel center, as a brute-force test would
+        return _GUARD_K * np.finfo(np.float64).eps * (e1 * e2 / np.abs(a)) + _GUARD_FLOOR
 
 
 def _row_spans(pu, pv, g, ucoords, vcoords):
@@ -232,42 +246,51 @@ def _project(tris, axis):
     return tris[..., 0] * axis[0] + tris[..., 1] * axis[1] + tris[..., 2] * axis[2]
 
 
-def _cast_pair(tris, views, origins, tbufs) -> None:
+def _cast_pair(tris, views, tbufs) -> None:
     """Fold the nearest hit of every triangle into the flat depth buffer of each view.
 
     ``views`` holds one view, or an antipodal pair in index order (see
-    :func:`viewrig.antipode`); ``origins`` and ``tbufs`` hold each view's flat
-    ray-origin planes and depth buffer. The triangle terms, projection,
-    spans, pair expansion and term gather come from the first view alone.
-    Its antipode has ``right' = -right``, ``up' = up`` and
-    ``toward' = -toward``, and negating one factor negates a rounded product,
-    sum or difference exactly. So the antipode's projection is the first
-    view's mirrored in u, its span on a row covers columns ``[W - c - n,
-    W - c)`` for ``[c, c + n)``, and its terms are the same with ``h`` and
-    ``f`` negated. Zeros may differ in sign, which no comparison, search or
-    hit test in the path sees. Only the ray origins differ, so ``_hits`` and
-    ``np.minimum.at`` run once per view, in blocks of at most
-    ``_PAIR_CHUNK``; min is order-independent, so each buffer equals testing
-    every triangle against every pixel of its view.
+    :func:`viewrig.antipode`); ``tbufs`` holds each view's depth buffer. The
+    triangle terms, projection, spans, pair expansion and term gather come
+    from the first view alone. Its antipode has ``right' = -right``,
+    ``up' = up`` and ``toward' = -toward``, and negating one factor negates a
+    rounded product, sum or difference exactly. So the antipode's projection
+    is the first view's mirrored in u, its span on a row covers columns
+    ``[W - c - n, W - c)`` for ``[c, c + n)``, and its terms are the same
+    with ``h`` and ``f`` negated. Zeros may differ in sign, which no
+    comparison, search or hit test in the path sees. Only the ray origins
+    differ: each view adds its per-column and per-row origin terms
+    (:func:`_origin_terms`, mirrored for the antipode) at the pair's row and
+    column indices. ``_hits`` and ``np.minimum.at`` run once per view, in
+    blocks of at most ``_PAIR_CHUNK``; min is order-independent, so each
+    buffer equals testing every triangle against every pixel of its view.
     """
     right, up, direction = views[0].camera_frame()
     rows, a = _triangle_terms(direction, tris[:, 0], tris[:, 1], tris[:, 2])
-    valid = a != 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        f = 1.0 / a
+    # a zero or subnormal ``a`` makes ``f`` infinite, and then ``u`` infinite or
+    # NaN, which no hit passes (see :func:`ray_triangle_hits`): drop the triangle
+    valid = np.isfinite(f)
     tris, rows, a = tris[valid], rows[:, valid], a[valid]
-    terms = np.vstack([rows, 1.0 / a])
+    terms = np.vstack([rows, f[valid]])
 
     pu, pv = _project(tris, right), _project(tris, up)
-    directions = [view.camera_frame()[2] for view in views]
+    width = IMAGE_SIZE
+    members = [(view.camera_frame()[2], *_origin_terms(view, mirrored=view is not views[0])) for view in views]
     for tri, first, n_cols in _row_spans(pu, pv, _guard(rows, a), *_pixel_axes()):
-        mirror = first + (IMAGE_SIZE - 1 - 2 * (first % IMAGE_SIZE))  # each span's first pixel, mirrored in u
+        span_row, span_col = np.divmod(first, width)
         for block, span, k in pair_chunks(n_cols, _PAIR_CHUNK):
-            pix = np.repeat(first[block], span) + k
+            r = np.repeat(span_row[block], span)
+            c = np.repeat(span_col[block], span) + k
+            pix = r * width + c
             pair_terms = np.take(terms, np.repeat(tri[block], span), axis=1)
-            for member, ((ox, oy, oz), direction, tbuf) in enumerate(zip(origins, directions, tbufs)):
+            for member, ((direction, columns, origin_rows), tbuf) in enumerate(zip(members, tbufs)):
                 if member:  # the antipode: mirrored pixels, and h and f negated in place
-                    pix = np.repeat(mirror[block], span) - k
+                    pix = r * width + (width - 1 - c)
                     np.negative(pair_terms[9:], out=pair_terms[9:])
-                t = _hits(ox[pix], oy[pix], oz[pix], direction, pair_terms)
+                ox, oy, oz = (columns[i].take(c) + origin_rows[i].take(r) for i in range(3))
+                t = _hits(ox, oy, oz, direction, pair_terms)
                 hit = t < np.inf
                 np.minimum.at(tbuf, pix[hit], t[hit])
 
@@ -293,9 +316,9 @@ def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImag
     projection, so every pixel the kernel could hit is tested and the
     nearest hit per pixel equals testing every triangle against every pixel.
     A view and its antipode, when both are in the rig, share one projection,
-    one span list and one term gather (:func:`_cast_pair`). The depth
-    buffers and the ray-origin planes of the two are allocated once per call
-    and reused across pairs. Bit-identical for identical inputs.
+    one span list and one term gather (:func:`_cast_pair`). The two depth
+    buffers are allocated once per call and reused across pairs.
+    Bit-identical for identical inputs.
     """
     shape = (IMAGE_SIZE, IMAGE_SIZE)
     if len(mesh.faces) == 0:
@@ -303,17 +326,12 @@ def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImag
     assert_normalized(mesh)
 
     tris = mesh.triangles
-    # one array per plane: glibc raises its mmap threshold to the largest
-    # mapped block the process frees, so one 2.4 MB block would move every
-    # later allocation of up to that size from mmap to the heap
-    planes = [[np.empty(shape) for _ in range(3)] for _ in range(2)]
     tbufs = [np.empty(IMAGE_SIZE * IMAGE_SIZE) for _ in range(2)]
     images = {}
     for group in _antipodal_groups(rig):
-        for view, origins, tbuf in zip(group, planes, tbufs):
-            _ray_origins(view, origins)
+        for tbuf in tbufs[: len(group)]:
             tbuf.fill(np.inf)
-        _cast_pair(tris, group, [[p.reshape(-1) for p in origins] for origins in planes], tbufs)
+        _cast_pair(tris, group, tbufs)
         for view, tbuf in zip(group, tbufs):
             codes = np.zeros(IMAGE_SIZE * IMAGE_SIZE, dtype=np.uint8)
             hit = np.flatnonzero(tbuf < np.inf)

@@ -75,6 +75,22 @@ def closed_cylinder_mesh(sides: int, radius: float = 0.4, half_height: float = 0
     return TriangleMesh(verts, np.array(faces))
 
 
+def reference_ray_origins(view) -> list[list[tuple[float, float, float]]]:
+    """Ray origin of every pixel (r, c), ``(position + u_c * right) + v_r * up``, in Python floats.
+
+    ``u_c`` and ``v_r`` are the image-plane coordinates of the pixel center,
+    the top row at +v. Each component is rounded in that order, one
+    operation at a time, as IEEE doubles.
+    """
+    size, pix = render.IMAGE_SIZE, render.VIEW_SQUARE_SIZE / render.IMAGE_SIZE
+    right, up, _ = (frame.tolist() for frame in view.camera_frame())
+    position = view.position.tolist()
+    us = [(c - (size - 1) / 2.0) * pix for c in range(size)]
+    vs = [((size - 1) / 2.0 - r) * pix for r in range(size)]
+    columns = [[position[i] + u * right[i] for i in range(3)] for u in us]
+    return [[tuple(col[i] + v * up[i] for i in range(3)) for col in columns] for v in vs]
+
+
 def brute_force_render(mesh: TriangleMesh, view) -> DepthImage:
     """Nearest hit per pixel by testing every triangle against every pixel.
 

@@ -722,6 +722,30 @@ def test_cli_config_supplies_the_models(dataset, model_files, model_root, tmp_pa
     assert seen["entropy"] == "oracle"
 
 
+def test_cli_config_supplies_required_flags(dataset, model_files, tmp_path, capsys):
+    out, _ = dataset
+    _, view_npz = model_files
+    manifest = out / "manifest.csv"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"manifest={manifest}\nout={tmp_path / 'cfg'}\nview-model={view_npz}\n")
+    assert main(["recognize", "--config", str(config)]) == 0
+    flags = ["recognize", "--manifest", str(manifest), "--view-model", str(view_npz)]
+    assert main([*flags, "--out", str(tmp_path / "flags")]) == 0
+    results = (tmp_path / "flags" / "results.csv").read_bytes()
+    assert (tmp_path / "cfg" / "results.csv").read_bytes() == results
+    # an explicit flag still wins over the file
+    assert main(["recognize", "--config", str(config), "--out", str(tmp_path / "explicit")]) == 0
+    assert (tmp_path / "explicit" / "results.csv").read_bytes() == results
+    # a required flag that neither gives is still argparse's usage error, and --help still marks it required
+    config.write_text(f"manifest={manifest}\n")
+    capsys.readouterr()
+    assert main(["recognize", "--config", str(config)]) == 1
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+    assert main(["recognize", "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert "--manifest MANIFEST" in usage and "[--manifest" not in usage
+
+
 def _readme_cli_lines() -> list[str]:
     """The ``viewsphere ...`` commands of README's ``## CLI`` block, ``\\`` continuations joined."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

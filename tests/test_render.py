@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import brute_force_render, closed_cylinder_mesh, random_mesh, unit_cube_mesh
+from oracles import (
+    brute_force_render,
+    closed_cylinder_mesh,
+    random_mesh,
+    reference_ray_origins,
+    unit_cube_mesh,
+)
 from viewsphere import render
 from viewsphere.mesh import MeshError, TriangleMesh
 from viewsphere.render import (
@@ -67,6 +74,36 @@ def test_ray_triangle_hits_accepts_per_pair_corners():
     single = [ray_triangle_hits(ox[i], oy[i], oz[i], direction, *tris[i]) for i in range(40)]
     assert np.array_equal(pairs, np.array(single))
     assert np.isfinite(pairs).sum() >= 15 and np.isinf(pairs[5])
+
+
+def test_camera_rays_match_reference_origins_bit_for_bit():
+    for view in build_rig():
+        origins, direction = camera_rays(view)
+        expected = np.array(reference_ray_origins(view))
+        assert origins.shape == expected.shape == (224, 224, 3)
+        assert np.array_equal(origins.view(np.uint64), expected.view(np.uint64)), view
+        assert np.array_equal(direction, view.camera_frame()[2])
+
+
+def test_antipode_mirrored_column_terms_reverse_its_own():
+    for view in build_rig():
+        columns, rows = render._origin_terms(view)
+        mirrored, mirrored_rows = render._origin_terms(view, mirrored=True)
+        assert np.array_equal(mirrored.view(np.uint64), columns[:, ::-1].view(np.uint64)), view
+        assert np.array_equal(mirrored_rows.view(np.uint64), rows.view(np.uint64)), view
+
+
+def test_render_working_set_holds_no_origin_planes():
+    # the 60 output images take 3.0 MB, and the two flat depth buffers 0.8 MB;
+    # three 224 x 224 float64 origin planes per view of a pair would add 2.4 MB
+    mesh, rig = unit_cube_mesh(), build_rig()
+    tracemalloc.start()
+    try:
+        render_all_views(mesh, rig)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6_000_000, peak
 
 
 def _mixed_mesh():
@@ -234,6 +271,18 @@ def test_overflowing_edge_slope_renders_like_brute_force_without_warnings():
         warnings.simplefilter("error")
         image = render_depth(mesh, view)
         assert np.array_equal(image.pixels, brute_force_render(mesh, view).pixels)
+
+
+def test_subnormal_triangle_term_renders_like_brute_force_without_warnings():
+    # at view 0 this triangle has a = 9.6e-314, so 1 / a and the guard overflow to inf
+    tris = np.array([[[0.5, 0.0, 0.0], [0.0, 2.22507386e-313, 0.0], [0.0, 0.0, 0.0]]])
+    mesh = TriangleMesh(tris.reshape(-1, 3), np.arange(3).reshape(1, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_antipode_mirrors(tris, viewpoint_from_index(0))  # spans from the infinite guard
+        images = render_all_views(mesh, build_rig())
+        for view, image in zip(build_rig(), images):
+            assert np.array_equal(image.pixels, brute_force_render(mesh, view).pixels), view
 
 
 def test_antipode_terms_and_spans_mirror_the_view_on_guard_mesh():
