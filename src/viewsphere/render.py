@@ -9,7 +9,9 @@ All (triangle, pixel) pairs run through the one kernel, :func:`_hits`, in
 fixed-size blocks, and ``np.minimum.at`` keeps the nearest hit per pixel, so
 every image equals testing every triangle against every pixel. A view and
 its antipode see the same projection mirrored, so they share all of this but
-the kernel and the minimum (:func:`_cast_pair`).
+the kernel and the minimum (:func:`_cast_pair`). One workspace per call
+(:class:`_Workspace`) holds the triangle terms that no view changes, computed
+once per mesh, and the scratch buffers that every block reuses.
 """
 
 from __future__ import annotations
@@ -58,43 +60,65 @@ class DepthImage:
         self.pixels = pixels
 
 
-def _triangle_terms(direction, v0, v1, v2):
-    """Moller-Trumbore terms that depend only on the triangle and the ray direction.
+def _edge_rows(v0, v1, v2) -> list:
+    """The kernel rows that do not depend on the view: ``v0``, ``e1 = v1 - v0`` and ``e2 = v2 - v0``.
 
-    Corners are indexed by their last axis, so ``v0`` may be one corner (3,)
-    or one corner per triangle (N, 3). Returns the rows
-    ``(v0, e1, e2, h = d x e2)`` as 12 components, and ``a = e1 . h``.
+    Corners are indexed by their first axis, so ``v0`` may be one corner (3,)
+    or one corner per triangle (3, N). Returns 9 components.
+    """
+    v0x, v0y, v0z = v0[0], v0[1], v0[2]
+    return [v0x, v0y, v0z, v1[0] - v0x, v1[1] - v0y, v1[2] - v0z, v2[0] - v0x, v2[1] - v0y, v2[2] - v0z]
+
+
+def _view_terms(direction, rows) -> tuple[list, np.ndarray]:
+    """The Moller-Trumbore terms of the ray direction: ``h = d x e2`` (3 components) and ``a = e1 . h``.
+
+    ``rows`` are the 9 rows of :func:`_edge_rows` (or a table that starts with them).
     """
     dx, dy, dz = (float(direction[0]), float(direction[1]), float(direction[2]))
-    v0x, v0y, v0z = v0[..., 0], v0[..., 1], v0[..., 2]
-    e1x, e1y, e1z = v1[..., 0] - v0x, v1[..., 1] - v0y, v1[..., 2] - v0z
-    e2x, e2y, e2z = v2[..., 0] - v0x, v2[..., 1] - v0y, v2[..., 2] - v0z
+    e1x, e1y, e1z, e2x, e2y, e2z = rows[3:9]
     hx = dy * e2z - dz * e2y
     hy = dz * e2x - dx * e2z
     hz = dx * e2y - dy * e2x
-    a = e1x * hx + e1y * hy + e1z * hz
-    return np.array([v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z, hx, hy, hz]), a
+    return [hx, hy, hz], e1x * hx + e1y * hy + e1z * hz
 
 
-def _hits(ox, oy, oz, direction, terms):
+def _hits(ox, oy, oz, direction, terms, scratch=None):
     """Distances along the rays for ``terms`` = the 12 triangle rows plus ``f = 1 / a``.
 
     Each row is a scalar (one triangle against a bundle of rays) or an array
-    shaped like the rays (one triangle per ray).
+    shaped like the rays (one triangle per ray). ``scratch``, if given, is 9
+    float64 and then 2 bool arrays shaped like the rays: every intermediate
+    and the result are written into them, so the call allocates nothing and
+    the result is ``scratch[0]``. Without it each is a new array. Either way
+    the same rounded operations run in the same order.
     """
     dx, dy, dz = (float(direction[0]), float(direction[1]), float(direction[2]))
     v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z, hx, hy, hz, f = terms
-    sx = ox - v0x
-    sy = oy - v0y
-    sz = oz - v0z
-    u = f * (sx * hx + sy * hy + sz * hz)
-    qx = sy * e1z - sz * e1y
-    qy = sz * e1x - sx * e1z
-    qz = sx * e1y - sy * e1x
-    v = f * (dx * qx + dy * qy + dz * qz)
-    t = f * (e2x * qx + e2y * qy + e2z * qz)
-    hit = (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > 0.0)
-    return np.where(hit, t, np.inf)
+    b = [None] * 11 if scratch is None else scratch
+    sx = np.subtract(ox, v0x, out=b[0])
+    sy = np.subtract(oy, v0y, out=b[1])
+    sz = np.subtract(oz, v0z, out=b[2])
+    # u = f * (sx * hx + sy * hy + sz * hz); b[8] holds each product before it is added
+    u = np.add(np.multiply(sx, hx, out=b[3]), np.multiply(sy, hy, out=b[8]), out=b[3])
+    u = np.multiply(f, np.add(u, np.multiply(sz, hz, out=b[8]), out=b[3]), out=b[3])
+    # q = s x e1
+    qx = np.subtract(np.multiply(sy, e1z, out=b[4]), np.multiply(sz, e1y, out=b[8]), out=b[4])
+    qy = np.subtract(np.multiply(sz, e1x, out=b[5]), np.multiply(sx, e1z, out=b[8]), out=b[5])
+    qz = np.subtract(np.multiply(sx, e1y, out=b[6]), np.multiply(sy, e1x, out=b[8]), out=b[6])
+    # v = f * (d . q) and t = f * (e2 . q); t takes the place of sx
+    v = np.add(np.multiply(dx, qx, out=b[7]), np.multiply(dy, qy, out=b[8]), out=b[7])
+    v = np.multiply(f, np.add(v, np.multiply(dz, qz, out=b[8]), out=b[7]), out=b[7])
+    t = np.add(np.multiply(e2x, qx, out=b[0]), np.multiply(e2y, qy, out=b[8]), out=b[0])
+    t = np.multiply(f, np.add(t, np.multiply(e2z, qz, out=b[8]), out=b[0]), out=b[0])
+    # hit = (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 0)
+    hit = np.logical_and(np.greater_equal(u, 0.0, out=b[9]), np.greater_equal(v, 0.0, out=b[10]), out=b[9])
+    hit = np.logical_and(hit, np.less_equal(np.add(u, v, out=b[8]), 1.0, out=b[10]), out=b[9])
+    hit = np.logical_and(hit, np.greater(t, 0.0, out=b[10]), out=b[9])
+    if scratch is None:
+        return np.where(hit, t, np.inf)
+    np.copyto(t, np.inf, where=np.logical_not(hit, out=b[9]))
+    return t
 
 
 def ray_triangle_hits(ox, oy, oz, direction, v0, v1, v2):
@@ -107,12 +131,13 @@ def ray_triangle_hits(ox, oy, oz, direction, v0, v1, v2):
     Degenerate (zero-area) triangles never register hits, nor do triangles
     whose ``a`` is so small that ``f = 1 / a`` overflows.
     """
-    rows, a = _triangle_terms(direction, np.asarray(v0), np.asarray(v1), np.asarray(v2))
+    rows = _edge_rows(np.asarray(v0).T, np.asarray(v1).T, np.asarray(v2).T)
+    h, a = _view_terms(direction, rows)
     with np.errstate(divide="ignore", over="ignore"):
         f = 1.0 / a
     # a zero or subnormal ``a`` makes ``f`` infinite, and then ``u`` infinite or
     # NaN, which no hit passes; a NaN ``f`` fails every hit comparison quietly
-    return _hits(ox, oy, oz, direction, (*rows, np.where(np.isfinite(f), f, np.nan)))
+    return _hits(ox, oy, oz, direction, (*rows, *h, np.where(np.isfinite(f), f, np.nan)))
 
 
 def _pixel_axes() -> tuple[np.ndarray, np.ndarray]:
@@ -187,70 +212,144 @@ def _guard(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
     """
     e1 = np.sqrt(rows[3] * rows[3] + rows[4] * rows[4] + rows[5] * rows[5])
     e2 = np.sqrt(rows[6] * rows[6] + rows[7] * rows[7] + rows[8] * rows[8])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # a subnormal ``a`` overflows the guard to inf, which only widens the
-        # triangle's spans to every pixel center, as a brute-force test would
+        # triangle's spans to every pixel center, as a brute-force test would;
+        # a zero ``a`` makes it inf or NaN, but such a triangle gets no spans
         return _GUARD_K * np.finfo(np.float64).eps * (e1 * e2 / np.abs(a)) + _GUARD_FLOOR
 
 
-def _row_spans(pu, pv, g, ucoords, vcoords):
+class _Workspace:
+    """The arrays one :func:`render_all_views` call allocates once and reuses.
+
+    - Per mesh: ``corners`` (corner, axis, T) and the 13 kernel rows of every
+      triangle in ``terms`` (13, T). Rows 0-8, ``v0``, ``e1`` and ``e2``, do
+      not depend on the view and are computed here.
+    - Per pair: :func:`_pair_spans` writes the first view's ``h = d x e2``
+      and ``f = 1 / a`` into rows 9-12 in place, and :func:`_row_spans` the
+      per-edge span fields into ``edges`` (8, 3, T).
+    - Per block: one float64 and one bool buffer, which the span stage and
+      the pair kernel take in turn (:meth:`scratch`) and fill with ``out=``.
+      A block of either stage is done with its scratch before the next block
+      of either stage begins, and hands on only new arrays. Each buffer grows
+      to the largest block the call has asked of it, at most ``_PAIR_CHUNK``
+      pairs wide. Gathers into it use ``np.take(..., mode="clip")``, which
+      writes into ``out`` unbuffered; their indices (triangle numbers from
+      ``np.arange``, pixel rows and columns inside the image) are in range by
+      construction, so nothing clips.
+    """
+
+    def __init__(self, tris: np.ndarray):
+        self.corners = np.ascontiguousarray(tris.transpose(1, 2, 0))
+        self.terms = np.empty((13, len(tris)))
+        self.terms[:9] = _edge_rows(*self.corners)
+        self.edges = np.empty((8, 3, len(tris)))
+        self._buffers: dict[type, np.ndarray] = {}
+
+    def scratch(self, rows: int, n: int, dtype=np.float64) -> np.ndarray:
+        """A C-contiguous (rows, n) view of the call's one scratch buffer of ``dtype``."""
+        size = rows * n
+        buf = self._buffers.get(dtype)
+        if buf is None or len(buf) < size:
+            buf = self._buffers[dtype] = np.empty(size, dtype)
+        return buf[:size].reshape(rows, n)
+
+
+def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
     """Yield ``(tri, first, n_cols)`` per (triangle, row) span, ``_PAIR_CHUNK`` rows at a time.
 
-    ``pu``, ``pv`` (T, 3) are the projected corners and ``g`` (T,) the
-    guards. A row is taken when its center ``y`` lies within ``g`` of the
-    triangle's v-extent. On it, each edge whose v-extent reaches within ``g``
-    of ``y`` meets the band ``[y - g, y + g]`` at u within ``|du/dv| g`` of
-    where it crosses ``y``; that interval, widened by ``g`` more for the
-    rounding of the crossing itself and clamped to the edge's own u-extent,
-    holds every point of the edge inside the band. The row's span covers
-    these intervals plus ``g`` on both sides, so it holds every pixel center
-    within ``g`` of the triangle. ``first`` is the flat index of the span's
-    first pixel.
+    ``pu``, ``pv`` (3, T) are the projected corners, ``g`` (T,) the guards,
+    and only the triangles ``live`` get spans. A row is taken when its center
+    ``y`` lies within ``g`` of the triangle's v-extent. On it, each edge whose
+    v-extent reaches within ``g`` of ``y`` meets the band ``[y - g, y + g]``
+    at u within ``|du/dv| g`` of where it crosses ``y``; that interval,
+    widened by ``g`` more for the rounding of the crossing itself and clamped
+    to the edge's own u-extent, holds every point of the edge inside the
+    band. The row's span covers these intervals plus ``g`` on both sides, so
+    it holds every pixel center within ``g`` of the triangle. ``first`` is
+    the flat index of the span's first pixel. The yielded arrays are new; the
+    intermediates of a block live in ``ws``.
     """
     neg_v = -vcoords  # ascending
-    r0 = np.searchsorted(neg_v, -(pv.max(axis=1) + g), side="left")
-    n_rows = np.maximum(np.searchsorted(neg_v, -(pv.min(axis=1) - g), side="right") - r0, 0)
+    r0 = np.searchsorted(neg_v, -(pv.max(axis=0) + g), side="left")
+    n_rows = np.maximum(np.searchsorted(neg_v, -(pv.min(axis=0) - g), side="right") - r0, 0)
+    n_rows[~live] = 0
 
     # edges p -> q, one per row of each (3, T) field. A horizontal edge divides
     # by 1 instead of 0 and takes an infinite width, which clamps it to its
     # whole u-extent without forming inf * 0; fmax/fmin fall back to the
     # u-extent should an overflowed slope or width make a crossing NaN, so
     # the overflow is expected and not reported.
-    pu, pv = pu.T, pv.T
     qu, qv = np.roll(pu, -1, axis=0), np.roll(pv, -1, axis=0)
     horizontal = pv == qv
+    e_pu, e_pv, e_slope, e_width, v_lo, v_hi, u_lo, u_hi = edges = ws.edges
+    e_pu[:], e_pv[:] = pu, pv
     with np.errstate(over="ignore", invalid="ignore"):
-        slope = (qu - pu) / np.where(horizontal, 1.0, qv - pv)
-        width = g * np.where(horizontal, np.inf, np.abs(slope) + 1.0)  # |du/dv| g + g
-    v_extent = [np.minimum(pv, qv) - g, np.maximum(pv, qv) + g]
-    edges = [pu, pv, slope, width, *v_extent, np.minimum(pu, qu), np.maximum(pu, qu)]
+        np.divide(qu - pu, np.where(horizontal, 1.0, qv - pv), out=e_slope)
+        np.multiply(g, np.where(horizontal, np.inf, np.abs(e_slope) + 1.0), out=e_width)  # |du/dv| g + g
+    np.subtract(np.minimum(pv, qv), g, out=v_lo)
+    np.add(np.maximum(pv, qv), g, out=v_hi)
+    np.minimum(pu, qu, out=u_lo)
+    np.maximum(pu, qu, out=u_hi)
 
     for block, span, k in pair_chunks(n_rows, _PAIR_CHUNK):
         tri = np.repeat(np.arange(block.start, block.stop), span)
-        row = np.repeat(r0[block], span) + k
-        y = vcoords[row]
-        e_pu, e_pv, e_slope, e_width, v_lo, v_hi, u_lo, u_hi = (np.take(field, tri, axis=1) for field in edges)
-        e_g = g[tri]
-        near = (v_lo <= y) & (y <= v_hi)
+        row = np.repeat(r0[block], span)
+        row += k
+        n = len(tri)
+        floats = ws.scratch(34, n)
+        y, e_g, lo, hi = floats[24:28]
+        cross, bound = floats[28:].reshape(2, 3, n)
+        fields = np.take(edges, tri, axis=2, out=floats[:24].reshape(8, 3, n), mode="clip")
+        e_pu, e_pv, e_slope, e_width, v_lo, v_hi, u_lo, u_hi = fields
+        np.take(vcoords, row, out=y, mode="clip")
+        np.take(g, tri, out=e_g, mode="clip")
+        far, below = ws.scratch(6, n, np.bool_).reshape(2, 3, n)
+        np.less_equal(v_lo, y, out=far)
+        np.logical_and(far, np.less_equal(y, v_hi, out=below), out=far)
+        np.logical_not(far, out=far)  # the edges whose v-extent misses the row
         with np.errstate(over="ignore", invalid="ignore"):
-            cross = e_pu + (y - e_pv) * e_slope
-            lo = np.where(near, np.fmax(cross - e_width, u_lo), np.inf).min(axis=0) - e_g
-            hi = np.where(near, np.fmin(cross + e_width, u_hi), -np.inf).max(axis=0) + e_g
+            np.add(e_pu, np.multiply(np.subtract(y, e_pv, out=cross), e_slope, out=cross), out=cross)
+            np.fmax(np.subtract(cross, e_width, out=bound), u_lo, out=bound)
+            np.copyto(bound, np.inf, where=far)
+            np.subtract(bound.min(axis=0, out=lo), e_g, out=lo)
+            np.fmin(np.add(cross, e_width, out=bound), u_hi, out=bound)
+            np.copyto(bound, -np.inf, where=far)
+            np.add(bound.max(axis=0, out=hi), e_g, out=hi)
         col = np.searchsorted(ucoords, lo, side="left")
         n_cols = np.maximum(np.searchsorted(ucoords, hi, side="right") - col, 0)
-        yield tri, row * len(ucoords) + col, n_cols
+        row *= len(ucoords)
+        row += col
+        yield tri, row, n_cols
 
 
-def _project(tris, axis):
+def _project(corners, axis):
     """Coordinate of every corner along the image-plane ``axis``, written out term by term."""
-    return tris[..., 0] * axis[0] + tris[..., 1] * axis[1] + tris[..., 2] * axis[2]
+    return corners[:, 0] * axis[0] + corners[:, 1] * axis[1] + corners[:, 2] * axis[2]
 
 
-def _cast_pair(tris, views, tbufs) -> None:
+def _pair_spans(ws: _Workspace, view: Viewpoint):
+    """Write ``view``'s ``h`` and ``f`` into ``ws.terms`` and return its spans (:func:`_row_spans`)."""
+    right, up, direction = view.camera_frame()
+    terms = ws.terms
+    h, a = _view_terms(direction, terms)
+    terms[9:12] = h
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(1.0, a, out=terms[12])
+    # a zero or subnormal ``a`` makes ``f`` infinite, and then ``u`` infinite or
+    # NaN, which no hit passes (see :func:`ray_triangle_hits`): the triangle
+    # stays in the table and gets no spans
+    live = np.isfinite(terms[12])
+    pu, pv = _project(ws.corners, right), _project(ws.corners, up)
+    return _row_spans(ws, pu, pv, _guard(terms, a), live, *_pixel_axes())
+
+
+def _cast_pair(ws: _Workspace, views, tbufs) -> None:
     """Fold the nearest hit of every triangle into the flat depth buffer of each view.
 
     ``views`` holds one view, or an antipodal pair in index order (see
-    :func:`viewrig.antipode`); ``tbufs`` holds each view's depth buffer. The
+    :func:`viewrig.antipode`); ``tbufs`` holds each view's depth buffer, and
+    ``ws`` the call's workspace, whose term table the pair updates. The
     triangle terms, projection, spans, pair expansion and term gather come
     from the first view alone. Its antipode has ``right' = -right``,
     ``up' = up`` and ``toward' = -toward``, and negating one factor negates a
@@ -265,34 +364,29 @@ def _cast_pair(tris, views, tbufs) -> None:
     blocks of at most ``_PAIR_CHUNK``; min is order-independent, so each
     buffer equals testing every triangle against every pixel of its view.
     """
-    right, up, direction = views[0].camera_frame()
-    rows, a = _triangle_terms(direction, tris[:, 0], tris[:, 1], tris[:, 2])
-    with np.errstate(divide="ignore", over="ignore"):
-        f = 1.0 / a
-    # a zero or subnormal ``a`` makes ``f`` infinite, and then ``u`` infinite or
-    # NaN, which no hit passes (see :func:`ray_triangle_hits`): drop the triangle
-    valid = np.isfinite(f)
-    tris, rows, a = tris[valid], rows[:, valid], a[valid]
-    terms = np.vstack([rows, f[valid]])
-
-    pu, pv = _project(tris, right), _project(tris, up)
-    width = IMAGE_SIZE
+    width, terms = IMAGE_SIZE, ws.terms
     members = [(view.camera_frame()[2], *_origin_terms(view, mirrored=view is not views[0])) for view in views]
-    for tri, first, n_cols in _row_spans(pu, pv, _guard(rows, a), *_pixel_axes()):
+    for tri, first, n_cols in _pair_spans(ws, views[0]):
         span_row, span_col = np.divmod(first, width)
         for block, span, k in pair_chunks(n_cols, _PAIR_CHUNK):
             r = np.repeat(span_row[block], span)
-            c = np.repeat(span_col[block], span) + k
-            pix = r * width + c
-            pair_terms = np.take(terms, np.repeat(tri[block], span), axis=1)
+            c = np.repeat(span_col[block], span)
+            c += k
+            n = len(r)
+            floats = ws.scratch(25, n)
+            pair_terms, origins, scratch = floats[:13], floats[13:16], [*floats[16:], *ws.scratch(2, n, np.bool_)]
+            np.take(terms, np.repeat(tri[block], span), axis=1, out=pair_terms, mode="clip")
             for member, ((direction, columns, origin_rows), tbuf) in enumerate(zip(members, tbufs)):
                 if member:  # the antipode: mirrored pixels, and h and f negated in place
                     pix = r * width + (width - 1 - c)
                     np.negative(pair_terms[9:], out=pair_terms[9:])
-                ox, oy, oz = (columns[i].take(c) + origin_rows[i].take(r) for i in range(3))
-                t = _hits(ox, oy, oz, direction, pair_terms)
-                hit = t < np.inf
-                np.minimum.at(tbuf, pix[hit], t[hit])
+                else:
+                    pix = r * width + c
+                np.take(columns, c, axis=1, out=origins, mode="clip")
+                # the row terms pass through the kernel's first three rows before it runs
+                np.add(origins, np.take(origin_rows, r, axis=1, out=floats[16:19], mode="clip"), out=origins)
+                # a miss is +inf, which leaves the buffer as it is
+                np.minimum.at(tbuf, pix, _hits(*origins, direction, pair_terms, scratch))
 
 
 def _antipodal_groups(rig: list[Viewpoint]) -> list[list[Viewpoint]]:
@@ -317,7 +411,8 @@ def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImag
     nearest hit per pixel equals testing every triangle against every pixel.
     A view and its antipode, when both are in the rig, share one projection,
     one span list and one term gather (:func:`_cast_pair`). The two depth
-    buffers are allocated once per call and reused across pairs.
+    buffers and the workspace (:class:`_Workspace`) are allocated once per
+    call and reused across pairs; the call keeps no state after it returns.
     Bit-identical for identical inputs.
     """
     shape = (IMAGE_SIZE, IMAGE_SIZE)
@@ -325,16 +420,16 @@ def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImag
         return [DepthImage(np.zeros(shape, dtype=np.uint8)) for _ in rig]
     assert_normalized(mesh)
 
-    tris = mesh.triangles
+    ws = _Workspace(mesh.triangles)
     tbufs = [np.empty(IMAGE_SIZE * IMAGE_SIZE) for _ in range(2)]
     images = {}
     for group in _antipodal_groups(rig):
         for tbuf in tbufs[: len(group)]:
             tbuf.fill(np.inf)
-        _cast_pair(tris, group, tbufs)
+        _cast_pair(ws, group, tbufs)
         for view, tbuf in zip(group, tbufs):
             codes = np.zeros(IMAGE_SIZE * IMAGE_SIZE, dtype=np.uint8)
-            hit = np.flatnonzero(tbuf < np.inf)
+            hit = tbuf < np.inf
             codes[hit] = depth_codes(tbuf[hit])
             images[view] = DepthImage(codes.reshape(shape))
     return [images[view] for view in rig]

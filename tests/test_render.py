@@ -76,6 +76,87 @@ def test_ray_triangle_hits_accepts_per_pair_corners():
     assert np.isfinite(pairs).sum() >= 15 and np.isinf(pairs[5])
 
 
+#: The rig views whose direction is exactly a coordinate axis (ring 2, azimuths 0, 3, 6, 9).
+AXIS_VIEWS = (24, 27, 30, 33)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tris=st.integers(1, 8).flatmap(lambda n: hnp.arrays(np.float64, (n, 3, 3), elements=st.floats(-0.5, 0.5))),
+    lift=st.floats(1e-309, 1e-307),
+    index=st.sampled_from(AXIS_VIEWS) | st.integers(0, 59),
+    n_rays=st.integers(2, 40),
+    longer=st.integers(0, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_hits_with_workspace_scratch_match_ray_triangle_hits(tris, lift, index, n_rays, longer, seed):
+    # beside the drawn triangles: a zero-area one, and a sliver in the plane z = 0
+    # with one corner lifted by ``lift``, whose ``a`` is subnormal (or as small) at
+    # the views along x and y
+    zero_area = tris[:1].copy()
+    zero_area[0, 2] = zero_area[0, 1]
+    sliver = np.array([[[0.3, -0.2, 0.0], [-0.1, 0.25, lift], [-0.35, -0.3, 0.0]]])
+    tris = np.concatenate([tris, zero_area, sliver])
+    direction = viewpoint_from_index(index).camera_frame()[2]
+    rng = np.random.default_rng(seed)
+    tri = rng.integers(0, len(tris), size=n_rays)
+    tri[:2] = len(tris) - 2, len(tris) - 1
+    weights = rng.uniform(-0.2, 1.0, size=(n_rays, 3))  # some rays pass outside their triangle
+    weights /= weights.sum(axis=1, keepdims=True)
+    ox, oy, oz = (np.einsum("nc,nci->ni", weights, tris[tri]) - 3.0 * direction).T
+    expected = ray_triangle_hits(ox, oy, oz, direction, tris[tri, 0], tris[tri, 1], tris[tri, 2])
+
+    ws = render._Workspace(tris)
+    h, a = render._view_terms(direction, ws.terms)
+    ws.terms[9:12] = h
+    with np.errstate(divide="ignore", over="ignore"):
+        f = 1.0 / a
+    ws.terms[12] = np.where(np.isfinite(f), f, np.nan)  # as ray_triangle_hits passes it
+    # scratch longer than the block, and holding stale values
+    ws.scratch(25, n_rays + longer).fill(np.nan)
+    ws.scratch(2, n_rays + longer, np.bool_).fill(True)
+    floats = ws.scratch(25, n_rays)
+    pair_terms, origins = floats[:13], floats[13:16]
+    np.take(ws.terms, tri, axis=1, out=pair_terms, mode="clip")
+    origins[:] = ox, oy, oz
+    t = render._hits(*origins, direction, pair_terms, [*floats[16:], *ws.scratch(2, n_rays, np.bool_)])
+    assert np.shares_memory(t, floats)
+    assert np.array_equal(t.view(np.uint64), expected.view(np.uint64))
+
+
+def _edge_on_mesh():
+    """Random triangles, plus two that are edge-on to some axis views and seen in the others.
+
+    A triangle in a plane z = const is edge-on to all four views along x and
+    y; one in a plane x = const is edge-on to the views along y only. Both
+    have ``a = 0`` exactly there, so those pairs give them no spans, while
+    other pairs of the same call render them.
+    """
+    rng = np.random.default_rng(9)
+    flat_z = np.array([[-0.3, -0.25, 0.1], [0.35, -0.1, 0.1], [0.0, 0.3, 0.1]])
+    flat_x = np.array([[0.05, -0.3, -0.2], [0.05, 0.3, -0.25], [0.05, 0.0, 0.35]])
+    tris = np.concatenate([random_mesh(rng, 20, radius=0.35).triangles, [flat_z, flat_x]])
+    return TriangleMesh(tris.reshape(-1, 3), np.arange(3 * len(tris)).reshape(-1, 3))
+
+
+@pytest.mark.parametrize("pair_chunk", [None, 7])
+def test_edge_on_triangles_leave_no_stale_terms(monkeypatch, pair_chunk):
+    # every pair rewrites h and f of the one term table; a pair that read an
+    # earlier pair's h or f would let the edge-on triangles into its image, or
+    # test the seen ones with another view's terms
+    mesh, rig = _edge_on_mesh(), build_rig()
+    _narrow(monkeypatch)
+    flat_z, flat_x = (render._edge_rows(*corners) for corners in mesh.triangles[-2:])
+    for index in AXIS_VIEWS:
+        direction = rig[index].camera_frame()[2]
+        assert render._view_terms(direction, flat_z)[1] == 0.0
+        assert (render._view_terms(direction, flat_x)[1] == 0.0) == (index in (27, 33))
+    if pair_chunk is not None:
+        monkeypatch.setattr(render, "_PAIR_CHUNK", pair_chunk)
+    for view, image in zip(rig, render_all_views(mesh, rig)):
+        assert np.array_equal(image.pixels, brute_force_render(mesh, view).pixels), view
+
+
 def test_camera_rays_match_reference_origins_bit_for_bit():
     for view in build_rig():
         origins, direction = camera_rays(view)
@@ -226,25 +307,22 @@ def test_guard_mesh_matches_brute_force_on_all_views():
 
 
 def _terms_and_spans(tris, view):
-    """What the renderer derives from ``view``'s own frame: triangle terms, projection and spans."""
-    right, up, direction = view.camera_frame()
-    rows, a = render._triangle_terms(direction, tris[:, 0], tris[:, 1], tris[:, 2])
-    pu, pv = render._project(tris, right), render._project(tris, up)
-    spans = [(np.empty(0, dtype=np.int64),) * 3]
-    spans += render._row_spans(pu, pv, render._guard(rows, a), *render._pixel_axes())
+    """What the renderer derives from ``view``'s own frame: the term table and the spans."""
+    ws = render._Workspace(tris)
+    spans = [(np.empty(0, dtype=np.int64),) * 3, *render._pair_spans(ws, view)]
     tri, first, n_cols = (np.concatenate([span[i] for span in spans]) for i in range(3))
-    return rows, a, tri, first, n_cols
+    return ws.terms, tri, first, n_cols
 
 
 def _assert_antipode_mirrors(tris, view):
-    """The antipode's terms are ``view``'s with h negated, and its spans are mirrored in u."""
-    _, _, direction = view.camera_frame()
-    _, a = render._triangle_terms(direction, tris[:, 0], tris[:, 1], tris[:, 2])
-    tris = tris[a != 0.0]  # the renderer drops triangles seen edge-on before it builds spans
-    rows, a, tri, first, n_cols = _terms_and_spans(tris, view)
-    a_rows, a_a, a_tri, a_first, a_n_cols = _terms_and_spans(tris, antipode(view))
-    assert np.array_equal(a_rows[:9], rows[:9]) and np.array_equal(a_rows[9:], -rows[9:])
-    assert np.array_equal(a_a, -a)
+    """The antipode's terms are ``view``'s with h and f negated, and its spans are mirrored in u."""
+    terms, tri, first, n_cols = _terms_and_spans(tris, view)
+    a_terms, a_tri, a_first, a_n_cols = _terms_and_spans(tris, antipode(view))
+    assert np.array_equal(a_terms[:12], np.concatenate([terms[:9], -terms[9:12]]))
+    # a triangle seen edge-on has a = +-0 in both views, and an f of either sign
+    live = np.isfinite(terms[12])
+    assert np.array_equal(np.isfinite(a_terms[12]), live)
+    assert np.array_equal(a_terms[12][live], -terms[12][live])
     assert np.array_equal(a_tri, tri) and np.array_equal(a_n_cols, n_cols)
     width = render.IMAGE_SIZE
     row, col = np.divmod(first, width)
