@@ -205,7 +205,12 @@ def build_dataset(
 
     The manifest is sorted by object_id and byte-identical for identical
     inputs regardless of worker count. Returns (records, skipped messages).
+
+    Raises:
+        ValueError: if ``workers`` is below 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     out = Path(out_dir)
     (out / "voxels").mkdir(parents=True, exist_ok=True)
     (out / "views").mkdir(parents=True, exist_ok=True)

@@ -4,12 +4,17 @@ Each view casts one ray per pixel center. A triangle is tested only against
 the pixel centers of its per-row spans: the rows, and on each row the
 columns, that lie within a guard ``g = K * eps * |e1| |e2| / |a| + floor`` of
 its projection. ``g`` bounds how far outside the exact triangle the rounded
-barycentric test of the kernel can accept a ray; :func:`_guard` derives it.
-All (triangle, pixel) pairs run through the one kernel, :func:`_hits`, in
-fixed-size blocks, and ``np.minimum.at`` keeps the nearest hit per pixel, so
-every image equals testing every triangle against every pixel. A view and
+barycentric test of the kernel can accept a ray, and how far inside it can
+reject one; :func:`_guard` derives it. The columns of a span more than ``g``
+inside every edge are certain hits, and most of them take their 8-bit code
+from the triangle's plane depth, which is affine in the pixel's (u, v)
+(:func:`_plane_terms`). Every other pair, and every inner pair whose code
+rounding could decide, runs through the one kernel, :func:`_hits`, in
+fixed-size blocks. The code does not increase with the distance, so
+``np.maximum.at`` of the codes keeps the code of the nearest hit per pixel,
+and every image equals testing every triangle against every pixel. A view and
 its antipode see the same projection mirrored, so they share all of this but
-the kernel and the minimum (:func:`_cast_pair`). One workspace per call
+the kernel and the fold (:func:`_cast_pair`). One workspace per call
 (:class:`_Workspace`) holds the triangle terms that no view changes, computed
 once per mesh, and the scratch buffers that every block reuses.
 """
@@ -170,16 +175,35 @@ def camera_rays(view: Viewpoint):
     return columns.T[None, :, :] + rows.T[:, None, :], view.camera_frame()[2]
 
 
+def _code_scale(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The unrounded code ``255 - 127 * (t - (RADIUS - 1))`` of distances ``t``, written into ``out``."""
+    return np.subtract(255.0, np.multiply(127.0, np.subtract(t, RADIUS - 1.0, out=out), out=out), out=out)
+
+
+def _code_into(codes: np.ndarray, t: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Write the uint8 codes of the float64 distances ``t`` into ``codes``: see :func:`depth_codes`.
+
+    ``t`` is overwritten, and ``hit``, a bool array shaped like it, is scratch.
+    """
+    np.isfinite(t, out=hit)
+    np.clip(np.rint(_code_scale(t, out=t), out=t), FAR_CODE, NEAR_CODE, out=t)
+    codes.fill(BACKGROUND_CODE)
+    np.copyto(codes, t, casting="unsafe", where=hit)
+    return codes
+
+
 def depth_codes(distances: np.ndarray) -> np.ndarray:
-    """Quantize hit distances to uint8 codes: [RADIUS-1, RADIUS+1] -> [255, 1], miss -> 0."""
-    hit = np.isfinite(distances)
-    scaled = 255.0 - 127.0 * (np.where(hit, distances, RADIUS) - (RADIUS - 1.0))
-    codes = np.clip(np.rint(scaled), FAR_CODE, NEAR_CODE)
-    return np.where(hit, codes, BACKGROUND_CODE).astype(np.uint8)
+    """Quantize hit distances to uint8 codes: [RADIUS-1, RADIUS+1] -> [255, 1], miss -> 0.
+
+    A distance that is not finite is a miss. Every operation on a hit's
+    distance is monotone, so a nearer hit never gets a smaller code.
+    """
+    t = np.array(distances, dtype=np.float64)
+    return _code_into(np.empty(t.shape, np.uint8), t, np.empty(t.shape, np.bool_))
 
 
 def _guard(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Per triangle, a distance in the image plane that holds every pixel ``_hits`` can accept.
+    """Per triangle, a distance in the image plane that holds every pixel ``_hits`` can accept or reject.
 
     ``_hits`` accepts a ray when its computed barycentrics pass ``u >= 0``,
     ``v >= 0`` and ``u + v <= 1``. Rounding moves each of the three edges the
@@ -200,8 +224,9 @@ def _guard(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
       at most sqrt(3) (the unit cube's diagonal).
 
     So every computed hit lies within ``eps * kappa * (9.2 |s| + 10)`` of the
-    exact projected triangle. The rig's cameras sit at ``RADIUS`` = 2 and see
-    a view square of side 1.9, so ``|s| <= 2 + 1.9 / sqrt(2) + sqrt(3) / 2``
+    exact projected triangle, and, as the same errors move the edges inward
+    as far, every ray farther than that inside all three edges is a hit. The
+    rig's cameras sit at ``RADIUS`` = 2 and see a view square of side 1.9, so ``|s| <= 2 + 1.9 / sqrt(2) + sqrt(3) / 2``
     = 4.2 and the bound is 49 eps kappa (a narrower square only lowers it);
     ``_GUARD_K`` = 4096 covers it 80 times over. ``_GUARD_FLOOR`` = 1e-12
     covers the absolute rounding of the ray origins and of the projected
@@ -222,27 +247,35 @@ def _guard(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
 class _Workspace:
     """The arrays one :func:`render_all_views` call allocates once and reuses.
 
-    - Per mesh: ``corners`` (corner, axis, T) and the 13 kernel rows of every
-      triangle in ``terms`` (13, T). Rows 0-8, ``v0``, ``e1`` and ``e2``, do
-      not depend on the view and are computed here.
+    - Per mesh: ``corners`` (corner, axis, T); the 13 kernel rows of every
+      triangle in ``terms`` (13, T), of which rows 0-8, ``v0``, ``e1`` and
+      ``e2``, do not depend on the view and are computed here; and
+      ``normals`` (4, T), ``n = e1 x e2`` and ``n . v0``.
     - Per pair: :func:`_pair_spans` writes the first view's ``h = d x e2``
-      and ``f = 1 / a`` into rows 9-12 in place, and :func:`_row_spans` the
-      per-edge span fields into ``edges`` (8, 3, T).
-    - Per block: one float64 and one bool buffer, which the span stage and
-      the pair kernel take in turn (:meth:`scratch`) and fill with ``out=``.
-      A block of either stage is done with its scratch before the next block
-      of either stage begins, and hands on only new arrays. Each buffer grows
-      to the largest block the call has asked of it, at most ``_PAIR_CHUNK``
-      pairs wide. Gathers into it use ``np.take(..., mode="clip")``, which
-      writes into ``out`` unbuffered; their indices (triangle numbers from
-      ``np.arange``, pixel rows and columns inside the image) are in range by
-      construction, so nothing clips.
+      and ``f = 1 / a`` into rows 9-12 of ``terms`` in place,
+      :func:`_plane_terms` the plane depth terms and margins into ``plane``
+      (4, T), and :func:`_row_spans` the per-edge span fields into ``edges``
+      (8, 3, T).
+    - Per block: one buffer of each dtype (float64, bool, intp and uint8),
+      which the span stage, the plane-depth codes and the pair kernel take in
+      turn (:meth:`scratch`) and fill with ``out=``. A block of any stage is
+      done with its scratch before the next block of any stage begins, and
+      hands on only new arrays. Each buffer grows to the largest block the
+      call has asked of it, at most ``_PAIR_CHUNK`` pairs wide. Gathers into
+      it use ``np.take(..., mode="clip")``, which writes into ``out``
+      unbuffered; their indices (triangle numbers from ``np.arange``, pixel
+      rows and columns inside the image) are in range by construction, so
+      nothing clips.
     """
 
     def __init__(self, tris: np.ndarray):
         self.corners = np.ascontiguousarray(tris.transpose(1, 2, 0))
         self.terms = np.empty((13, len(tris)))
         self.terms[:9] = _edge_rows(*self.corners)
+        v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z = self.terms[:9]
+        nx, ny, nz = e1y * e2z - e1z * e2y, e1z * e2x - e1x * e2z, e1x * e2y - e1y * e2x
+        self.normals = np.array([nx, ny, nz, nx * v0x + ny * v0y + nz * v0z])
+        self.plane = np.empty((4, len(tris)))
         self.edges = np.empty((8, 3, len(tris)))
         self._buffers: dict[type, np.ndarray] = {}
 
@@ -256,7 +289,7 @@ class _Workspace:
 
 
 def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
-    """Yield ``(tri, first, n_cols)`` per (triangle, row) span, ``_PAIR_CHUNK`` rows at a time.
+    """Yield ``(tri, first, n_cols, lead, n_inner)`` per (triangle, row) span, ``_PAIR_CHUNK`` rows at a time.
 
     ``pu``, ``pv`` (3, T) are the projected corners, ``g`` (T,) the guards,
     and only the triangles ``live`` get spans. A row is taken when its center
@@ -267,26 +300,44 @@ def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
     to the edge's own u-extent, holds every point of the edge inside the
     band. The row's span covers these intervals plus ``g`` on both sides, so
     it holds every pixel center within ``g`` of the triangle. ``first`` is
-    the flat index of the span's first pixel. The yielded arrays are new; the
-    intermediates of a block live in ``ws``.
+    the flat index of the span's first pixel.
+
+    The span's inner columns, ``n_inner`` of them after the first ``lead``,
+    are pixel centers more than ``g`` inside every edge, which ``_hits``
+    certainly accepts (:func:`_guard`). They come from rows that exactly two
+    edges reach. If ``y`` lies in the triangle's v-extent, those two edges
+    cross it and the third is more than ``g`` away; a center between the
+    crossings and more than an edge's width ``|du/dv| g + g`` from each is
+    more than ``g`` from both edge lines, and so from the whole boundary.
+    Otherwise the two edges meet at the extreme corner, within ``g`` of
+    ``y``, and their widths together exceed the distance between their
+    crossings, so no center qualifies. A row that all three edges reach gets
+    no inner columns, nor does one that reaches an edge of infinite width. A
+    horizontal edge, and one whose width reaches the view square, takes an
+    infinite width, which clamps it to its whole u-extent. Every finite
+    width is below the view square, so a crossing plus or minus its width
+    rounds by a few eps, far below ``g``.
+
+    The yielded arrays are new; the intermediates of a block live in ``ws``.
     """
-    neg_v = -vcoords  # ascending
+    width = len(ucoords)
+    neg_v, neg_u = -vcoords, -ucoords[::-1]  # ascending
     r0 = np.searchsorted(neg_v, -(pv.max(axis=0) + g), side="left")
     n_rows = np.maximum(np.searchsorted(neg_v, -(pv.min(axis=0) - g), side="right") - r0, 0)
     n_rows[~live] = 0
 
     # edges p -> q, one per row of each (3, T) field. A horizontal edge divides
-    # by 1 instead of 0 and takes an infinite width, which clamps it to its
-    # whole u-extent without forming inf * 0; fmax/fmin fall back to the
-    # u-extent should an overflowed slope or width make a crossing NaN, so
-    # the overflow is expected and not reported.
+    # by 1 instead of 0; fmax/fmin fall back to the u-extent should an
+    # overflowed slope make a crossing NaN, and NaN leaves a row no inner
+    # columns, so the overflow is expected and not reported.
     qu, qv = np.roll(pu, -1, axis=0), np.roll(pv, -1, axis=0)
     horizontal = pv == qv
     e_pu, e_pv, e_slope, e_width, v_lo, v_hi, u_lo, u_hi = edges = ws.edges
     e_pu[:], e_pv[:] = pu, pv
     with np.errstate(over="ignore", invalid="ignore"):
         np.divide(qu - pu, np.where(horizontal, 1.0, qv - pv), out=e_slope)
-        np.multiply(g, np.where(horizontal, np.inf, np.abs(e_slope) + 1.0), out=e_width)  # |du/dv| g + g
+        np.multiply(g, np.abs(e_slope) + 1.0, out=e_width)  # |du/dv| g + g
+        np.copyto(e_width, np.inf, where=horizontal | (e_width >= VIEW_SQUARE_SIZE))
     np.subtract(np.minimum(pv, qv), g, out=v_lo)
     np.add(np.maximum(pv, qv), g, out=v_hi)
     np.minimum(pu, qu, out=u_lo)
@@ -297,30 +348,58 @@ def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
         row = np.repeat(r0[block], span)
         row += k
         n = len(tri)
-        floats = ws.scratch(34, n)
-        y, e_g, lo, hi = floats[24:28]
-        cross, bound = floats[28:].reshape(2, 3, n)
+        floats = ws.scratch(36, n)
+        y, e_g, lo, hi, in_lo, in_hi = floats[24:30]
+        cross, bound = floats[30:].reshape(2, 3, n)
         fields = np.take(edges, tri, axis=2, out=floats[:24].reshape(8, 3, n), mode="clip")
         e_pu, e_pv, e_slope, e_width, v_lo, v_hi, u_lo, u_hi = fields
         np.take(vcoords, row, out=y, mode="clip")
         np.take(g, tri, out=e_g, mode="clip")
-        far, below = ws.scratch(6, n, np.bool_).reshape(2, 3, n)
+        bools = ws.scratch(7, n, np.bool_)
+        far, below = bools[:6].reshape(2, 3, n)
         np.less_equal(v_lo, y, out=far)
         np.logical_and(far, np.less_equal(y, v_hi, out=below), out=far)
+        all_reach = np.logical_and.reduce(far, axis=0, out=bools[6])
         np.logical_not(far, out=far)  # the edges whose v-extent misses the row
+        # each bound serves twice: cross - width bounds the inner columns from
+        # the right and the span from the left, and cross + width the converse
         with np.errstate(over="ignore", invalid="ignore"):
             np.add(e_pu, np.multiply(np.subtract(y, e_pv, out=cross), e_slope, out=cross), out=cross)
-            np.fmax(np.subtract(cross, e_width, out=bound), u_lo, out=bound)
+            np.subtract(cross, e_width, out=bound)
+            np.copyto(bound, -np.inf, where=far)
+            bound.max(axis=0, out=in_hi)
+            np.fmax(bound, u_lo, out=bound)
             np.copyto(bound, np.inf, where=far)
             np.subtract(bound.min(axis=0, out=lo), e_g, out=lo)
-            np.fmin(np.add(cross, e_width, out=bound), u_hi, out=bound)
+            np.add(cross, e_width, out=bound)
+            np.copyto(bound, np.inf, where=far)
+            bound.min(axis=0, out=in_lo)
+            np.fmin(bound, u_hi, out=bound)
             np.copyto(bound, -np.inf, where=far)
             np.add(bound.max(axis=0, out=hi), e_g, out=hi)
+        np.copyto(in_lo, np.nan, where=all_reach)
         col = np.searchsorted(ucoords, lo, side="left")
         n_cols = np.maximum(np.searchsorted(ucoords, hi, side="right") - col, 0)
-        row *= len(ucoords)
+        # the inner columns [start, stop), clamped to the span. They start at
+        # the span's first column when its center is not left of in_lo, and
+        # stop at its end when its last center is not right of in_hi; only the
+        # other spans search. A NaN bound fails both tests and sorts last, so
+        # it starts the inner columns at the right edge and, negated, stops
+        # them at the left. An empty span gets none whatever it reads, so its
+        # column W or -1 may clip.
+        start, stop = col.copy(), col + n_cols
+        fits = np.greater_equal(np.take(ucoords, start, out=y, mode="clip"), in_lo, out=all_reach)
+        search = np.flatnonzero(np.logical_not(fits, out=fits))
+        start[search] = np.maximum(np.searchsorted(ucoords, in_lo[search], side="left"), col[search])
+        fits = np.less_equal(np.take(ucoords, stop - 1, out=y, mode="clip"), in_hi, out=all_reach)
+        search = np.flatnonzero(np.logical_not(fits, out=fits))
+        ends = width - np.searchsorted(neg_u, np.negative(in_hi[search]), side="left")
+        stop[search] = np.minimum(ends, stop[search])
+        n_inner = np.maximum(stop - start, 0)
+        lead = np.minimum(start - col, n_cols)
+        row *= width
         row += col
-        yield tri, row, n_cols
+        yield tri, row, n_cols, lead, n_inner
 
 
 def _project(corners, axis):
@@ -328,8 +407,67 @@ def _project(corners, axis):
     return corners[:, 0] * axis[0] + corners[:, 1] * axis[1] + corners[:, 2] * axis[2]
 
 
+def _plane_terms(ws: _Workspace, view: Viewpoint, g: np.ndarray) -> None:
+    """Write the plane depth terms and code margin of every triangle in ``view`` into ``ws.plane``.
+
+    The ray of pixel (u, v) meets the plane of a triangle at
+    ``t = alpha + beta u + gamma v``, with ``n = e1 x e2``, ``f = 1 / a`` the
+    kernel's (``a = e1 . (d x e2) = -n . d``) and ``alpha = f (n . position
+    - n . v0)``, ``beta = f (n . right)`` and ``gamma = f (n . up)``. The
+    plane depth is ``t^ = (alpha + gamma v) + beta u``, and the margin ``M``
+    bounds ``|c(t) - c(t^)|`` for the kernel's ``t`` at an inner pixel, where
+    ``c(t) = 255 - 127 (t - (RADIUS - 1))`` is the unrounded code
+    (:func:`_code_scale`).
+
+    With ``eps``, ``kappa = |e1| |e2| / |a|`` and ``|s| <= 4.2`` as in
+    :func:`_guard`, ``|n| <= kappa |a|``, and at an inner pixel the exact
+    ``t*``, from the exact ray origin ``position + u right + v up``, lies in
+    ``[RADIUS - sqrt(3) / 2, RADIUS + sqrt(3) / 2]``, so ``|t*| <= 2.87``. A
+    first-order running error analysis gives:
+
+    - the kernel: its ray origin is off by at most 8.7 eps and ``s`` by
+      2.1 eps more, which moves ``t = n . s / a`` by 10.8 eps kappa;
+      ``e2 . (s x e1)`` is off by 4.6 eps ``|s| |e1| |e2|``, which moves ``t``
+      by 19.3 eps kappa; the relative error 5.1 eps kappa of ``f`` moves it by
+      14.7 eps kappa, and the last product by 1.5 eps. In all, 47 eps kappa;
+    - the plane: ``n`` is off by 2.6 eps ``|e1| |e2|``, so ``n . position -
+      n . v0``, ``n . right`` and ``n . up`` are off by 13.2, 4.1 and
+      4.1 eps ``|e1| |e2|`` and, with ``|u|, |v| <= 0.95``, move ``t^`` by
+      21 eps kappa. The three terms share ``f``, so its relative error moves
+      ``t^`` by 5.1 eps kappa ``|t*|`` = 14.7 eps kappa, and not by that times
+      each term. The three products and two sums, of terms below 2.87 kappa,
+      0.95 kappa and 0.95 kappa, round by 7.7 eps kappa. In all, 44 eps kappa.
+
+    So ``|c(t) - c(t^)| <= 127 * 91 eps kappa``, plus the rounding of the two
+    evaluations of ``c``, below 1e-13 each. The antipode casts the same line
+    from the other side (``position' = -position = RADIUS d``): its exact
+    distance is ``2 RADIUS - t*``, whose exact ``c`` is ``256 - c(t*)``, and
+    its kernel obeys the same 47 eps kappa bound, so ``M`` bounds its
+    ``|c(t') - (256 - c(t^))|`` too. ``M = 127 g >= 127 (4096 eps kappa +
+    1e-12)`` covers both 45 times over, and the rounding of ``c - M`` and
+    ``c + M`` with them. First order suffices: a triangle with inner columns
+    has ``g`` below the view square, so eps kappa < 5e-4, and its projection
+    holds a disc of radius ``g >= 1e-12``, so ``|a|``, twice the projected
+    area, exceeds 1e-23 and no term is subnormal.
+
+    Rounding is monotone, and ``rint(256 - x) = 256 - rint(x)`` because 256
+    is even, so where ``c - M`` and ``c + M`` round to one code ``k``, the
+    view's code is ``clip(k)`` and its antipode's ``256 - clip(k)``.
+    """
+    nx, ny, nz, n_v0 = ws.normals
+    f = ws.terms[12]
+    position, (right, up, _) = view.position, view.camera_frame()
+    alpha, beta, gamma, margin = ws.plane
+    # a triangle seen edge-on has an infinite f and no inner columns
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(f, (nx * position[0] + ny * position[1] + nz * position[2]) - n_v0, out=alpha)
+        np.multiply(f, nx * right[0] + ny * right[1] + nz * right[2], out=beta)
+        np.multiply(f, nx * up[0] + ny * up[1] + nz * up[2], out=gamma)
+        np.multiply(127.0, g, out=margin)
+
+
 def _pair_spans(ws: _Workspace, view: Viewpoint):
-    """Write ``view``'s ``h`` and ``f`` into ``ws.terms`` and return its spans (:func:`_row_spans`)."""
+    """Write ``view``'s ``h``, ``f`` and plane terms into ``ws`` and return its spans (:func:`_row_spans`)."""
     right, up, direction = view.camera_frame()
     terms = ws.terms
     h, a = _view_terms(direction, terms)
@@ -340,16 +478,73 @@ def _pair_spans(ws: _Workspace, view: Viewpoint):
     # NaN, which no hit passes (see :func:`ray_triangle_hits`): the triangle
     # stays in the table and gets no spans
     live = np.isfinite(terms[12])
+    g = _guard(terms, a)
+    _plane_terms(ws, view, g)
     pu, pv = _project(ws.corners, right), _project(ws.corners, up)
-    return _row_spans(ws, pu, pv, _guard(terms, a), live, *_pixel_axes())
+    return _row_spans(ws, pu, pv, g, live, *_pixel_axes())
 
 
-def _cast_pair(ws: _Workspace, views, tbufs) -> None:
-    """Fold the nearest hit of every triangle into the flat depth buffer of each view.
+def _span_pairs(tri, first, counts):
+    """Yield the ``(tri, row, col)`` of every pixel of the spans ``[first, first + counts)``, ``_PAIR_CHUNK`` at a time."""
+    span_row, span_col = np.divmod(first, IMAGE_SIZE)
+    for block, span, k in pair_chunks(counts, _PAIR_CHUNK):
+        col = np.repeat(span_col[block], span)
+        col += k
+        yield np.repeat(tri[block], span), np.repeat(span_row[block], span), col
+
+
+def _plane_codes(ws: _Workspace, tri, row, col, ucoords, vcoords) -> np.ndarray:
+    """The codes of inner pairs from their plane depth (:func:`_plane_terms`), 0 where rounding could decide.
+
+    The result is a uint8 array in ``ws``'s scratch.
+    """
+    n = len(tri)
+    floats = ws.scratch(6, n)
+    alpha, beta, gamma, margin = np.take(ws.plane, tri, axis=1, out=floats[:4], mode="clip")
+    scaled, lo = floats[4:]
+    np.add(alpha, np.multiply(gamma, np.take(vcoords, row, out=scaled, mode="clip"), out=gamma), out=alpha)
+    np.add(alpha, np.multiply(beta, np.take(ucoords, col, out=scaled, mode="clip"), out=beta), out=alpha)
+    _code_scale(alpha, out=scaled)
+    np.rint(np.subtract(scaled, margin, out=lo), out=lo)
+    np.rint(np.add(scaled, margin, out=margin), out=margin)
+    certain = np.equal(lo, margin, out=ws.scratch(1, n, np.bool_)[0])
+    np.clip(lo, FAR_CODE, NEAR_CODE, out=lo)
+    return np.multiply(lo, certain, out=ws.scratch(1, n, np.uint8)[0], casting="unsafe")
+
+
+def _flat_pixels(row, col, mirrored, out):
+    """Flat indices ``row * W + col`` of the pairs' pixels, of column ``W - 1 - col`` if ``mirrored``, in ``out``."""
+    width = IMAGE_SIZE
+    np.multiply(row, width, out=out)
+    if mirrored:
+        return np.subtract(np.add(out, width - 1, out=out), col, out=out)
+    return np.add(out, col, out=out)
+
+
+def _kernel_codes(ws: _Workspace, members, bufs, tri, row, col) -> None:
+    """Fold the codes of ``_hits`` for the pairs ``(tri, row, col)`` into each member's buffer (:func:`_cast_pair`)."""
+    n = len(tri)
+    floats = ws.scratch(25, n)
+    pair_terms, origins, scratch = floats[:13], floats[13:16], [*floats[16:], *ws.scratch(2, n, np.bool_)]
+    np.take(ws.terms, tri, axis=1, out=pair_terms, mode="clip")
+    pix, codes = ws.scratch(1, n, np.intp)[0], ws.scratch(1, n, np.uint8)[0]
+    for member, ((direction, columns, origin_rows), buf) in enumerate(zip(members, bufs)):
+        if member:  # the antipode: mirrored pixels, and h and f negated in place
+            np.negative(pair_terms[9:], out=pair_terms[9:])
+        np.take(columns, col, axis=1, out=origins, mode="clip")
+        # the row terms pass through the kernel's first three rows before it runs
+        np.add(origins, np.take(origin_rows, row, axis=1, out=floats[16:19], mode="clip"), out=origins)
+        t = _hits(*origins, direction, pair_terms, scratch)
+        # a miss is code 0, which leaves the buffer as it is
+        np.maximum.at(buf, _flat_pixels(row, col, member, pix), _code_into(codes, t, scratch[-1]))
+
+
+def _cast_pair(ws: _Workspace, views, bufs) -> None:
+    """Fold the code of every triangle's hit into the flat code buffer of each view.
 
     ``views`` holds one view, or an antipodal pair in index order (see
-    :func:`viewrig.antipode`); ``tbufs`` holds each view's depth buffer, and
-    ``ws`` the call's workspace, whose term table the pair updates. The
+    :func:`viewrig.antipode`); ``bufs`` holds each view's uint8 code buffer,
+    and ``ws`` the call's workspace, whose term tables the pair updates. The
     triangle terms, projection, spans, pair expansion and term gather come
     from the first view alone. Its antipode has ``right' = -right``,
     ``up' = up`` and ``toward' = -toward``, and negating one factor negates a
@@ -357,36 +552,37 @@ def _cast_pair(ws: _Workspace, views, tbufs) -> None:
     is the first view's mirrored in u, its span on a row covers columns
     ``[W - c - n, W - c)`` for ``[c, c + n)``, and its terms are the same
     with ``h`` and ``f`` negated. Zeros may differ in sign, which no
-    comparison, search or hit test in the path sees. Only the ray origins
-    differ: each view adds its per-column and per-row origin terms
-    (:func:`_origin_terms`, mirrored for the antipode) at the pair's row and
-    column indices. ``_hits`` and ``np.minimum.at`` run once per view, in
-    blocks of at most ``_PAIR_CHUNK``; min is order-independent, so each
-    buffer equals testing every triangle against every pixel of its view.
+    comparison, search or hit test in the path sees.
+
+    The inner columns of each span take their codes from the plane depth,
+    the antipode's as ``256 - code`` (:func:`_plane_terms`). The other
+    columns, and the inner pairs whose code rounding could decide, run
+    ``_hits`` once per view, with that view's ray origins: each view adds its
+    per-column and per-row origin terms (:func:`_origin_terms`, mirrored for
+    the antipode) at the pair's row and column indices. Every block holds at
+    most ``_PAIR_CHUNK`` pairs. The code of the nearest hit is the largest,
+    and max is order-independent, so each buffer equals the codes of testing
+    every triangle against every pixel of its view.
     """
-    width, terms = IMAGE_SIZE, ws.terms
+    axes = _pixel_axes()
     members = [(view.camera_frame()[2], *_origin_terms(view, mirrored=view is not views[0])) for view in views]
-    for tri, first, n_cols in _pair_spans(ws, views[0]):
-        span_row, span_col = np.divmod(first, width)
-        for block, span, k in pair_chunks(n_cols, _PAIR_CHUNK):
-            r = np.repeat(span_row[block], span)
-            c = np.repeat(span_col[block], span)
-            c += k
-            n = len(r)
-            floats = ws.scratch(25, n)
-            pair_terms, origins, scratch = floats[:13], floats[13:16], [*floats[16:], *ws.scratch(2, n, np.bool_)]
-            np.take(terms, np.repeat(tri[block], span), axis=1, out=pair_terms, mode="clip")
-            for member, ((direction, columns, origin_rows), tbuf) in enumerate(zip(members, tbufs)):
-                if member:  # the antipode: mirrored pixels, and h and f negated in place
-                    pix = r * width + (width - 1 - c)
-                    np.negative(pair_terms[9:], out=pair_terms[9:])
-                else:
-                    pix = r * width + c
-                np.take(columns, c, axis=1, out=origins, mode="clip")
-                # the row terms pass through the kernel's first three rows before it runs
-                np.add(origins, np.take(origin_rows, r, axis=1, out=floats[16:19], mode="clip"), out=origins)
-                # a miss is +inf, which leaves the buffer as it is
-                np.minimum.at(tbuf, pix, _hits(*origins, direction, pair_terms, scratch))
+    for tri, first, n_cols, lead, n_inner in _pair_spans(ws, views[0]):
+        inner = first + lead
+        for pairs in _span_pairs(tri, inner, n_inner):
+            codes = _plane_codes(ws, *pairs, *axes)
+            n = len(codes)
+            uncertain = np.flatnonzero(np.equal(codes, BACKGROUND_CODE, out=ws.scratch(1, n, np.bool_)[0]))
+            pix = ws.scratch(1, n, np.intp)[0]
+            for member, buf in enumerate(bufs[: len(views)]):
+                if member:
+                    np.negative(codes, out=codes)  # the antipode's code is 256 - code, and 0 stays 0
+                np.maximum.at(buf, _flat_pixels(*pairs[1:], member, pix), codes)
+            if len(uncertain):
+                _kernel_codes(ws, members, bufs, *(x[uncertain] for x in pairs))
+        # the kernel takes the columns before and after the inner ones
+        edges = np.concatenate([first, inner + n_inner]), np.concatenate([lead, n_cols - lead - n_inner])
+        for pairs in _span_pairs(np.concatenate([tri, tri]), *edges):
+            _kernel_codes(ws, members, bufs, *pairs)
 
 
 def _antipodal_groups(rig: list[Viewpoint]) -> list[list[Viewpoint]]:
@@ -407,13 +603,15 @@ def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImag
 
     Each triangle is tested only against the pixels of its per-row spans:
     the pixel centers within a rounding guard (:func:`_guard`) of its
-    projection, so every pixel the kernel could hit is tested and the
-    nearest hit per pixel equals testing every triangle against every pixel.
-    A view and its antipode, when both are in the rig, share one projection,
-    one span list and one term gather (:func:`_cast_pair`). The two depth
-    buffers and the workspace (:class:`_Workspace`) are allocated once per
-    call and reused across pairs; the call keeps no state after it returns.
-    Bit-identical for identical inputs.
+    projection, so every pixel the kernel could hit is tested. Each pair
+    yields an 8-bit code, from the plane depth where that is certain and
+    from the kernel elsewhere, and the largest code per pixel is the code of
+    the nearest hit, so every image equals testing every triangle against
+    every pixel. A view and its antipode, when both are in the rig, share
+    one projection, one span list and one term gather (:func:`_cast_pair`).
+    The two code buffers and the workspace (:class:`_Workspace`) are
+    allocated once per call and reused across pairs; the call keeps no state
+    after it returns. Bit-identical for identical inputs.
     """
     shape = (IMAGE_SIZE, IMAGE_SIZE)
     if len(mesh.faces) == 0:
@@ -421,17 +619,14 @@ def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImag
     assert_normalized(mesh)
 
     ws = _Workspace(mesh.triangles)
-    tbufs = [np.empty(IMAGE_SIZE * IMAGE_SIZE) for _ in range(2)]
+    bufs = [np.empty(IMAGE_SIZE * IMAGE_SIZE, dtype=np.uint8) for _ in range(2)]
     images = {}
     for group in _antipodal_groups(rig):
-        for tbuf in tbufs[: len(group)]:
-            tbuf.fill(np.inf)
-        _cast_pair(ws, group, tbufs)
-        for view, tbuf in zip(group, tbufs):
-            codes = np.zeros(IMAGE_SIZE * IMAGE_SIZE, dtype=np.uint8)
-            hit = tbuf < np.inf
-            codes[hit] = depth_codes(tbuf[hit])
-            images[view] = DepthImage(codes.reshape(shape))
+        for buf in bufs[: len(group)]:
+            buf.fill(BACKGROUND_CODE)
+        _cast_pair(ws, group, bufs)
+        for view, buf in zip(group, bufs):
+            images[view] = DepthImage(buf.reshape(shape))
     return [images[view] for view in rig]
 
 

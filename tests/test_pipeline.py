@@ -363,6 +363,19 @@ def test_results_csv_is_deterministic(dataset, predictors, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_build_dataset_rejects_fewer_than_one_worker(model_root, tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        pipeline.build_dataset(model_root, out, workers=workers)
+    assert not out.exists()  # rejected before anything is written
+    assert main(["build-dataset", "--input", str(model_root), "--out", str(out), "--workers", str(workers)]) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
+    config = tmp_path / "build.cfg"
+    config.write_text(f"workers={workers}\n")
+    assert main(["build-dataset", "--config", str(config), "--input", str(model_root), "--out", str(out)]) == 1
+
+
 @pytest.mark.skipif((__import__("os").cpu_count() or 1) < 4, reason="needs >= 4 cores")
 def test_worker_throughput_scales(model_root, tmp_path):
     # soft performance check: 4 workers should at least halve the wall time

@@ -175,7 +175,7 @@ def test_antipode_mirrored_column_terms_reverse_its_own():
 
 
 def test_render_working_set_holds_no_origin_planes():
-    # the 60 output images take 3.0 MB, and the two flat depth buffers 0.8 MB;
+    # the 60 output images take 3.0 MB, and the two flat code buffers 0.1 MB;
     # three 224 x 224 float64 origin planes per view of a pair would add 2.4 MB
     mesh, rig = unit_cube_mesh(), build_rig()
     tracemalloc.start()
@@ -307,17 +307,17 @@ def test_guard_mesh_matches_brute_force_on_all_views():
 
 
 def _terms_and_spans(tris, view):
-    """What the renderer derives from ``view``'s own frame: the term table and the spans."""
+    """What the renderer derives from ``view``'s own frame: the term table and the spans, inner columns included."""
     ws = render._Workspace(tris)
-    spans = [(np.empty(0, dtype=np.int64),) * 3, *render._pair_spans(ws, view)]
-    tri, first, n_cols = (np.concatenate([span[i] for span in spans]) for i in range(3))
-    return ws.terms, tri, first, n_cols
+    spans = [(np.empty(0, dtype=np.int64),) * 5, *render._pair_spans(ws, view)]
+    tri, first, n_cols, lead, n_inner = (np.concatenate([span[i] for span in spans]) for i in range(5))
+    return ws.terms, tri, first, n_cols, lead, n_inner
 
 
 def _assert_antipode_mirrors(tris, view):
-    """The antipode's terms are ``view``'s with h and f negated, and its spans are mirrored in u."""
-    terms, tri, first, n_cols = _terms_and_spans(tris, view)
-    a_terms, a_tri, a_first, a_n_cols = _terms_and_spans(tris, antipode(view))
+    """The antipode's terms are ``view``'s with h and f negated, and its spans and inner columns are mirrored in u."""
+    terms, tri, first, n_cols, lead, n_inner = _terms_and_spans(tris, view)
+    a_terms, a_tri, a_first, a_n_cols, a_lead, a_n_inner = _terms_and_spans(tris, antipode(view))
     assert np.array_equal(a_terms[:12], np.concatenate([terms[:9], -terms[9:12]]))
     # a triangle seen edge-on has a = +-0 in both views, and an f of either sign
     live = np.isfinite(terms[12])
@@ -328,6 +328,11 @@ def _assert_antipode_mirrors(tris, view):
     row, col = np.divmod(first, width)
     some = n_cols > 0  # an empty span's first pixel is never read
     assert np.array_equal(a_first[some], (row * width + width - col - n_cols)[some])
+    # the inner columns lie inside the span, and those of a span that has any are mirrored
+    assert (lead >= 0).all() and (n_inner >= 0).all() and (lead + n_inner <= n_cols).all()
+    assert np.array_equal(a_n_inner, n_inner)
+    inner = n_inner > 0
+    assert np.array_equal(a_lead[inner], (n_cols - lead - n_inner)[inner])
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,6 +372,124 @@ def test_antipode_terms_and_spans_mirror_the_view_on_guard_mesh():
     tris = _guard_mesh().triangles
     for view in build_rig()[:30]:  # one view of each of the 30 pairs
         _assert_antipode_mirrors(tris, view)
+
+
+def _steep_triangle(view, corner, lengths, tilts, turn):
+    """A triangle whose edges ``e1`` and ``e2`` leave ``corner`` at angles ``tilts`` from ``view``'s direction.
+
+    ``kappa = |e1| |e2| / |a|`` is about 1 / (sin tilt1 sin tilt2 sin turn):
+    small tilts make it steep, and a small ``turn`` between the two edges'
+    sideways directions makes it nearly edge-on. It is shrunk toward
+    ``corner`` to fit the unit cube.
+    """
+    right, up, toward = view.camera_frame()
+    side1, side2 = right, np.cos(turn) * right + np.sin(turn) * up
+    e1 = lengths[0] * (np.cos(tilts[0]) * toward + np.sin(tilts[0]) * side1)
+    e2 = lengths[1] * (np.cos(tilts[1]) * toward - np.sin(tilts[1]) * side2)
+    edges = np.array([np.zeros(3), e1, e2])
+    return corner + edges * min(1.0, (0.5 - np.abs(corner).max()) / np.abs(edges).max())
+
+
+#: Two fat triangles in crossing planes: every rig view has inner pixels of at least one of them.
+FAT_TRIANGLES = np.array(
+    [
+        [[-0.4, -0.35, 0.1], [0.45, -0.3, -0.2], [-0.2, 0.45, 0.3]],
+        [[0.3, -0.4, -0.4], [-0.35, 0.1, 0.45], [0.2, 0.4, -0.1]],
+    ]
+)
+
+
+def _inner_pairs(ws, view):
+    """Every (triangle, row, column) pair in the inner columns of ``view``'s spans."""
+    spans = [(np.empty(0, dtype=np.int64),) * 5, *render._pair_spans(ws, view)]
+    tri, first, _, lead, n_inner = (np.concatenate([span[i] for span in spans]) for i in range(5))
+    pairs = [(np.empty(0, dtype=np.int64),) * 3, *render._span_pairs(tri, first + lead, n_inner)]
+    return [np.concatenate([pair[i] for pair in pairs]) for i in range(3)]
+
+
+def _kernel_distances(tris, view, tri, row, col):
+    origins, direction = camera_rays(view)
+    ox, oy, oz = origins[row, col].T
+    return ray_triangle_hits(ox, oy, oz, direction, tris[tri, 0], tris[tri, 1], tris[tri, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    soup=st.integers(0, 6).flatmap(lambda n: hnp.arrays(np.float64, (n, 3, 3), elements=st.floats(-0.5, 0.5))),
+    steep=st.lists(
+        st.tuples(
+            hnp.arrays(np.float64, 3, elements=st.floats(-0.3, 0.3)),
+            st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+            st.tuples(st.floats(1e-6, 1.6), st.floats(1e-6, 1.6)),
+            st.floats(1e-9, 3.1),
+        ),
+        max_size=4,
+    ),
+    lift=st.floats(1e-309, 1e-6),
+    index=st.sampled_from(AXIS_VIEWS) | st.integers(0, 59),
+)
+def test_inner_columns_are_hits_and_certain_plane_codes_are_the_kernels(soup, steep, lift, index):
+    # random triangles, steep and nearly edge-on ones, the fat pair, and the
+    # sliver of the scratch test above, whose ``a`` is subnormal at small lifts
+    view = viewpoint_from_index(index)
+    sliver = [[0.3, -0.2, 0.0], [-0.1, 0.25, lift], [-0.35, -0.3, 0.0]]
+    parts = [soup, FAT_TRIANGLES, [sliver], *([_steep_triangle(view, *args)] for args in steep)]
+    tris = np.concatenate([np.asarray(part, dtype=np.float64).reshape(-1, 3, 3) for part in parts])
+    ws = render._Workspace(tris)
+    tri, row, col = _inner_pairs(ws, view)
+    assert len(tri) > 0
+    mirrored = render.IMAGE_SIZE - 1 - col
+    t = _kernel_distances(tris, view, tri, row, col)
+    t_antipode = _kernel_distances(tris, antipode(view), tri, row, mirrored)
+    assert np.isfinite(t).all() and np.isfinite(t_antipode).all()
+
+    codes = render._plane_codes(ws, tri, row, col, *render._pixel_axes()).copy()
+    certain = codes > 0
+    assert certain.mean() > 0.99
+    assert np.array_equal(codes[certain], depth_codes(t)[certain])
+    assert np.array_equal(256 - codes[certain].astype(int), depth_codes(t_antipode)[certain])
+
+
+def _square_mesh(x):
+    """The square ``|y|, |z| <= 0.3`` in the plane at ``x``, as two triangles."""
+    corners = [[x, -0.3, -0.3], [x, 0.3, -0.3], [x, 0.3, 0.3], [x, -0.3, 0.3]]
+    return TriangleMesh(np.array(corners), np.array([[0, 1, 2], [0, 2, 3]]))
+
+
+@pytest.mark.parametrize(
+    "x, on_boundary",
+    [
+        (0.5, True),  # t = 1.5 exactly, and s = 255 - 127 (t - 1) = 191.5
+        (-0.5, True),  # s = 64.5
+        (-0.5 / 127, True),  # s within an ulp of 127.5
+        (0.2, False),  # s = 153.4
+    ],
+)
+def test_code_boundary_planes_run_the_kernel_and_match_brute_force(monkeypatch, x, on_boundary):
+    # the view along -x and its antipode see the square face on: u = y, v = z
+    view = Viewpoint(ring=2, azimuth=0)
+    rig = [view, antipode(view)]
+    mesh = _square_mesh(x)
+    rays = []
+    hits = render._hits
+
+    def counted(ox, *args):
+        rays.append(np.size(ox))
+        return hits(ox, *args)
+
+    monkeypatch.setattr(render, "_hits", counted)
+    images = render_all_views(mesh, rig)
+    kernel_rays = sum(rays)
+    for v, image in zip(rig, images):
+        assert np.array_equal(image.pixels, brute_force_render(mesh, v).pixels), v
+    # every covered pixel is an inner pixel but for a ring one pixel wide, and
+    # on a code boundary the plane depth leaves all of them to the kernel
+    covered = np.count_nonzero(images[0].pixels)
+    assert covered > 4000
+    if on_boundary:
+        assert kernel_rays >= 2 * covered
+    else:
+        assert kernel_rays < covered / 4
 
 
 def test_cylinder_yaw_invariant_foreground():
