@@ -24,10 +24,15 @@ def image_entropy(image: DepthImage) -> float:
     """Shannon entropy in bits of the image's 256-code histogram.
 
     Background (code 0) participates like any other code, so the
-    silhouette/background ratio contributes information.
+    silhouette/background ratio contributes information. Most pixels are
+    background, so only the foreground codes are counted, and code 0 gets the
+    rest: the counts, and so every bit of the result, equal a full count's.
     """
-    counts = np.bincount(image.pixels.ravel(), minlength=256)
-    p = counts[counts > 0] / image.pixels.size
+    pixels = image.pixels.ravel()
+    foreground = pixels[pixels != 0]
+    counts = np.bincount(foreground, minlength=256)
+    counts[0] = pixels.size - len(foreground)
+    p = counts[counts > 0] / pixels.size
     return float(-(p * np.log2(p)).sum() + 0.0)
 
 

@@ -202,8 +202,10 @@ def depth_codes(distances: np.ndarray) -> np.ndarray:
     return _code_into(np.empty(t.shape, np.uint8), t, np.empty(t.shape, np.bool_))
 
 
-def _guard(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _guard(edge_product: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Per triangle, a distance in the image plane that holds every pixel ``_hits`` can accept or reject.
+
+    ``edge_product`` is ``|e1| |e2|`` per triangle (:class:`_Workspace`).
 
     ``_hits`` accepts a ray when its computed barycentrics pass ``u >= 0``,
     ``v >= 0`` and ``u + v <= 1``. Rounding moves each of the three edges the
@@ -233,15 +235,91 @@ def _guard(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
     corners, a few eps ``(RADIUS + 1)``.
 
     The guard stays near 1e-12 for ordinary triangles; it exceeds one pixel
-    (8.5e-3) only where ``kappa`` exceeds about 1e10.
+    (8.5e-3) only where ``kappa`` exceeds about 1e10, and there the band of
+    :func:`_band` takes over.
     """
-    e1 = np.sqrt(rows[3] * rows[3] + rows[4] * rows[4] + rows[5] * rows[5])
-    e2 = np.sqrt(rows[6] * rows[6] + rows[7] * rows[7] + rows[8] * rows[8])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # a subnormal ``a`` overflows the guard to inf, which only widens the
         # triangle's spans to every pixel center, as a brute-force test would;
         # a zero ``a`` makes it inf or NaN, but such a triangle gets no spans
-        return _GUARD_K * np.finfo(np.float64).eps * (e1 * e2 / np.abs(a)) + _GUARD_FLOOR
+        return _GUARD_K * np.finfo(np.float64).eps * (edge_product / np.abs(a)) + _GUARD_FLOOR
+
+
+def _band(edge_product: np.ndarray, a: np.ndarray, g: np.ndarray, pu: np.ndarray, pv: np.ndarray) -> None:
+    """Lower the guards ``g`` to ``min(g, b)`` in place, where ``b`` is a band around a line that holds every hit.
+
+    A triangle seen nearly edge-on has a huge ``kappa``, so its guard ``g``
+    (:func:`_guard`) can exceed the view square, although its hits, if any,
+    lie on a thin band. ``_hits`` computes ``u = f U`` and ``v = f V`` with
+    ``U = s . (d x e2)`` and ``V = d . (s x e1)``, and accepts a ray only if
+    both lie in [0, 1]; ``f = 1 / a`` rounds once, and so does each product.
+    With ``eps``, ``|s| <= 4.2`` and the error bounds of :func:`_guard` and
+    :func:`_plane_terms`, a first-order running error analysis gives:
+
+    - a hit has ``|U_c| <= (1 + 2 eps) |a_c|`` for the computed ``U_c`` and
+      ``a_c``, and ``|a_c|`` exceeds ``|a|`` by at most 4.6 eps |e1| |e2|;
+    - ``U_c`` is off from the exact ``U`` of the exact ray by at most
+      4.6 eps ``|s| |e2|`` from ``h`` and the dot product, and 10.8 eps
+      ``|e2|`` from the rounded ray origin and ``s``: 30 eps ``|e2|`` in all;
+    - the exact ``|U|`` is the length ``|e2p|`` of the projected ``e2`` times
+      the distance of the pixel center from the line of the projected ``e2``
+      through the projected ``v0``. ``V`` gives the same for ``e1``.
+
+    So every hit lies within ``(|a| + eps (6.6 |e1| |e2| + 30 |e|)) / |ep|``
+    of the line of either projected edge ``ep``, and ``|e| <= sqrt(3)`` in
+    the unit cube, so within ``(|a| + 53 eps (|e1| |e2| + 1)) / |ep|``. The
+    band takes the line of the longer projected edge, which is at least half
+    the projected extent, and stands it in for the triangle in ``pu`` and
+    ``pv``: the corners become the projected ``v0`` and ``v0 +- 3 ep /
+    |ep|``. Rounding noise dominates ``u`` and ``v`` all along the line, so
+    the band must cross the whole view square: the projected ``v0`` lies
+    within sqrt(3) / 2 of the view center and every pixel center within
+    1.9 / sqrt(2), so the segment reaches past the foot of every center on
+    the line. Drawing that segment from computed values adds:
+
+    - the projected corners are off by at most 3.8 eps, so ``ep`` by 9.2 eps
+      per component and its computed length ``|ep|_c`` by 16 eps; the
+      denominator ``|ep|_c - 32 eps`` is therefore below ``|ep|``;
+    - the computed direction of ``ep`` turns by at most 13 eps / ``|ep|``,
+      which moves the line by 39 eps / ``|ep|`` within 3 of ``v0``. The
+      segment's ends, and the span stage's crossings, round by a few eps.
+
+    So ``b = (|a| + _GUARD_K eps (|e1| |e2| + 1)) / (|ep|_c - 32 eps) +
+    _GUARD_FLOOR`` covers the 92 eps of the two lists 44 times over, and the
+    floor covers the absolute rounding, as in ``g``. ``b`` is below ``g``
+    only for triangles seen nearly edge-on, whose hits are then tested pair
+    by pair on a line of pixels instead of on every pixel. The three corners
+    lie on one line, so the crossings of a row by any two edges differ by a
+    few eps ``(1 + |du/dv|)``, far below the edges' widths (:func:`_row_spans`),
+    and a banded triangle gets no inner columns. The antipode casts the same
+    lines from the other side, with ``h`` and ``f`` negated, so its hits obey
+    the same bound on the mirrored band. A projected edge so short
+    that the denominator is not positive, or that ``b`` overflows, keeps
+    ``g``. The corners of banded triangles are rewritten in place.
+    """
+    eps = np.finfo(np.float64).eps
+    # |ep|_c < 2, so b > |a| / 2 + _GUARD_FLOOR, which exceeds g unless
+    # |a|^2 < 2 _GUARD_K eps |e1| |e2|; twice that bound leaves room for rounding
+    with np.errstate(under="ignore"):
+        steep = np.flatnonzero(a * a < 4.0 * _GUARD_K * eps * edge_product)
+    if len(steep) == 0:
+        return
+    du, dv = pu[1:, steep] - pu[0, steep], pv[1:, steep] - pv[0, steep]  # the projected e1 and e2
+    length = np.sqrt(du * du + dv * dv)
+    with np.errstate(over="ignore", divide="ignore"):
+        b = (np.abs(a[steep]) + _GUARD_K * eps * (edge_product[steep] + 1.0)) / np.maximum(
+            length.max(axis=0) - 32.0 * eps, 0.0
+        )
+    b += _GUARD_FLOOR
+    narrow = np.flatnonzero(b < g[steep])
+    banded = steep[narrow]
+    longer = (length[1, narrow] > length[0, narrow]).astype(np.intp)
+    reach = 3.0 / length[longer, narrow]
+    step_u, step_v = reach * du[longer, narrow], reach * dv[longer, narrow]
+    u0, v0 = pu[0, banded], pv[0, banded]
+    pu[:, banded] = u0 - step_u, u0, u0 + step_u
+    pv[:, banded] = v0 - step_v, v0, v0 + step_v
+    g[banded] = b[narrow]
 
 
 class _Workspace:
@@ -249,8 +327,9 @@ class _Workspace:
 
     - Per mesh: ``corners`` (corner, axis, T); the 13 kernel rows of every
       triangle in ``terms`` (13, T), of which rows 0-8, ``v0``, ``e1`` and
-      ``e2``, do not depend on the view and are computed here; and
-      ``normals`` (4, T), ``n = e1 x e2`` and ``n . v0``.
+      ``e2``, do not depend on the view and are computed here;
+      ``edge_product`` (T,), ``|e1| |e2|``, for the guards; and ``normals``
+      (4, T), ``n = e1 x e2`` and ``n . v0``.
     - Per pair: :func:`_pair_spans` writes the first view's ``h = d x e2``
       and ``f = 1 / a`` into rows 9-12 of ``terms`` in place,
       :func:`_plane_terms` the plane depth terms and margins into ``plane``
@@ -273,6 +352,7 @@ class _Workspace:
         self.terms = np.empty((13, len(tris)))
         self.terms[:9] = _edge_rows(*self.corners)
         v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z = self.terms[:9]
+        self.edge_product = np.sqrt(e1x * e1x + e1y * e1y + e1z * e1z) * np.sqrt(e2x * e2x + e2y * e2y + e2z * e2z)
         nx, ny, nz = e1y * e2z - e1z * e2y, e1z * e2x - e1x * e2z, e1x * e2y - e1y * e2x
         self.normals = np.array([nx, ny, nz, nx * v0x + ny * v0y + nz * v0z])
         self.plane = np.empty((4, len(tris)))
@@ -478,9 +558,10 @@ def _pair_spans(ws: _Workspace, view: Viewpoint):
     # NaN, which no hit passes (see :func:`ray_triangle_hits`): the triangle
     # stays in the table and gets no spans
     live = np.isfinite(terms[12])
-    g = _guard(terms, a)
-    _plane_terms(ws, view, g)
     pu, pv = _project(ws.corners, right), _project(ws.corners, up)
+    g = _guard(ws.edge_product, a)
+    _band(ws.edge_product, a, g, pu, pv)
+    _plane_terms(ws, view, g)
     return _row_spans(ws, pu, pv, g, live, *_pixel_axes())
 
 

@@ -54,27 +54,25 @@ _TRIANGLE_BLOCK = 512
 
 
 def _separating_axes(tris: np.ndarray, half: float) -> list[np.ndarray]:
-    """Akenine-Moller's 13 triangle/box separating axes, one (7, T) table each.
+    """Akenine-Moller's triangle/box separating axes but the box normals, one (7, T) table each.
 
     The rows hold the axis components, the triangle's projected interval
     ``lo, hi`` on the axis, and the cell's projected radius ``r`` (plus the
     touch slack) and its negation. The triangle normal comes first because it
-    rejects the most candidate cells; the box normals and the nine edge cross
-    products follow. Every dot product is written out in three terms, so no
+    rejects the most candidate cells; the nine edge cross products follow.
+    The three box normals need no table: :func:`_cell_box` keeps exactly the
+    cells they keep. Every dot product is written out in three terms, so no
     BLAS kernel decides the rounding.
     """
     v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
     e0, e1, e2 = v1 - v0, v2 - v1, v0 - v2
-    zero, one = np.zeros(len(tris)), np.ones(len(tris))
+    zero = np.zeros(len(tris))
     axes = [
         (
             e0[:, 1] * e1[:, 2] - e0[:, 2] * e1[:, 1],
             e0[:, 2] * e1[:, 0] - e0[:, 0] * e1[:, 2],
             e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0],
-        ),
-        (one, zero, zero),
-        (zero, one, zero),
-        (zero, zero, one),
+        )
     ]
     for edge in (e0, e1, e2):
         ex, ey, ez = edge[:, 0], edge[:, 1], edge[:, 2]
@@ -101,21 +99,46 @@ def _overlaps(table: np.ndarray, cx: np.ndarray, cy: np.ndarray, cz: np.ndarray)
     return (lo - s <= r) & (hi - s >= neg_r)
 
 
+def _cell_box(lo: np.ndarray, hi: np.ndarray, r: float, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells ``[first, stop)`` per axis that the box-normal axes keep, for extents ``lo``, ``hi``.
+
+    On the box normal along x the cell's projection ``s = 1 cx + 0 cy + 0 cz``
+    is exactly ``cx``, ``lo`` and ``hi`` are the triangle's x-extent, and the
+    radius is ``r``. The axis keeps a cell iff ``lo - cx <= r`` and
+    ``hi - cx >= -r``, as :func:`_overlaps` computes them. Rounding is
+    monotone, so the first test holds for all centers from some index on and
+    the second for all up to some index, and the cells that the three axes
+    keep form a box. A search for ``lo - r`` (``hi + r``) among the sorted
+    centers places each bound to within one cell: the rounding of either
+    side moves a comparison by a few eps, and no two centers lie that close
+    to one value. So each bound is the search's index less one, plus the
+    outcome of the exact test at that index and at the one before it; the
+    infinite centers beyond both ends of the grid fail the first test and
+    pass the second, as the index of a bound outside the grid needs.
+    """
+    ends = np.concatenate([[-np.inf], centers, [np.inf]])  # ends[i + 1] is center i
+    near = np.searchsorted(centers, lo - r, side="left")
+    first = near - 1 + (lo - ends[near] > r) + (lo - ends[near + 1] > r)
+    near = np.searchsorted(centers, hi + r, side="right")
+    stop = near - 1 + (hi - ends[near] >= -r) + (hi - ends[near + 1] >= -r)
+    return first, stop
+
+
 def _mark_surface(tris: np.ndarray, surface: np.ndarray) -> None:
     """Set ``surface[(ix * n + iy) * n + iz]``, n = ``INTERIOR_SIZE``, for every cell that a triangle touches.
 
-    Candidates are each triangle's bounding box of cells, one cell wider per
-    side. The normal axis rejects most of them; its survivors are regrouped
-    into full blocks before the other twelve axes.
+    Candidates are the cells of each triangle's box that the three box-normal
+    axes keep (:func:`_cell_box`). The normal axis rejects most of them; its
+    survivors are regrouped into full blocks before the nine edge axes.
     """
     n = INTERIOR_SIZE
     cell = 1.0 / n
     half = cell / 2.0
-    lo_idx = np.maximum(np.floor((tris.min(axis=1) + 0.5) / cell).astype(int) - 1, 0)
-    hi_idx = np.minimum(np.floor((tris.max(axis=1) + 0.5) / cell).astype(int) + 1, n - 1)
-    nx, ny, nz = np.maximum(hi_idx - lo_idx + 1, 0).T
-    per_tri = np.stack([ny * nz, nz, *lo_idx.T])
     centers_1d = -0.5 + (np.arange(n) + 0.5) * cell
+    # the box-normal radius half * (|1| + |0| + |0|) + slack
+    first, stop = _cell_box(tris.min(axis=1), tris.max(axis=1), half + _TOUCH_EPS, centers_1d)
+    nx, ny, nz = np.maximum(stop - first, 0).T
+    per_tri = np.stack([ny * nz, nz, *first.T])
     normal, *others = _separating_axes(tris, half)
 
     def test_others(tri, cells, cx, cy, cz):

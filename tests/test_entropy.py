@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import brute_force_peaks, histogram_entropy
 from viewsphere import entropy
@@ -47,6 +48,34 @@ def test_entropy_matches_recount_oracle():
     for _ in range(5):
         pixels = rng.integers(0, 256, size=(224, 224), dtype=np.uint8)
         assert abs(image_entropy(_image(pixels)) - histogram_entropy(pixels)) < 1e-12
+
+
+def _full_count_entropy(pixels):
+    """The entropy formula with every pixel counted, background included."""
+    counts = np.bincount(pixels.ravel(), minlength=256)
+    p = counts[counts > 0] / pixels.size
+    return float(-(p * np.log2(p)).sum() + 0.0)
+
+
+_SHAPES = st.tuples(st.integers(1, 64), st.integers(1, 64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pixels=hnp.arrays(np.uint8, _SHAPES, elements=st.just(0))
+    | hnp.arrays(np.uint8, _SHAPES, elements=st.integers(1, 255))
+    | hnp.arrays(np.uint8, _SHAPES, elements=st.integers(0, 255))
+    | hnp.arrays(np.uint8, _SHAPES, elements=st.sampled_from([0, 0, 0, 7, 200, 255])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_foreground_counts_give_the_full_count_entropy_bit_for_bit(pixels, seed):
+    # all background, no background, random codes and mostly background, each
+    # also at the full image size with the background share drawn from ``seed``
+    rng = np.random.default_rng(seed)
+    full = rng.integers(1, 256, size=(224, 224), dtype=np.uint8)
+    full[rng.random((224, 224)) < rng.random()] = 0
+    for image in (pixels, full):
+        assert image_entropy(_image(image)).hex() == _full_count_entropy(image).hex()
 
 
 def test_entropy_permutation_invariant():

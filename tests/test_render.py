@@ -492,6 +492,124 @@ def test_code_boundary_planes_run_the_kernel_and_match_brute_force(monkeypatch, 
         assert kernel_rays < covered / 4
 
 
+def _edge_on_triangle(view, pixel, turn, offsets, depths):
+    """A triangle whose plane holds ``view``'s direction, but for the rounding of its corners.
+
+    Its corners lie on the line through the center of ``pixel`` (row, column)
+    at the angle ``turn`` from the image's u axis: the first at that center,
+    the others ``offsets`` along the line, and each ``depths`` along the view
+    direction. A ``turn`` that is a multiple of 45 degrees runs the line
+    through a row, a column or a diagonal of pixel centers.
+    """
+    right, up, toward = view.camera_frame()
+    ucoords, vcoords = render._pixel_axes()
+    line = np.cos(turn) * right + np.sin(turn) * up
+    center = ucoords[pixel[1]] * right + vcoords[pixel[0]] * up
+    return np.array([center + s * line + t * toward for s, t in zip((0.0, *offsets), depths)])
+
+
+def _banded(tris, view):
+    """The triangles whose guard in ``view`` is the band (:func:`render._band`), not ``g``."""
+    ws = render._Workspace(tris)
+    right, up, direction = view.camera_frame()
+    _, a = render._view_terms(direction, ws.terms)
+    g = render._guard(ws.edge_product, a)
+    guard = g.copy()
+    pu, pv = render._project(ws.corners, right), render._project(ws.corners, up)
+    render._band(ws.edge_product, a, guard, pu, pv)
+    return guard < g
+
+
+_OFFSET = st.floats(0.02, 0.12) | st.floats(-0.12, -0.02)
+_DEPTH = st.floats(-0.12, 0.12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    index=st.sampled_from(AXIS_VIEWS) | st.integers(0, 59),
+    lines=st.lists(
+        st.tuples(
+            st.tuples(st.integers(92, 131), st.integers(92, 131)),
+            st.sampled_from([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4]) | st.floats(0.0, np.pi),
+            st.tuples(_OFFSET, _OFFSET),
+            st.tuples(_DEPTH, _DEPTH, _DEPTH),
+            st.integers(-2, 2),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    tiny=st.floats(1e-320, 1e-300),
+)
+def test_band_guarded_triangles_render_like_brute_force(index, lines, tiny):
+    # triangles tilted to within an ulp of edge-on, some through rows, columns
+    # or diagonals of pixel centers, and one whose projected edges are
+    # subnormal but for rounding: it keeps g
+    view = viewpoint_from_index(index)
+    tris, slopes = [], []
+    for pixel, turn, offsets, depths, ulps in lines:
+        corners = _edge_on_triangle(view, pixel, turn, offsets, depths)
+        corners[2] += ulps * np.spacing(corners[2])
+        tris.append(corners)
+        with np.errstate(divide="ignore", over="ignore"):
+            slopes.append(abs(np.cos(turn) / np.sin(turn)))  # |du/dv| of the line
+    right, _, toward = view.camera_frame()
+    center = _edge_on_triangle(view, lines[0][0], 0.0, (0.0, 0.0), (0.0, 0.0, 0.0))[0]
+    tris.append([center, center + 0.1 * toward, center + 0.2 * toward + tiny * right])
+    tris = np.array(tris)
+    mesh = TriangleMesh(tris.reshape(-1, 3), np.arange(3 * len(tris)).reshape(-1, 3))
+    rig = [view, antipode(view)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        images = render_all_views(mesh, rig)
+        banded = _banded(tris, view)
+        _, tri, _, n_cols, _, n_inner = _terms_and_spans(tris, view)
+    for v, image in zip(rig, images):
+        assert np.array_equal(image.pixels, brute_force_render(mesh, v).pixels), v
+    # a banded triangle's spans hold the few pixel centers per row that its
+    # line crosses, and no inner columns
+    for k, slope in enumerate(slopes):
+        if banded[k]:
+            mine = tri == k
+            assert (n_inner[mine] == 0).all()
+            assert (n_cols[mine] <= 3 + slope).all(), (k, n_cols[mine].max(), slope)
+
+
+def test_band_guard_sends_few_pairs_to_the_kernel(monkeypatch):
+    # triangles tilted an ulp from edge-on in a view along no axis, the first
+    # along a row of pixel centers and the last along a diagonal: their guard g
+    # exceeds the view square, so without the band each would send all
+    # 50,176 pixels of both views to the kernel
+    view = viewpoint_from_index(15)
+    turns = [0.0, 0.3, 1.2, 2.0, np.pi / 4]
+    tris = np.array(
+        [
+            _edge_on_triangle(view, (100 + 5 * k, 110 - 3 * k), turn, (0.1, -0.07), (0.05, -0.1, 0.08))
+            for k, turn in enumerate(turns)
+        ]
+    )
+    tris[:, 2] += np.spacing(tris[:, 2])
+    mesh = TriangleMesh(tris.reshape(-1, 3), np.arange(3 * len(tris)).reshape(-1, 3))
+    ws = render._Workspace(tris)
+    _, a = render._view_terms(view.camera_frame()[2], ws.terms)
+    assert np.isfinite(1.0 / a).all()
+    assert (render._guard(ws.edge_product, a) > render.VIEW_SQUARE_SIZE).all()
+    assert _banded(tris, view).all()
+    pairs = []
+    kernel = render._kernel_codes
+
+    def counted(ws, members, bufs, tri, row, col):
+        pairs.append(len(tri))
+        return kernel(ws, members, bufs, tri, row, col)
+
+    monkeypatch.setattr(render, "_kernel_codes", counted)
+    rig = [view, antipode(view)]
+    images = render_all_views(mesh, rig)
+    # each call tests its pairs in both views
+    assert 0 < sum(pairs) <= 0.01 * render.IMAGE_SIZE**2 * len(tris)
+    for v, image in zip(rig, images):
+        assert np.array_equal(image.pixels, brute_force_render(mesh, v).pixels), v
+
+
 def test_cylinder_yaw_invariant_foreground():
     # 360-facet cylinder: nearly symmetric under any yaw step
     mesh = closed_cylinder_mesh(360)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    _reference_box_overlap,
     analytic_cube_shell,
     random_mesh,
     reference_voxelize,
@@ -104,6 +107,55 @@ def test_batched_voxelize_matches_reference_across_tiny_blocks(monkeypatch):
     mesh = unit_cube_mesh()
     expected = reference_voxelize(mesh)
     assert np.array_equal(voxelize(mesh).occupancy, expected)
+
+
+_CELL = 1.0 / voxel.INTERIOR_SIZE
+_CENTERS = -0.5 + (np.arange(voxel.INTERIOR_SIZE) + 0.5) * _CELL
+_R = _CELL / 2.0 + voxel._TOUCH_EPS
+#: Coordinates on cell faces, centers and the widened box-normal bounds, an ulp to either side too.
+_EXACT = [x for c in _CENTERS for x in (c - _CELL / 2.0, c, c + _CELL / 2.0, c - _R, c + _R)]
+_COORD = (
+    st.floats(-0.5, 0.5)
+    | st.sampled_from(_EXACT)
+    | st.tuples(st.sampled_from(_EXACT), st.integers(-1, 1)).map(lambda x: x[0] + x[1] * np.spacing(x[0]))
+).map(lambda x: min(max(x, -0.5), 0.5))
+
+
+@st.composite
+def _triangles(draw):
+    """1-4 triangles with corners on cell faces and centers or anywhere; some with coincident corners."""
+    tris = []
+    for _ in range(draw(st.integers(1, 4))):
+        corners = [[draw(_COORD) for _ in range(3)] for _ in range(3)]
+        collapse = draw(st.sampled_from(["none", "none", "edge", "point"]))
+        if collapse != "none":
+            corners[1] = corners[0]
+        if collapse == "point":
+            corners[2] = corners[0]
+        tris.append(corners)
+    return np.array(tris)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tris=_triangles())
+def test_tight_cell_box_is_what_the_box_normal_axes_keep(tris):
+    first, stop = voxel._cell_box(tris.min(axis=1), tris.max(axis=1), _R, _CENTERS)
+    for t, tri in enumerate(tris):
+        for axis in range(3):
+            lo, hi = tri[:, axis].min(), tri[:, axis].max()
+            # the two box-normal comparisons of _overlaps, on every center
+            keep = np.flatnonzero((lo - _CENTERS <= _R) & (hi - _CENTERS >= -_R))
+            assert (first[t, axis], stop[t, axis]) == (keep[0], keep[-1] + 1)
+            assert len(keep) == keep[-1] + 1 - keep[0]  # the kept cells are one run
+    # so the tight box and the ten other axes mark what all 13 axes do on every cell
+    surface = np.zeros(voxel.INTERIOR_SIZE**3, dtype=bool)
+    voxel._mark_surface(tris, surface)
+    ix, iy, iz = np.meshgrid(_CENTERS, _CENTERS, _CENTERS, indexing="ij")
+    centers = np.stack([ix.ravel(), iy.ravel(), iz.ravel()], axis=1)
+    expected = np.zeros(len(centers), dtype=bool)
+    for tri in tris:
+        expected |= _reference_box_overlap(tri, centers, _CELL / 2.0)
+    assert np.array_equal(surface, expected)
 
 
 def test_grid_validation():
