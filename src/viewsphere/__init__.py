@@ -40,14 +40,7 @@ from .predict import (
     read_predictions,
     write_predictions,
 )
-from .render import (
-    DepthImage,
-    camera_rays,
-    ray_triangle_hits,
-    read_pgm,
-    render_all_views,
-    render_depth,
-)
+from .render import DepthImage, read_pgm, render_all_views
 from .viewrig import (
     N_AZIMUTHS,
     N_RINGS,

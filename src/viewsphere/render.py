@@ -14,7 +14,8 @@ fixed-size blocks. The code does not increase with the distance, so
 ``np.maximum.at`` of the codes keeps the code of the nearest hit per pixel,
 and every image equals testing every triangle against every pixel. A view and
 its antipode see the same projection mirrored, so they share all of this but
-the kernel and the fold (:func:`_cast_pair`). One workspace per call
+the kernel and the fold, and a pass casts several such pairs at once, one
+slot each, over stacked images (:func:`_cast_pass`). One workspace per call
 (:class:`_Workspace`) holds the triangle terms that no view changes, computed
 once per mesh, and the scratch buffers that every block reuses.
 """
@@ -35,6 +36,8 @@ VIEW_SQUARE_SIZE = 1.9
 
 #: (triangle, pixel) pairs per batched kernel call; small blocks keep memory flat.
 _PAIR_CHUNK = 4096
+#: At most this many antipodal pairs (or unpaired views) per pass; see :func:`_passes`.
+_MAX_SLOTS = 6
 #: Rounding guard ``g = _GUARD_K * eps * |e1| |e2| / |a| + _GUARD_FLOOR`` around
 #: each projected triangle, in world units; :func:`_guard` derives both values.
 _GUARD_K = 4096.0
@@ -78,9 +81,11 @@ def _edge_rows(v0, v1, v2) -> list:
 def _view_terms(direction, rows) -> tuple[list, np.ndarray]:
     """The Moller-Trumbore terms of the ray direction: ``h = d x e2`` (3 components) and ``a = e1 . h``.
 
-    ``rows`` are the 9 rows of :func:`_edge_rows` (or a table that starts with them).
+    ``rows`` are the 9 rows of :func:`_edge_rows` (or a table that starts with
+    them). ``direction`` is one direction (3,), or one per column of ``rows``
+    (3, N).
     """
-    dx, dy, dz = (float(direction[0]), float(direction[1]), float(direction[2]))
+    dx, dy, dz = direction[0], direction[1], direction[2]
     e1x, e1y, e1z, e2x, e2y, e2z = rows[3:9]
     hx = dy * e2z - dz * e2y
     hy = dz * e2x - dx * e2z
@@ -91,14 +96,15 @@ def _view_terms(direction, rows) -> tuple[list, np.ndarray]:
 def _hits(ox, oy, oz, direction, terms, scratch=None):
     """Distances along the rays for ``terms`` = the 12 triangle rows plus ``f = 1 / a``.
 
-    Each row is a scalar (one triangle against a bundle of rays) or an array
-    shaped like the rays (one triangle per ray). ``scratch``, if given, is 9
+    Each row, and each component of ``direction``, is a scalar (one triangle,
+    or one direction, for a bundle of rays) or an array shaped like the rays
+    (one per ray). ``scratch``, if given, is 9
     float64 and then 2 bool arrays shaped like the rays: every intermediate
     and the result are written into them, so the call allocates nothing and
     the result is ``scratch[0]``. Without it each is a new array. Either way
     the same rounded operations run in the same order.
     """
-    dx, dy, dz = (float(direction[0]), float(direction[1]), float(direction[2]))
+    dx, dy, dz = direction[0], direction[1], direction[2]
     v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z, hx, hy, hz, f = terms
     b = [None] * 11 if scratch is None else scratch
     sx = np.subtract(ox, v0x, out=b[0])
@@ -126,31 +132,12 @@ def _hits(ox, oy, oz, direction, terms, scratch=None):
     return t
 
 
-def ray_triangle_hits(ox, oy, oz, direction, v0, v1, v2):
-    """Moller-Trumbore distances for parallel rays; +inf where missed.
-
-    ``v0``, ``v1``, ``v2`` are either one triangle's corners (3,), tested
-    against every ray, or per-pair corners (N, 3) matched to rays of shape
-    (N,). The component arithmetic is written out term by term, so results
-    are bit-identical however the pairs are shaped, sliced or ordered.
-    Degenerate (zero-area) triangles never register hits, nor do triangles
-    whose ``a`` is so small that ``f = 1 / a`` overflows.
-    """
-    rows = _edge_rows(np.asarray(v0).T, np.asarray(v1).T, np.asarray(v2).T)
-    h, a = _view_terms(direction, rows)
-    with np.errstate(divide="ignore", over="ignore"):
-        f = 1.0 / a
-    # a zero or subnormal ``a`` makes ``f`` infinite, and then ``u`` infinite or
-    # NaN, which no hit passes; a NaN ``f`` fails every hit comparison quietly
-    return _hits(ox, oy, oz, direction, (*rows, *h, np.where(np.isfinite(f), f, np.nan)))
-
-
-def _pixel_axes() -> tuple[np.ndarray, np.ndarray]:
-    """Image-plane coordinates of pixel centers: u per column, v per row (top row = +v)."""
+def _pixel_axes(slots: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Image-plane coordinates of pixel centers: u per column, v per row (top row = +v) of ``slots`` stacked images."""
     pix = VIEW_SQUARE_SIZE / IMAGE_SIZE
     ucoords = (np.arange(IMAGE_SIZE) - (IMAGE_SIZE - 1) / 2.0) * pix
     vcoords = ((IMAGE_SIZE - 1) / 2.0 - np.arange(IMAGE_SIZE)) * pix
-    return ucoords, vcoords
+    return ucoords, vcoords if slots == 1 else np.tile(vcoords, slots)
 
 
 def _origin_terms(view: Viewpoint, mirrored: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -169,37 +156,24 @@ def _origin_terms(view: Viewpoint, mirrored: bool = False) -> tuple[np.ndarray, 
     return columns, vcoords[None, :] * up[:, None]
 
 
-def camera_rays(view: Viewpoint):
-    """Orthographic per-pixel ray origins (h, w, 3) and the shared unit direction."""
-    columns, rows = _origin_terms(view)
-    return columns.T[None, :, :] + rows.T[:, None, :], view.camera_frame()[2]
-
-
 def _code_scale(t: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The unrounded code ``255 - 127 * (t - (RADIUS - 1))`` of distances ``t``, written into ``out``."""
     return np.subtract(255.0, np.multiply(127.0, np.subtract(t, RADIUS - 1.0, out=out), out=out), out=out)
 
 
 def _code_into(codes: np.ndarray, t: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """Write the uint8 codes of the float64 distances ``t`` into ``codes``: see :func:`depth_codes`.
+    """Write the uint8 codes of the float64 distances ``t`` into ``codes``.
 
-    ``t`` is overwritten, and ``hit``, a bool array shaped like it, is scratch.
+    Hit distances [RADIUS-1, RADIUS+1] map to codes [255, 1], and a miss to
+    0. A distance that is not finite is a miss. Every operation on a hit's
+    distance is monotone, so a nearer hit never gets a smaller code. ``t`` is
+    overwritten, and ``hit``, a bool array shaped like it, is scratch.
     """
     np.isfinite(t, out=hit)
     np.clip(np.rint(_code_scale(t, out=t), out=t), FAR_CODE, NEAR_CODE, out=t)
     codes.fill(BACKGROUND_CODE)
     np.copyto(codes, t, casting="unsafe", where=hit)
     return codes
-
-
-def depth_codes(distances: np.ndarray) -> np.ndarray:
-    """Quantize hit distances to uint8 codes: [RADIUS-1, RADIUS+1] -> [255, 1], miss -> 0.
-
-    A distance that is not finite is a miss. Every operation on a hit's
-    distance is monotone, so a nearer hit never gets a smaller code.
-    """
-    t = np.array(distances, dtype=np.float64)
-    return _code_into(np.empty(t.shape, np.uint8), t, np.empty(t.shape, np.bool_))
 
 
 def _guard(edge_product: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -325,16 +299,24 @@ def _band(edge_product: np.ndarray, a: np.ndarray, g: np.ndarray, pu: np.ndarray
 class _Workspace:
     """The arrays one :func:`render_all_views` call allocates once and reuses.
 
-    - Per mesh: ``corners`` (corner, axis, T); the 13 kernel rows of every
-      triangle in ``terms`` (13, T), of which rows 0-8, ``v0``, ``e1`` and
-      ``e2``, do not depend on the view and are computed here;
-      ``edge_product`` (T,), ``|e1| |e2|``, for the guards; and ``normals``
-      (4, T), ``n = e1 x e2`` and ``n . v0``.
-    - Per pair: :func:`_pair_spans` writes the first view's ``h = d x e2``
-      and ``f = 1 / a`` into rows 9-12 of ``terms`` in place,
+    A pass casts up to ``slots`` antipodal pairs at once (:func:`_cast_pass`),
+    one per slot, and the per-triangle tables hold one column per (slot,
+    triangle): column ``slot * T + t``. A pass of P slots uses the first
+    P T columns.
+
+    - Per mesh: ``corners`` (corner, axis, T); the kernel rows of every
+      (slot, triangle) in ``terms``, of which rows 0-8, ``v0``, ``e1`` and
+      ``e2``, do not depend on the view and are computed here, once per
+      triangle and then copied to every slot; ``edge_product`` (slots T,),
+      ``|e1| |e2|``, for the guards; and ``normals`` (4, T), ``n = e1 x e2``
+      and ``n . v0``. ``terms`` has 13 rows with one slot, and 16 with more:
+      rows 13-15 hold each slot's view direction, which the kernel then
+      gathers per pair.
+    - Per pass: :func:`_pass_spans` writes each slot's first view's
+      ``h = d x e2`` and ``f = 1 / a`` into rows 9-12 of ``terms`` in place,
       :func:`_plane_terms` the plane depth terms and margins into ``plane``
-      (4, T), and :func:`_row_spans` the per-edge span fields into ``edges``
-      (8, 3, T).
+      (4, slots T), and :func:`_row_spans` the per-edge span fields into
+      ``edges`` (8, 3, slots T).
     - Per block: one buffer of each dtype (float64, bool, intp and uint8),
       which the span stage, the plane-depth codes and the pair kernel take in
       turn (:meth:`scratch`) and fill with ``out=``. A block of any stage is
@@ -342,21 +324,25 @@ class _Workspace:
       hands on only new arrays. Each buffer grows to the largest block the
       call has asked of it, at most ``_PAIR_CHUNK`` pairs wide. Gathers into
       it use ``np.take(..., mode="clip")``, which writes into ``out``
-      unbuffered; their indices (triangle numbers from ``np.arange``, pixel
-      rows and columns inside the image) are in range by construction, so
-      nothing clips.
+      unbuffered; their indices (table columns from ``np.arange``, pixel
+      rows and columns inside the stacked images) are in range by
+      construction, so nothing clips.
     """
 
-    def __init__(self, tris: np.ndarray):
+    def __init__(self, tris: np.ndarray, slots: int = 1):
+        n_tris = len(tris)
         self.corners = np.ascontiguousarray(tris.transpose(1, 2, 0))
-        self.terms = np.empty((13, len(tris)))
-        self.terms[:9] = _edge_rows(*self.corners)
-        v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z = self.terms[:9]
+        self.terms = np.empty((13 if slots == 1 else 16, slots * n_tris))
+        self.terms[:9, :n_tris] = _edge_rows(*self.corners)
+        for slot in range(1, slots):
+            self.terms[:9, slot * n_tris : (slot + 1) * n_tris] = self.terms[:9, :n_tris]
+        e1x, e1y, e1z, e2x, e2y, e2z = self.terms[3:9]
         self.edge_product = np.sqrt(e1x * e1x + e1y * e1y + e1z * e1z) * np.sqrt(e2x * e2x + e2y * e2y + e2z * e2z)
+        v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z = self.terms[:9, :n_tris]
         nx, ny, nz = e1y * e2z - e1z * e2y, e1z * e2x - e1x * e2z, e1x * e2y - e1y * e2x
         self.normals = np.array([nx, ny, nz, nx * v0x + ny * v0y + nz * v0z])
-        self.plane = np.empty((4, len(tris)))
-        self.edges = np.empty((8, 3, len(tris)))
+        self.plane = np.empty((4, slots * n_tris))
+        self.edges = np.empty((8, 3, slots * n_tris))
         self._buffers: dict[type, np.ndarray] = {}
 
     def scratch(self, rows: int, n: int, dtype=np.float64) -> np.ndarray:
@@ -371,8 +357,11 @@ class _Workspace:
 def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
     """Yield ``(tri, first, n_cols, lead, n_inner)`` per (triangle, row) span, ``_PAIR_CHUNK`` rows at a time.
 
-    ``pu``, ``pv`` (3, T) are the projected corners, ``g`` (T,) the guards,
-    and only the triangles ``live`` get spans. A row is taken when its center
+    ``pu``, ``pv`` (3, N) are the projected corners, ``g`` (N,) the guards,
+    and only the triangles ``live`` get spans. ``vcoords`` holds the rows of
+    P square images stacked (:func:`_pixel_axes`), and the N = P T columns
+    are P views of the T triangles (:class:`_Workspace`): the spans of slot
+    ``k`` lie in rows ``k W`` to ``k W + W - 1``. A row is taken when its center
     ``y`` lies within ``g`` of the triangle's v-extent. On it, each edge whose
     v-extent reaches within ``g`` of ``y`` meets the band ``[y - g, y + g]``
     at u within ``|du/dv| g`` of where it crosses ``y``; that interval,
@@ -380,7 +369,7 @@ def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
     to the edge's own u-extent, holds every point of the edge inside the
     band. The row's span covers these intervals plus ``g`` on both sides, so
     it holds every pixel center within ``g`` of the triangle. ``first`` is
-    the flat index of the span's first pixel.
+    the flat index of the span's first pixel in the stacked images.
 
     The span's inner columns, ``n_inner`` of them after the first ``lead``,
     are pixel centers more than ``g`` inside every edge, which ``_hits``
@@ -401,18 +390,21 @@ def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
     The yielded arrays are new; the intermediates of a block live in ``ws``.
     """
     width = len(ucoords)
-    neg_v, neg_u = -vcoords, -ucoords[::-1]  # ascending
+    neg_v, neg_u = -vcoords[:width], -ucoords[::-1]  # ascending
     r0 = np.searchsorted(neg_v, -(pv.max(axis=0) + g), side="left")
     n_rows = np.maximum(np.searchsorted(neg_v, -(pv.min(axis=0) - g), side="right") - r0, 0)
     n_rows[~live] = 0
+    slots = len(vcoords) // width
+    if slots > 1:  # each slot's rows in the stacked images
+        r0 += np.repeat(np.arange(0, len(vcoords), width), len(g) // slots)
 
-    # edges p -> q, one per row of each (3, T) field. A horizontal edge divides
+    # edges p -> q, one per row of each (3, N) field. A horizontal edge divides
     # by 1 instead of 0; fmax/fmin fall back to the u-extent should an
     # overflowed slope make a crossing NaN, and NaN leaves a row no inner
     # columns, so the overflow is expected and not reported.
     qu, qv = np.roll(pu, -1, axis=0), np.roll(pv, -1, axis=0)
     horizontal = pv == qv
-    e_pu, e_pv, e_slope, e_width, v_lo, v_hi, u_lo, u_hi = edges = ws.edges
+    e_pu, e_pv, e_slope, e_width, v_lo, v_hi, u_lo, u_hi = ws.edges[:, :, : len(g)]
     e_pu[:], e_pv[:] = pu, pv
     with np.errstate(over="ignore", invalid="ignore"):
         np.divide(qu - pu, np.where(horizontal, 1.0, qv - pv), out=e_slope)
@@ -431,7 +423,8 @@ def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
         floats = ws.scratch(36, n)
         y, e_g, lo, hi, in_lo, in_hi = floats[24:30]
         cross, bound = floats[30:].reshape(2, 3, n)
-        fields = np.take(edges, tri, axis=2, out=floats[:24].reshape(8, 3, n), mode="clip")
+        # from the whole table, which is C-contiguous, so take does not copy it
+        fields = np.take(ws.edges, tri, axis=2, out=floats[:24].reshape(8, 3, n), mode="clip")
         e_pu, e_pv, e_slope, e_width, v_lo, v_hi, u_lo, u_hi = fields
         np.take(vcoords, row, out=y, mode="clip")
         np.take(g, tri, out=e_g, mode="clip")
@@ -483,12 +476,21 @@ def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
 
 
 def _project(corners, axis):
-    """Coordinate of every corner along the image-plane ``axis``, written out term by term."""
-    return corners[:, 0] * axis[0] + corners[:, 1] * axis[1] + corners[:, 2] * axis[2]
+    """Coordinate of every corner (corner, axis, T) along the image-plane ``axis``, written out term by term.
+
+    One ``axis`` (3,) gives (3, T); a stack of P axes (3, P, 1) gives (3, P T),
+    column ``slot * T + t`` (:class:`_Workspace`).
+    """
+    if axis.ndim > 1:
+        corners = corners[:, :, None]
+    return (corners[:, 0] * axis[0] + corners[:, 1] * axis[1] + corners[:, 2] * axis[2]).reshape(len(corners), -1)
 
 
-def _plane_terms(ws: _Workspace, view: Viewpoint, g: np.ndarray) -> None:
-    """Write the plane depth terms and code margin of every triangle in ``view`` into ``ws.plane``.
+def _plane_terms(ws: _Workspace, position, right, up, g: np.ndarray) -> None:
+    """Write the plane depth terms and code margin of every triangle in each slot's view into ``ws.plane``.
+
+    ``position``, ``right`` and ``up`` are one view's (3,), or a stack of one
+    per slot (3, P, 1), and ``g`` (P T,) holds the guards (:func:`_pass_spans`).
 
     The ray of pixel (u, v) meets the plane of a triangle at
     ``t = alpha + beta u + gamma v``, with ``n = e1 x e2``, ``f = 1 / a`` the
@@ -535,34 +537,53 @@ def _plane_terms(ws: _Workspace, view: Viewpoint, g: np.ndarray) -> None:
     view's code is ``clip(k)`` and its antipode's ``256 - clip(k)``.
     """
     nx, ny, nz, n_v0 = ws.normals
-    f = ws.terms[12]
-    position, (right, up, _) = view.position, view.camera_frame()
-    alpha, beta, gamma, margin = ws.plane
+    n = len(g)
+    f = ws.terms[12, :n]
+    alpha, beta, gamma, margin = ws.plane[:, :n]
     # a triangle seen edge-on has an infinite f and no inner columns
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(f, (nx * position[0] + ny * position[1] + nz * position[2]) - n_v0, out=alpha)
-        np.multiply(f, nx * right[0] + ny * right[1] + nz * right[2], out=beta)
-        np.multiply(f, nx * up[0] + ny * up[1] + nz * up[2], out=gamma)
+        np.multiply(f, ((nx * position[0] + ny * position[1] + nz * position[2]) - n_v0).reshape(n), out=alpha)
+        np.multiply(f, (nx * right[0] + ny * right[1] + nz * right[2]).reshape(n), out=beta)
+        np.multiply(f, (nx * up[0] + ny * up[1] + nz * up[2]).reshape(n), out=gamma)
         np.multiply(127.0, g, out=margin)
 
 
-def _pair_spans(ws: _Workspace, view: Viewpoint):
-    """Write ``view``'s ``h``, ``f`` and plane terms into ``ws`` and return its spans (:func:`_row_spans`)."""
-    right, up, direction = view.camera_frame()
+def _frames(views):
+    """``position``, ``right``, ``up`` and ``toward`` of ``views``: (3,) each for one view, (3, P, 1) stacks for P."""
+    frames = [(view.position, *view.camera_frame()) for view in views]
+    if len(frames) == 1:
+        return frames[0]
+    return tuple(np.stack(vectors, axis=1)[:, :, None] for vectors in zip(*frames))
+
+
+def _pass_spans(ws: _Workspace, views):
+    """Write the terms of ``views``, one per slot, into ``ws`` and return their spans (:func:`_row_spans`).
+
+    With more than one slot, rows 13-15 of ``ws.terms`` take each column's
+    direction, and ``h`` and ``a`` come from them; the other frame
+    components broadcast over the triangles. So every (slot, triangle)
+    element goes through the rounded operations that a pass of its view
+    alone gives it.
+    """
+    slots, n_tris = len(views), ws.corners.shape[-1]
+    n = slots * n_tris
+    position, right, up, direction = _frames(views)
     terms = ws.terms
-    h, a = _view_terms(direction, terms)
-    terms[9:12] = h
+    if slots > 1:  # each column's direction, which the kernel gathers too
+        terms[13:, :n] = np.repeat(direction[:, :, 0], n_tris, axis=1)
+        direction = terms[13:, :n]
+    h, a = _view_terms(direction, terms[:, :n])
+    terms[9:12, :n] = h
     with np.errstate(divide="ignore", over="ignore"):
-        np.divide(1.0, a, out=terms[12])
+        f = np.divide(1.0, a, out=terms[12, :n])
     # a zero or subnormal ``a`` makes ``f`` infinite, and then ``u`` infinite or
-    # NaN, which no hit passes (see :func:`ray_triangle_hits`): the triangle
-    # stays in the table and gets no spans
-    live = np.isfinite(terms[12])
+    # NaN, which no hit passes: the triangle stays in the table and gets no spans
+    live = np.isfinite(f)
     pu, pv = _project(ws.corners, right), _project(ws.corners, up)
-    g = _guard(ws.edge_product, a)
-    _band(ws.edge_product, a, g, pu, pv)
-    _plane_terms(ws, view, g)
-    return _row_spans(ws, pu, pv, g, live, *_pixel_axes())
+    g = _guard(ws.edge_product[:n], a)
+    _band(ws.edge_product[:n], a, g, pu, pv)
+    _plane_terms(ws, position, right, up, g)
+    return _row_spans(ws, pu, pv, g, live, *_pixel_axes(slots))
 
 
 def _span_pairs(tri, first, counts):
@@ -603,58 +624,77 @@ def _flat_pixels(row, col, mirrored, out):
 
 
 def _kernel_codes(ws: _Workspace, members, bufs, tri, row, col) -> None:
-    """Fold the codes of ``_hits`` for the pairs ``(tri, row, col)`` into each member's buffer (:func:`_cast_pair`)."""
+    """Fold the codes of ``_hits`` for the pairs ``(tri, row, col)`` into each member's buffer (:func:`_cast_pass`)."""
     n = len(tri)
-    floats = ws.scratch(25, n)
-    pair_terms, origins, scratch = floats[:13], floats[13:16], [*floats[16:], *ws.scratch(2, n, np.bool_)]
-    np.take(ws.terms, tri, axis=1, out=pair_terms, mode="clip")
-    pix, codes = ws.scratch(1, n, np.intp)[0], ws.scratch(1, n, np.uint8)[0]
+    stacked = members[0][0] is None  # each pair's direction is gathered with its terms
+    k = 16 if stacked else 13
+    floats = ws.scratch(k + 12, n)
+    pair_terms, origins, scratch = floats[:k], floats[k : k + 3], [*floats[k + 3 :], *ws.scratch(2, n, np.bool_)]
+    np.take(ws.terms[:k], tri, axis=1, out=pair_terms, mode="clip")
+    indices, codes = ws.scratch(2 if stacked else 1, n, np.intp), ws.scratch(1, n, np.uint8)[0]
+    pix, column = indices[0], col
+    if stacked:  # the pair's column of its slot's column terms: slot * W + col
+        column = np.floor_divide(row, IMAGE_SIZE, out=indices[1])
+        np.add(np.multiply(column, IMAGE_SIZE, out=column), col, out=column)
     for member, ((direction, columns, origin_rows), buf) in enumerate(zip(members, bufs)):
-        if member:  # the antipode: mirrored pixels, and h and f negated in place
+        if member:  # the antipode: mirrored pixels, and h, f and any direction rows negated in place
             np.negative(pair_terms[9:], out=pair_terms[9:])
-        np.take(columns, col, axis=1, out=origins, mode="clip")
+        np.take(columns, column, axis=1, out=origins, mode="clip")
         # the row terms pass through the kernel's first three rows before it runs
-        np.add(origins, np.take(origin_rows, row, axis=1, out=floats[16:19], mode="clip"), out=origins)
-        t = _hits(*origins, direction, pair_terms, scratch)
+        np.add(origins, np.take(origin_rows, row, axis=1, out=floats[k + 3 : k + 6], mode="clip"), out=origins)
+        t = _hits(*origins, pair_terms[13:] if stacked else direction, pair_terms[:13], scratch)
         # a miss is code 0, which leaves the buffer as it is
         np.maximum.at(buf, _flat_pixels(row, col, member, pix), _code_into(codes, t, scratch[-1]))
 
 
-def _cast_pair(ws: _Workspace, views, bufs) -> None:
-    """Fold the code of every triangle's hit into the flat code buffer of each view.
+def _cast_pass(ws: _Workspace, groups, bufs) -> None:
+    """Fold the code of every triangle's hit into the flat code buffers of the views of ``groups``.
 
-    ``views`` holds one view, or an antipodal pair in index order (see
-    :func:`viewrig.antipode`); ``bufs`` holds each view's uint8 code buffer,
-    and ``ws`` the call's workspace, whose term tables the pair updates. The
-    triangle terms, projection, spans, pair expansion and term gather come
-    from the first view alone. Its antipode has ``right' = -right``,
-    ``up' = up`` and ``toward' = -toward``, and negating one factor negates a
-    rounded product, sum or difference exactly. So the antipode's projection
-    is the first view's mirrored in u, its span on a row covers columns
-    ``[W - c - n, W - c)`` for ``[c, c + n)``, and its terms are the same
-    with ``h`` and ``f`` negated. Zeros may differ in sign, which no
-    comparison, search or hit test in the path sees.
+    ``groups`` holds P antipodal groups of one size, one per slot: each one
+    view, or an antipodal pair in index order (see :func:`viewrig.antipode`).
+    ``bufs`` holds one uint8 buffer per member of a group, the P images of
+    that member stacked in slot order, and ``ws`` the call's workspace, whose
+    term tables the pass updates. The triangle terms, projection, spans, pair
+    expansion and term gather come from each slot's first view alone. Its
+    antipode has ``right' = -right``, ``up' = up`` and ``toward' = -toward``,
+    and negating one factor negates a rounded product, sum or difference
+    exactly. So the antipode's projection is the first view's mirrored in u,
+    its span on a row covers columns ``[W - c - n, W - c)`` for ``[c, c + n)``,
+    and its terms are the same with ``h``, ``f`` and the direction negated.
+    Zeros may differ in sign, which no comparison, search or hit test in the
+    path sees.
 
     The inner columns of each span take their codes from the plane depth,
     the antipode's as ``256 - code`` (:func:`_plane_terms`). The other
     columns, and the inner pairs whose code rounding could decide, run
-    ``_hits`` once per view, with that view's ray origins: each view adds its
-    per-column and per-row origin terms (:func:`_origin_terms`, mirrored for
-    the antipode) at the pair's row and column indices. Every block holds at
-    most ``_PAIR_CHUNK`` pairs. The code of the nearest hit is the largest,
-    and max is order-independent, so each buffer equals the codes of testing
-    every triangle against every pixel of its view.
+    ``_hits`` once per member, with that member's ray origins: each view adds
+    its per-column and per-row origin terms (:func:`_origin_terms`, mirrored
+    for the antipode) at the pair's row and column indices, the slots' terms
+    stacked as their images are. A one-slot pass passes its view's direction
+    to the kernel as a scalar, and a pass of several gathers each pair's
+    direction from ``ws.terms``. Every block holds at most ``_PAIR_CHUNK``
+    pairs. The code of the nearest hit is the largest, and max is
+    order-independent, so each image equals the codes of testing every
+    triangle against every pixel of its view.
     """
-    axes = _pixel_axes()
-    members = [(view.camera_frame()[2], *_origin_terms(view, mirrored=view is not views[0])) for view in views]
-    for tri, first, n_cols, lead, n_inner in _pair_spans(ws, views[0]):
+    slots = len(groups)
+    axes = _pixel_axes(slots)
+    members = []
+    for member, view in enumerate(groups[0]):
+        if slots == 1:
+            direction = tuple(float(c) for c in view.camera_frame()[2])
+            members.append((direction, *_origin_terms(view, member > 0)))
+        else:
+            tables = [_origin_terms(group[member], member > 0) for group in groups]
+            members.append((None, *(np.concatenate(table, axis=1) for table in zip(*tables))))
+    for tri, first, n_cols, lead, n_inner in _pass_spans(ws, [group[0] for group in groups]):
         inner = first + lead
         for pairs in _span_pairs(tri, inner, n_inner):
             codes = _plane_codes(ws, *pairs, *axes)
             n = len(codes)
             uncertain = np.flatnonzero(np.equal(codes, BACKGROUND_CODE, out=ws.scratch(1, n, np.bool_)[0]))
             pix = ws.scratch(1, n, np.intp)[0]
-            for member, buf in enumerate(bufs[: len(views)]):
+            for member, buf in enumerate(bufs):
                 if member:
                     np.negative(codes, out=codes)  # the antipode's code is 256 - code, and 0 stays 0
                 np.maximum.at(buf, _flat_pixels(*pairs[1:], member, pix), codes)
@@ -674,9 +714,24 @@ def _antipodal_groups(rig: list[Viewpoint]) -> list[list[Viewpoint]]:
     return [sorted(group, key=lambda view: view.index) for group in groups.values()]
 
 
-def render_depth(mesh: TriangleMesh, view: Viewpoint) -> DepthImage:
-    """Render one orthographic depth image; see :func:`render_all_views`."""
-    return render_all_views(mesh, [view])[0]
+def _passes(rig: list[Viewpoint], n_tris: int) -> list[list[list[Viewpoint]]]:
+    """The antipodal groups of ``rig`` (:func:`_antipodal_groups`), split into passes of up to P groups of one size.
+
+    Pairs go with pairs and unpaired views with unpaired views, in rig
+    order, and each pass takes P = min(groups left, ``_PAIR_CHUNK // n_tris``,
+    ``_MAX_SLOTS``) of them, at least one. A mesh of more than
+    ``_PAIR_CHUNK / 2`` triangles thus casts one pair per pass, and a small
+    one its 30 pairs in a few passes, which share the span stage, the plane
+    codes and the kernel calls. ``_MAX_SLOTS`` bounds the stacked code
+    buffers (2 P 50 KB) and the term tables of small meshes.
+    """
+    per_pass = max(1, min(_PAIR_CHUNK // n_tris, _MAX_SLOTS))
+    groups = _antipodal_groups(rig)
+    passes = []
+    for size in (2, 1):
+        same = [group for group in groups if len(group) == size]
+        passes += [same[k : k + per_pass] for k in range(0, len(same), per_pass)]
+    return passes
 
 
 def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImage]:
@@ -689,25 +744,33 @@ def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImag
     from the kernel elsewhere, and the largest code per pixel is the code of
     the nearest hit, so every image equals testing every triangle against
     every pixel. A view and its antipode, when both are in the rig, share
-    one projection, one span list and one term gather (:func:`_cast_pair`).
-    The two code buffers and the workspace (:class:`_Workspace`) are
-    allocated once per call and reused across pairs; the call keeps no state
-    after it returns. Bit-identical for identical inputs.
+    one projection, one span list and one term gather, and a pass casts
+    several such pairs (or unpaired views) at once (:func:`_passes`,
+    :func:`_cast_pass`). The two stacked code buffers and the workspace
+    (:class:`_Workspace`) are allocated once per call and reused across
+    passes; the call keeps no state after it returns. Bit-identical for
+    identical inputs, however the rig is split into passes.
     """
     shape = (IMAGE_SIZE, IMAGE_SIZE)
     if len(mesh.faces) == 0:
         return [DepthImage(np.zeros(shape, dtype=np.uint8)) for _ in rig]
     assert_normalized(mesh)
 
-    ws = _Workspace(mesh.triangles)
-    bufs = [np.empty(IMAGE_SIZE * IMAGE_SIZE, dtype=np.uint8) for _ in range(2)]
+    passes = _passes(rig, len(mesh.faces))
+    slots = max((len(groups) for groups in passes), default=1)
+    ws = _Workspace(mesh.triangles, slots)
+    size = IMAGE_SIZE * IMAGE_SIZE
+    bufs = [np.empty(slots * size, dtype=np.uint8) for _ in range(2)]
     images = {}
-    for group in _antipodal_groups(rig):
-        for buf in bufs[: len(group)]:
+    for groups in passes:
+        # per member of a group, the pass's images stacked in slot order
+        stacked = [buf[: len(groups) * size] for buf in bufs[: len(groups[0])]]
+        for buf in stacked:
             buf.fill(BACKGROUND_CODE)
-        _cast_pair(ws, group, bufs)
-        for view, buf in zip(group, bufs):
-            images[view] = DepthImage(buf.reshape(shape))
+        _cast_pass(ws, groups, stacked)
+        for slot, group in enumerate(groups):
+            for view, buf in zip(group, stacked):
+                images[view] = DepthImage(buf[slot * size : (slot + 1) * size].reshape(shape))
     return [images[view] for view in rig]
 
 

@@ -14,8 +14,45 @@ import numpy as np
 
 from viewsphere.mesh import TriangleMesh
 from viewsphere import render
-from viewsphere.render import DepthImage, camera_rays, depth_codes, ray_triangle_hits
+from viewsphere.render import DepthImage, render_all_views
 from viewsphere.voxel import _TOUCH_EPS
+
+
+def ray_triangle_hits(ox, oy, oz, direction, v0, v1, v2):
+    """Moller-Trumbore distances for parallel rays; +inf where missed.
+
+    ``v0``, ``v1``, ``v2`` are either one triangle's corners (3,), tested
+    against every ray, or per-pair corners (N, 3) matched to rays of shape
+    (N,). Runs the renderer's one kernel, ``render._hits``, whose component
+    arithmetic is written out term by term, so results are bit-identical
+    however the pairs are shaped, sliced or ordered. Degenerate (zero-area)
+    triangles never register hits, nor do triangles whose ``a`` is so small
+    that ``f = 1 / a`` overflows.
+    """
+    rows = render._edge_rows(np.asarray(v0).T, np.asarray(v1).T, np.asarray(v2).T)
+    h, a = render._view_terms(direction, rows)
+    with np.errstate(divide="ignore", over="ignore"):
+        f = 1.0 / a
+    # a zero or subnormal ``a`` makes ``f`` infinite, and then ``u`` infinite or
+    # NaN, which no hit passes; a NaN ``f`` fails every hit comparison quietly
+    return render._hits(ox, oy, oz, direction, (*rows, *h, np.where(np.isfinite(f), f, np.nan)))
+
+
+def camera_rays(view):
+    """Orthographic per-pixel ray origins (h, w, 3) from the renderer's origin terms, and the shared unit direction."""
+    columns, rows = render._origin_terms(view)
+    return columns.T[None, :, :] + rows.T[:, None, :], view.camera_frame()[2]
+
+
+def depth_codes(distances: np.ndarray) -> np.ndarray:
+    """Quantize hit distances to uint8 codes with the renderer's ``render._code_into``: miss -> 0."""
+    t = np.array(distances, dtype=np.float64)
+    return render._code_into(np.empty(t.shape, np.uint8), t, np.empty(t.shape, np.bool_))
+
+
+def render_depth(mesh: TriangleMesh, view) -> DepthImage:
+    """Render one orthographic depth image: the one-view case of ``render_all_views``."""
+    return render_all_views(mesh, [view])[0]
 
 
 def unit_cube_mesh() -> TriangleMesh:

@@ -17,6 +17,7 @@ from oracles import (
     brute_force_peaks,
     brute_force_render,
     random_mesh,
+    render_depth,
     unit_cube_mesh,
 )
 from viewsphere import pipeline, synthetic
@@ -24,7 +25,7 @@ from viewsphere.entropy import EntropyMap, entropy_map_from_views, find_peaks, i
 from viewsphere.fusion import PoseOffset, fuse
 from viewsphere.mesh import TriangleMesh
 from viewsphere.predict import ViewPrediction, map_mae
-from viewsphere.render import DepthImage, render_all_views, render_depth
+from viewsphere.render import DepthImage, render_all_views
 from viewsphere.viewrig import Viewpoint, build_rig, index_of, viewpoint_from_index
 from viewsphere.voxel import voxelize
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -9,23 +10,18 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import (
     brute_force_render,
+    camera_rays,
     closed_cylinder_mesh,
+    depth_codes,
     random_mesh,
+    ray_triangle_hits,
     reference_ray_origins,
+    render_depth,
     unit_cube_mesh,
 )
 from viewsphere import render
 from viewsphere.mesh import MeshError, TriangleMesh
-from viewsphere.render import (
-    DepthImage,
-    camera_rays,
-    depth_codes,
-    ray_triangle_hits,
-    read_pgm,
-    render_all_views,
-    render_depth,
-    write_pgm_array,
-)
+from viewsphere.render import DepthImage, read_pgm, render_all_views, write_pgm_array
 from viewsphere.viewrig import RADIUS, Viewpoint, antipode, build_rig, viewpoint_from_index
 
 
@@ -84,42 +80,55 @@ AXIS_VIEWS = (24, 27, 30, 33)
 @given(
     tris=st.integers(1, 8).flatmap(lambda n: hnp.arrays(np.float64, (n, 3, 3), elements=st.floats(-0.5, 0.5))),
     lift=st.floats(1e-309, 1e-307),
-    index=st.sampled_from(AXIS_VIEWS) | st.integers(0, 59),
+    indices=st.lists(st.sampled_from(AXIS_VIEWS) | st.integers(0, 59), min_size=1, max_size=3),
     n_rays=st.integers(2, 40),
     longer=st.integers(0, 30),
     seed=st.integers(0, 2**16),
 )
-def test_hits_with_workspace_scratch_match_ray_triangle_hits(tris, lift, index, n_rays, longer, seed):
+def test_hits_with_workspace_scratch_match_ray_triangle_hits(tris, lift, indices, n_rays, longer, seed):
     # beside the drawn triangles: a zero-area one, and a sliver in the plane z = 0
     # with one corner lifted by ``lift``, whose ``a`` is subnormal (or as small) at
-    # the views along x and y
+    # the views along x and y. Each drawn view is one slot of the term table; a
+    # table of several slots carries each slot's direction in rows 13-15, and the
+    # kernel takes it per ray
     zero_area = tris[:1].copy()
     zero_area[0, 2] = zero_area[0, 1]
     sliver = np.array([[[0.3, -0.2, 0.0], [-0.1, 0.25, lift], [-0.35, -0.3, 0.0]]])
     tris = np.concatenate([tris, zero_area, sliver])
-    direction = viewpoint_from_index(index).camera_frame()[2]
+    n_tris, slots = len(tris), len(indices)
+    directions = np.array([viewpoint_from_index(index).camera_frame()[2] for index in indices])
     rng = np.random.default_rng(seed)
-    tri = rng.integers(0, len(tris), size=n_rays)
-    tri[:2] = len(tris) - 2, len(tris) - 1
+    tri = rng.integers(0, n_tris, size=n_rays)
+    tri[:2] = n_tris - 2, n_tris - 1
+    slot = rng.integers(0, slots, size=n_rays)
     weights = rng.uniform(-0.2, 1.0, size=(n_rays, 3))  # some rays pass outside their triangle
     weights /= weights.sum(axis=1, keepdims=True)
-    ox, oy, oz = (np.einsum("nc,nci->ni", weights, tris[tri]) - 3.0 * direction).T
-    expected = ray_triangle_hits(ox, oy, oz, direction, tris[tri, 0], tris[tri, 1], tris[tri, 2])
+    ox, oy, oz = (np.einsum("nc,nci->ni", weights, tris[tri]) - 3.0 * directions[slot]).T
+    expected = np.empty(n_rays)
+    for k, direction in enumerate(directions):
+        mine = slot == k
+        corners = tris[tri[mine]]
+        expected[mine] = ray_triangle_hits(ox[mine], oy[mine], oz[mine], direction, *corners.transpose(1, 0, 2))
 
-    ws = render._Workspace(tris)
-    h, a = render._view_terms(direction, ws.terms)
+    ws = render._Workspace(tris, slots)
+    rows = len(ws.terms)
+    assert rows == (13 if slots == 1 else 16)
+    if slots > 1:
+        ws.terms[13:] = np.repeat(directions.T, n_tris, axis=1)
+    h, a = render._view_terms(ws.terms[13:] if slots > 1 else directions[0], ws.terms)
     ws.terms[9:12] = h
     with np.errstate(divide="ignore", over="ignore"):
         f = 1.0 / a
     ws.terms[12] = np.where(np.isfinite(f), f, np.nan)  # as ray_triangle_hits passes it
     # scratch longer than the block, and holding stale values
-    ws.scratch(25, n_rays + longer).fill(np.nan)
+    ws.scratch(rows + 12, n_rays + longer).fill(np.nan)
     ws.scratch(2, n_rays + longer, np.bool_).fill(True)
-    floats = ws.scratch(25, n_rays)
-    pair_terms, origins = floats[:13], floats[13:16]
-    np.take(ws.terms, tri, axis=1, out=pair_terms, mode="clip")
+    floats = ws.scratch(rows + 12, n_rays)
+    pair_terms, origins = floats[:rows], floats[rows : rows + 3]
+    np.take(ws.terms, slot * n_tris + tri, axis=1, out=pair_terms, mode="clip")
     origins[:] = ox, oy, oz
-    t = render._hits(*origins, direction, pair_terms, [*floats[16:], *ws.scratch(2, n_rays, np.bool_)])
+    direction = pair_terms[13:] if slots > 1 else directions[0]
+    t = render._hits(*origins, direction, pair_terms[:13], [*floats[rows + 3 :], *ws.scratch(2, n_rays, np.bool_)])
     assert np.shares_memory(t, floats)
     assert np.array_equal(t.view(np.uint64), expected.view(np.uint64))
 
@@ -141,9 +150,10 @@ def _edge_on_mesh():
 
 @pytest.mark.parametrize("pair_chunk", [None, 7])
 def test_edge_on_triangles_leave_no_stale_terms(monkeypatch, pair_chunk):
-    # every pair rewrites h and f of the one term table; a pair that read an
-    # earlier pair's h or f would let the edge-on triangles into its image, or
-    # test the seen ones with another view's terms
+    # every pass rewrites h and f of the one term table, 6 pairs per pass by
+    # default and 1 at pair_chunk 7; a pass that read an earlier pass's h or f
+    # would let the edge-on triangles into its images, or test the seen ones
+    # with another view's terms
     mesh, rig = _edge_on_mesh(), build_rig()
     _narrow(monkeypatch)
     flat_z, flat_x = (render._edge_rows(*corners) for corners in mesh.triangles[-2:])
@@ -175,8 +185,9 @@ def test_antipode_mirrored_column_terms_reverse_its_own():
 
 
 def test_render_working_set_holds_no_origin_planes():
-    # the 60 output images take 3.0 MB, and the two flat code buffers 0.1 MB;
-    # three 224 x 224 float64 origin planes per view of a pair would add 2.4 MB
+    # the 60 output images take 3.0 MB, the two stacked code buffers 0.6 MB and
+    # the block scratch 1.2 MB; three 224 x 224 float64 origin planes per view
+    # of a pass would add 2.4 MB per pair
     mesh, rig = unit_cube_mesh(), build_rig()
     tracemalloc.start()
     try:
@@ -256,13 +267,81 @@ def test_render_all_views_matches_single_view_renders():
     rig = build_rig()
     batch = render_all_views(mesh, rig)
     assert len(batch) == 60
-    # the batch reuses its buffers across views; a stale one would leak into the next view
+    # the passes reuse the workspace's tables; a stale term would leak into the next pass
     for view, image in zip(rig, batch):
         assert np.array_equal(image.pixels, render_depth(mesh, view).pixels), view
     # a rig may list a view twice, and hold one or both members of a pair, in any order
     partial = [rig[40], antipode(rig[40]), rig[40], rig[5]]
     for view, image in zip(partial, render_all_views(mesh, partial)):
         assert np.array_equal(image.pixels, batch[view.index].pixels), view
+
+
+@pytest.mark.parametrize("pair_chunk", [7, 64, None])
+@settings(max_examples=15, deadline=None)
+@given(
+    data=st.data(),
+    rig=st.just(list(range(60))) | st.lists(st.integers(0, 59), min_size=1, max_size=24),
+    narrow=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_splitting_a_rig_into_passes_changes_no_byte(pair_chunk, data, rig, narrow, seed):
+    # face counts around _PAIR_CHUNK // P for every P up to the cap (at the
+    # default chunk the cap binds), so that one rig splits into passes of
+    # unequal size; drawn rigs hold unpaired views, pairs, and views listed twice
+    chunk = render._PAIR_CHUNK if pair_chunk is None else pair_chunk
+    limits = [chunk // slots for slots in range(1, render._MAX_SLOTS + 1) if 0 < chunk // slots <= 40]
+    near = st.sampled_from(limits).flatmap(lambda n: st.integers(max(n - 1, 1), n + 1)) if limits else st.nothing()
+    n_tris = data.draw(near | st.integers(1, 40))
+    # the first faces lie on a code boundary plane, so the views along x send
+    # their pixels to the kernel (see the code boundary test below)
+    tris = random_mesh(np.random.default_rng(seed), n_tris).triangles
+    tris[:2] = _square_mesh(0.5).triangles[: len(tris[:2])]
+    mesh = TriangleMesh(tris.reshape(-1, 3), np.arange(3 * n_tris).reshape(-1, 3))
+    views = [viewpoint_from_index(index) for index in rig]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if narrow:
+            _narrow(monkeypatch)
+        monkeypatch.setattr(render, "_PAIR_CHUNK", chunk)
+        images = render_all_views(mesh, views)
+        for view, image in zip(views, images):
+            assert np.array_equal(image.pixels, render_depth(mesh, view).pixels), view
+            if narrow:
+                assert np.array_equal(image.pixels, brute_force_render(mesh, view).pixels), view
+
+
+def test_passes_follow_the_face_count_rule(monkeypatch):
+    # a pass takes P = min(groups left, _PAIR_CHUNK // T, _MAX_SLOTS) groups
+    # of one size; counted at the span stage, which runs once per pass
+    slots = []
+
+    def counted(ws, views):
+        slots.append(len(views))
+        return iter(())
+
+    monkeypatch.setattr(render, "_pass_spans", counted)
+    rig = build_rig()
+
+    def passes(mesh, views):
+        slots.clear()
+        render_all_views(mesh, views)
+        return list(slots)
+
+    per_pass = min(render._PAIR_CHUNK // 12, render._MAX_SLOTS)
+    cube = passes(unit_cube_mesh(), rig)
+    assert len(cube) == math.ceil(30 / per_pass) and sum(cube) == 30 and max(cube) == per_pass
+    # the path of the 3,120-face spheres: one pair per pass
+    half = render._PAIR_CHUNK // 2
+    assert passes(random_mesh(np.random.default_rng(0), half + 1), rig) == [1] * 30
+    assert passes(random_mesh(np.random.default_rng(0), half), rig) == [2] * 15
+    assert passes(unit_cube_mesh(), [rig[17]]) == [1]
+    # pairs with pairs, then unpaired views with unpaired views
+    pairs = [view for k in range(9) for view in (rig[k], antipode(rig[k]))]
+    unpaired = [rig[k] for k in range(12, 24)]
+
+    def split(groups):
+        return [min(per_pass, groups - k) for k in range(0, groups, per_pass)]
+
+    assert passes(unit_cube_mesh(), unpaired[:3] + pairs + unpaired[3:]) == split(9) + split(12)
 
 
 def _guard_mesh():
@@ -306,19 +385,21 @@ def test_guard_mesh_matches_brute_force_on_all_views():
         assert np.array_equal(image.pixels, brute_force_render(mesh, view).pixels), view
 
 
-def _terms_and_spans(tris, view):
-    """What the renderer derives from ``view``'s own frame: the term table and the spans, inner columns included."""
-    ws = render._Workspace(tris)
-    spans = [(np.empty(0, dtype=np.int64),) * 5, *render._pair_spans(ws, view)]
+def _terms_and_spans(tris, views):
+    """What the renderer derives from ``views``, one per slot: the workspace and the spans, inner columns included."""
+    ws = render._Workspace(tris, len(views))
+    spans = [(np.empty(0, dtype=np.int64),) * 5, *render._pass_spans(ws, views)]
     tri, first, n_cols, lead, n_inner = (np.concatenate([span[i] for span in spans]) for i in range(5))
-    return ws.terms, tri, first, n_cols, lead, n_inner
+    return ws, tri, first, n_cols, lead, n_inner
 
 
-def _assert_antipode_mirrors(tris, view):
-    """The antipode's terms are ``view``'s with h and f negated, and its spans and inner columns are mirrored in u."""
-    terms, tri, first, n_cols, lead, n_inner = _terms_and_spans(tris, view)
-    a_terms, a_tri, a_first, a_n_cols, a_lead, a_n_inner = _terms_and_spans(tris, antipode(view))
+def _assert_antipode_mirrors(tris, views):
+    """The antipodes' terms are ``views``' with h, f and directions negated, and their spans mirrored in u."""
+    ws, tri, first, n_cols, lead, n_inner = _terms_and_spans(tris, views)
+    a_ws, a_tri, a_first, a_n_cols, a_lead, a_n_inner = _terms_and_spans(tris, [antipode(view) for view in views])
+    terms, a_terms = ws.terms, a_ws.terms
     assert np.array_equal(a_terms[:12], np.concatenate([terms[:9], -terms[9:12]]))
+    assert np.array_equal(a_terms[13:], -terms[13:])  # each slot's direction, when there are several
     # a triangle seen edge-on has a = +-0 in both views, and an f of either sign
     live = np.isfinite(terms[12])
     assert np.array_equal(np.isfinite(a_terms[12]), live)
@@ -335,13 +416,34 @@ def _assert_antipode_mirrors(tris, view):
     assert np.array_equal(a_lead[inner], (n_cols - lead - n_inner)[inner])
 
 
+def _assert_slots_stack(tris, views):
+    """A pass of several slots holds, slot by slot, the terms and spans of a pass of that slot's view alone.
+
+    Slot ``k`` owns columns ``k T`` to ``k T + T - 1`` of the tables and rows
+    ``k W`` to ``k W + W - 1`` of the stacked images.
+    """
+    ws, tri, first, n_cols, lead, n_inner = _terms_and_spans(tris, views)
+    n_tris, size = len(tris), render.IMAGE_SIZE**2
+    for k, view in enumerate(views):
+        one, *spans = _terms_and_spans(tris, [view])
+        columns = slice(k * n_tris, (k + 1) * n_tris)
+        assert np.array_equal(ws.terms[:13, columns].view(np.uint64), one.terms.view(np.uint64)), view
+        assert np.array_equal(ws.plane[:, columns].view(np.uint64), one.plane.view(np.uint64)), view
+        mine = tri // n_tris == k
+        stacked = tri[mine] - k * n_tris, first[mine] - k * size, n_cols[mine], lead[mine], n_inner[mine]
+        for got, expected in zip(stacked, spans):
+            assert np.array_equal(got, expected), view
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     tris=st.integers(1, 40).flatmap(lambda n: hnp.arrays(np.float64, (n, 3, 3), elements=st.floats(-0.5, 0.5))),
-    index=st.integers(0, 59),
+    indices=st.lists(st.integers(0, 59), min_size=1, max_size=3, unique=True),
 )
-def test_antipode_terms_and_spans_mirror_the_view(tris, index):
-    _assert_antipode_mirrors(tris, viewpoint_from_index(index))
+def test_antipode_terms_and_spans_mirror_the_view(tris, indices):
+    views = [viewpoint_from_index(index) for index in indices]
+    _assert_antipode_mirrors(tris, views)
+    _assert_slots_stack(tris, views)
 
 
 def test_overflowing_edge_slope_renders_like_brute_force_without_warnings():
@@ -362,7 +464,9 @@ def test_subnormal_triangle_term_renders_like_brute_force_without_warnings():
     mesh = TriangleMesh(tris.reshape(-1, 3), np.arange(3).reshape(1, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _assert_antipode_mirrors(tris, viewpoint_from_index(0))  # spans from the infinite guard
+        _assert_antipode_mirrors(tris, [viewpoint_from_index(0)])  # spans from the infinite guard
+        _assert_antipode_mirrors(tris, [viewpoint_from_index(7), viewpoint_from_index(0)])
+        _assert_slots_stack(tris, [viewpoint_from_index(7), viewpoint_from_index(0)])
         images = render_all_views(mesh, build_rig())
         for view, image in zip(build_rig(), images):
             assert np.array_equal(image.pixels, brute_force_render(mesh, view).pixels), view
@@ -370,8 +474,13 @@ def test_subnormal_triangle_term_renders_like_brute_force_without_warnings():
 
 def test_antipode_terms_and_spans_mirror_the_view_on_guard_mesh():
     tris = _guard_mesh().triangles
-    for view in build_rig()[:30]:  # one view of each of the 30 pairs
-        _assert_antipode_mirrors(tris, view)
+    first = build_rig()[:30]  # one view of each of the 30 pairs
+    for view in first:
+        _assert_antipode_mirrors(tris, [view])
+    # and in passes of several slots, as the renderer casts them
+    for k in range(0, 30, render._MAX_SLOTS):
+        _assert_antipode_mirrors(tris, first[k : k + render._MAX_SLOTS])
+        _assert_slots_stack(tris, first[k : k + render._MAX_SLOTS])
 
 
 def _steep_triangle(view, corner, lengths, tilts, turn):
@@ -399,12 +508,17 @@ FAT_TRIANGLES = np.array(
 )
 
 
-def _inner_pairs(ws, view):
-    """Every (triangle, row, column) pair in the inner columns of ``view``'s spans."""
-    spans = [(np.empty(0, dtype=np.int64),) * 5, *render._pair_spans(ws, view)]
+def _inner_pairs(ws, views):
+    """Every (slot, triangle, row, column) pair in the inner columns of the spans of ``views``, one per slot.
+
+    The triangle and row are the slot's own, not the stacked table's and image's.
+    """
+    spans = [(np.empty(0, dtype=np.int64),) * 5, *render._pass_spans(ws, views)]
     tri, first, _, lead, n_inner = (np.concatenate([span[i] for span in spans]) for i in range(5))
     pairs = [(np.empty(0, dtype=np.int64),) * 3, *render._span_pairs(tri, first + lead, n_inner)]
-    return [np.concatenate([pair[i] for pair in pairs]) for i in range(3)]
+    tri, row, col = (np.concatenate([pair[i] for pair in pairs]) for i in range(3))
+    slot, tri = np.divmod(tri, ws.corners.shape[-1])
+    return slot, tri, row - slot * render.IMAGE_SIZE, col
 
 
 def _kernel_distances(tris, view, tri, row, col):
@@ -427,23 +541,30 @@ def _kernel_distances(tris, view, tri, row, col):
     ),
     lift=st.floats(1e-309, 1e-6),
     index=st.sampled_from(AXIS_VIEWS) | st.integers(0, 59),
+    others=st.lists(st.integers(0, 59), max_size=2),
 )
-def test_inner_columns_are_hits_and_certain_plane_codes_are_the_kernels(soup, steep, lift, index):
+def test_inner_columns_are_hits_and_certain_plane_codes_are_the_kernels(soup, steep, lift, index, others):
     # random triangles, steep and nearly edge-on ones, the fat pair, and the
-    # sliver of the scratch test above, whose ``a`` is subnormal at small lifts
+    # sliver of the scratch test above, whose ``a`` is subnormal at small lifts;
+    # the steep ones are drawn for the first view, and ``others`` fill more slots
     view = viewpoint_from_index(index)
+    views = [view, *(viewpoint_from_index(other) for other in others)]
     sliver = [[0.3, -0.2, 0.0], [-0.1, 0.25, lift], [-0.35, -0.3, 0.0]]
     parts = [soup, FAT_TRIANGLES, [sliver], *([_steep_triangle(view, *args)] for args in steep)]
     tris = np.concatenate([np.asarray(part, dtype=np.float64).reshape(-1, 3, 3) for part in parts])
-    ws = render._Workspace(tris)
-    tri, row, col = _inner_pairs(ws, view)
-    assert len(tri) > 0
-    mirrored = render.IMAGE_SIZE - 1 - col
-    t = _kernel_distances(tris, view, tri, row, col)
-    t_antipode = _kernel_distances(tris, antipode(view), tri, row, mirrored)
+    ws = render._Workspace(tris, len(views))
+    slot, tri, row, col = _inner_pairs(ws, views)
+    t, t_antipode = np.empty(len(tri)), np.empty(len(tri))
+    for k, v in enumerate(views):
+        mine = slot == k
+        assert mine.any()
+        mirrored = render.IMAGE_SIZE - 1 - col[mine]
+        t[mine] = _kernel_distances(tris, v, tri[mine], row[mine], col[mine])
+        t_antipode[mine] = _kernel_distances(tris, antipode(v), tri[mine], row[mine], mirrored)
     assert np.isfinite(t).all() and np.isfinite(t_antipode).all()
 
-    codes = render._plane_codes(ws, tri, row, col, *render._pixel_axes()).copy()
+    stacked = slot * len(tris) + tri, slot * render.IMAGE_SIZE + row, col
+    codes = render._plane_codes(ws, *stacked, *render._pixel_axes(len(views))).copy()
     certain = codes > 0
     assert certain.mean() > 0.99
     assert np.array_equal(codes[certain], depth_codes(t)[certain])
@@ -562,7 +683,7 @@ def test_band_guarded_triangles_render_like_brute_force(index, lines, tiny):
         warnings.simplefilter("error")
         images = render_all_views(mesh, rig)
         banded = _banded(tris, view)
-        _, tri, _, n_cols, _, n_inner = _terms_and_spans(tris, view)
+        _, tri, _, n_cols, _, n_inner = _terms_and_spans(tris, [view])
     for v, image in zip(rig, images):
         assert np.array_equal(image.pixels, brute_force_render(mesh, v).pixels), v
     # a banded triangle's spans hold the few pixel centers per row that its

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import render_depth
 from viewsphere import synthetic
 from viewsphere.mesh import load_off, normalize_to_unit_cube
-from viewsphere.render import render_depth
 from viewsphere.viewrig import Viewpoint
 from viewsphere.voxel import voxelize
 
