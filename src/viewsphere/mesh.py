@@ -230,8 +230,8 @@ def add_gaussian_noise(mesh: TriangleMesh, sigma: float, seed: int) -> TriangleM
     Deterministic: identical (mesh, sigma, seed) yields identical output.
     Expects a normalized mesh, so sigma is in unit-cube units.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=mesh.vertices.shape)
     return TriangleMesh(vertices=mesh.vertices + noise, faces=mesh.faces)

@@ -14,8 +14,8 @@ fixed-size blocks. The code does not increase with the distance, so
 ``np.maximum.at`` of the codes keeps the code of the nearest hit per pixel,
 and every image equals testing every triangle against every pixel. A view and
 its antipode see the same projection mirrored, so they share all of this but
-the kernel and the fold, and a pass casts several such pairs at once, one
-slot each, over stacked images (:func:`_cast_pass`). One workspace per call
+the kernel and the fold. Every pass casts one or more such pairs, one slot
+each, over stacked images (:func:`_cast_pass`). One workspace per call
 (:class:`_Workspace`) holds the triangle terms that no view changes, computed
 once per mesh, and the scratch buffers that every block reuses.
 """
@@ -36,7 +36,7 @@ VIEW_SQUARE_SIZE = 1.9
 
 #: (triangle, pixel) pairs per batched kernel call; small blocks keep memory flat.
 _PAIR_CHUNK = 4096
-#: At most this many antipodal pairs (or unpaired views) per pass; see :func:`_passes`.
+#: At most this many antipodal pairs per pass; see :func:`_passes`.
 _MAX_SLOTS = 6
 #: Rounding guard ``g = _GUARD_K * eps * |e1| |e2| / |a| + _GUARD_FLOOR`` around
 #: each projected triangle, in world units; :func:`_guard` derives both values.
@@ -137,7 +137,7 @@ def _pixel_axes(slots: int = 1) -> tuple[np.ndarray, np.ndarray]:
     pix = VIEW_SQUARE_SIZE / IMAGE_SIZE
     ucoords = (np.arange(IMAGE_SIZE) - (IMAGE_SIZE - 1) / 2.0) * pix
     vcoords = ((IMAGE_SIZE - 1) / 2.0 - np.arange(IMAGE_SIZE)) * pix
-    return ucoords, vcoords if slots == 1 else np.tile(vcoords, slots)
+    return ucoords, np.tile(vcoords, slots)
 
 
 def _origin_terms(view: Viewpoint, mirrored: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -304,16 +304,15 @@ class _Workspace:
     triangle): column ``slot * T + t``. A pass of P slots uses the first
     P T columns.
 
-    - Per mesh: ``corners`` (corner, axis, T); the kernel rows of every
+    - Per mesh: ``corners`` (corner, axis, T); the 16 kernel rows of every
       (slot, triangle) in ``terms``, of which rows 0-8, ``v0``, ``e1`` and
       ``e2``, do not depend on the view and are computed here, once per
       triangle and then copied to every slot; ``edge_product`` (slots T,),
       ``|e1| |e2|``, for the guards; and ``normals`` (4, T), ``n = e1 x e2``
-      and ``n . v0``. ``terms`` has 13 rows with one slot, and 16 with more:
-      rows 13-15 hold each slot's view direction, which the kernel then
-      gathers per pair.
+      and ``n . v0``.
     - Per pass: :func:`_pass_spans` writes each slot's first view's
       ``h = d x e2`` and ``f = 1 / a`` into rows 9-12 of ``terms`` in place,
+      and its direction into rows 13-15, which the kernel gathers per pair;
       :func:`_plane_terms` the plane depth terms and margins into ``plane``
       (4, slots T), and :func:`_row_spans` the per-edge span fields into
       ``edges`` (8, 3, slots T).
@@ -332,7 +331,7 @@ class _Workspace:
     def __init__(self, tris: np.ndarray, slots: int = 1):
         n_tris = len(tris)
         self.corners = np.ascontiguousarray(tris.transpose(1, 2, 0))
-        self.terms = np.empty((13 if slots == 1 else 16, slots * n_tris))
+        self.terms = np.empty((16, slots * n_tris))
         self.terms[:9, :n_tris] = _edge_rows(*self.corners)
         for slot in range(1, slots):
             self.terms[:9, slot * n_tris : (slot + 1) * n_tris] = self.terms[:9, :n_tris]
@@ -394,9 +393,8 @@ def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
     r0 = np.searchsorted(neg_v, -(pv.max(axis=0) + g), side="left")
     n_rows = np.maximum(np.searchsorted(neg_v, -(pv.min(axis=0) - g), side="right") - r0, 0)
     n_rows[~live] = 0
-    slots = len(vcoords) // width
-    if slots > 1:  # each slot's rows in the stacked images
-        r0 += np.repeat(np.arange(0, len(vcoords), width), len(g) // slots)
+    slot_r0 = r0.reshape(len(vcoords) // width, -1)  # a view: one row per slot
+    slot_r0 += np.arange(0, len(vcoords), width)[:, None]  # each slot's rows in the stacked images
 
     # edges p -> q, one per row of each (3, N) field. A horizontal edge divides
     # by 1 instead of 0; fmax/fmin fall back to the u-extent should an
@@ -478,19 +476,18 @@ def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
 def _project(corners, axis):
     """Coordinate of every corner (corner, axis, T) along the image-plane ``axis``, written out term by term.
 
-    One ``axis`` (3,) gives (3, T); a stack of P axes (3, P, 1) gives (3, P T),
-    column ``slot * T + t`` (:class:`_Workspace`).
+    A stack of P axes (3, P, 1) gives (3, P T), column ``slot * T + t``
+    (:class:`_Workspace`), and one axis (3,) gives (3, T).
     """
-    if axis.ndim > 1:
-        corners = corners[:, :, None]
+    corners = corners[:, :, None]
     return (corners[:, 0] * axis[0] + corners[:, 1] * axis[1] + corners[:, 2] * axis[2]).reshape(len(corners), -1)
 
 
 def _plane_terms(ws: _Workspace, position, right, up, g: np.ndarray) -> None:
     """Write the plane depth terms and code margin of every triangle in each slot's view into ``ws.plane``.
 
-    ``position``, ``right`` and ``up`` are one view's (3,), or a stack of one
-    per slot (3, P, 1), and ``g`` (P T,) holds the guards (:func:`_pass_spans`).
+    ``position``, ``right`` and ``up`` are stacks of one per slot (3, P, 1)
+    (:func:`_frames`), and ``g`` (P T,) holds the guards (:func:`_pass_spans`).
 
     The ray of pixel (u, v) meets the plane of a triangle at
     ``t = alpha + beta u + gamma v``, with ``n = e1 x e2``, ``f = 1 / a`` the
@@ -549,30 +546,25 @@ def _plane_terms(ws: _Workspace, position, right, up, g: np.ndarray) -> None:
 
 
 def _frames(views):
-    """``position``, ``right``, ``up`` and ``toward`` of ``views``: (3,) each for one view, (3, P, 1) stacks for P."""
-    frames = [(view.position, *view.camera_frame()) for view in views]
-    if len(frames) == 1:
-        return frames[0]
-    return tuple(np.stack(vectors, axis=1)[:, :, None] for vectors in zip(*frames))
+    """``position``, ``right``, ``up`` and ``toward`` of P ``views``, each a (3, P, 1) stack."""
+    return np.array([(view.position, *view.camera_frame()) for view in views]).transpose(1, 2, 0)[..., None]
 
 
 def _pass_spans(ws: _Workspace, views):
     """Write the terms of ``views``, one per slot, into ``ws`` and return their spans (:func:`_row_spans`).
 
-    With more than one slot, rows 13-15 of ``ws.terms`` take each column's
-    direction, and ``h`` and ``a`` come from them; the other frame
+    Rows 13-15 of ``ws.terms`` take each column's direction, which the
+    kernel gathers too, and ``h`` and ``a`` come from them; the other frame
     components broadcast over the triangles. So every (slot, triangle)
     element goes through the rounded operations that a pass of its view
     alone gives it.
     """
-    slots, n_tris = len(views), ws.corners.shape[-1]
-    n = slots * n_tris
+    n_tris = ws.corners.shape[-1]
+    n = len(views) * n_tris
     position, right, up, direction = _frames(views)
     terms = ws.terms
-    if slots > 1:  # each column's direction, which the kernel gathers too
-        terms[13:, :n] = np.repeat(direction[:, :, 0], n_tris, axis=1)
-        direction = terms[13:, :n]
-    h, a = _view_terms(direction, terms[:, :n])
+    np.copyto(terms[13:, :n].reshape(3, len(views), n_tris), direction)
+    h, a = _view_terms(terms[13:, :n], terms[:, :n])
     terms[9:12, :n] = h
     with np.errstate(divide="ignore", over="ignore"):
         f = np.divide(1.0, a, out=terms[12, :n])
@@ -583,7 +575,7 @@ def _pass_spans(ws: _Workspace, views):
     g = _guard(ws.edge_product[:n], a)
     _band(ws.edge_product[:n], a, g, pu, pv)
     _plane_terms(ws, position, right, up, g)
-    return _row_spans(ws, pu, pv, g, live, *_pixel_axes(slots))
+    return _row_spans(ws, pu, pv, g, live, *_pixel_axes(len(views)))
 
 
 def _span_pairs(tri, first, counts):
@@ -626,36 +618,34 @@ def _flat_pixels(row, col, mirrored, out):
 def _kernel_codes(ws: _Workspace, members, bufs, tri, row, col) -> None:
     """Fold the codes of ``_hits`` for the pairs ``(tri, row, col)`` into each member's buffer (:func:`_cast_pass`)."""
     n = len(tri)
-    stacked = members[0][0] is None  # each pair's direction is gathered with its terms
-    k = 16 if stacked else 13
-    floats = ws.scratch(k + 12, n)
-    pair_terms, origins, scratch = floats[:k], floats[k : k + 3], [*floats[k + 3 :], *ws.scratch(2, n, np.bool_)]
-    np.take(ws.terms[:k], tri, axis=1, out=pair_terms, mode="clip")
-    indices, codes = ws.scratch(2 if stacked else 1, n, np.intp), ws.scratch(1, n, np.uint8)[0]
-    pix, column = indices[0], col
-    if stacked:  # the pair's column of its slot's column terms: slot * W + col
-        column = np.floor_divide(row, IMAGE_SIZE, out=indices[1])
-        np.add(np.multiply(column, IMAGE_SIZE, out=column), col, out=column)
-    for member, ((direction, columns, origin_rows), buf) in enumerate(zip(members, bufs)):
-        if member:  # the antipode: mirrored pixels, and h, f and any direction rows negated in place
+    floats = ws.scratch(28, n)
+    pair_terms, origins, scratch = floats[:16], floats[16:19], [*floats[19:], *ws.scratch(2, n, np.bool_)]
+    np.take(ws.terms, tri, axis=1, out=pair_terms, mode="clip")
+    pix, column = ws.scratch(2, n, np.intp)
+    codes = ws.scratch(1, n, np.uint8)[0]
+    # the pair's column of its slot's column terms: slot * W + col
+    np.floor_divide(row, IMAGE_SIZE, out=column)
+    np.add(np.multiply(column, IMAGE_SIZE, out=column), col, out=column)
+    for member, ((columns, origin_rows), buf) in enumerate(zip(members, bufs)):
+        if member:  # the antipode: mirrored pixels, and h, f and the direction negated in place
             np.negative(pair_terms[9:], out=pair_terms[9:])
         np.take(columns, column, axis=1, out=origins, mode="clip")
         # the row terms pass through the kernel's first three rows before it runs
-        np.add(origins, np.take(origin_rows, row, axis=1, out=floats[k + 3 : k + 6], mode="clip"), out=origins)
-        t = _hits(*origins, pair_terms[13:] if stacked else direction, pair_terms[:13], scratch)
+        np.add(origins, np.take(origin_rows, row, axis=1, out=floats[19:22], mode="clip"), out=origins)
+        t = _hits(*origins, pair_terms[13:], pair_terms[:13], scratch)
         # a miss is code 0, which leaves the buffer as it is
         np.maximum.at(buf, _flat_pixels(row, col, member, pix), _code_into(codes, t, scratch[-1]))
 
 
-def _cast_pass(ws: _Workspace, groups, bufs) -> None:
-    """Fold the code of every triangle's hit into the flat code buffers of the views of ``groups``.
+def _cast_pass(ws: _Workspace, view_pairs, bufs) -> None:
+    """Fold the code of every triangle's hit into the flat code buffers of the views of ``view_pairs``.
 
-    ``groups`` holds P antipodal groups of one size, one per slot: each one
-    view, or an antipodal pair in index order (see :func:`viewrig.antipode`).
-    ``bufs`` holds one uint8 buffer per member of a group, the P images of
-    that member stacked in slot order, and ``ws`` the call's workspace, whose
-    term tables the pass updates. The triangle terms, projection, spans, pair
-    expansion and term gather come from each slot's first view alone. Its
+    ``view_pairs`` holds P antipodal pairs, one per slot, each in index order
+    (see :func:`viewrig.antipode`). ``bufs`` holds one uint8 buffer per
+    member of a pair, the P images of that member stacked in slot order, and
+    ``ws`` the call's workspace, whose term tables the pass updates. The
+    triangle terms, projection, spans, pair expansion and term gather come
+    from each slot's first view alone. Its
     antipode has ``right' = -right``, ``up' = up`` and ``toward' = -toward``,
     and negating one factor negates a rounded product, sum or difference
     exactly. So the antipode's projection is the first view's mirrored in u,
@@ -670,24 +660,18 @@ def _cast_pass(ws: _Workspace, groups, bufs) -> None:
     ``_hits`` once per member, with that member's ray origins: each view adds
     its per-column and per-row origin terms (:func:`_origin_terms`, mirrored
     for the antipode) at the pair's row and column indices, the slots' terms
-    stacked as their images are. A one-slot pass passes its view's direction
-    to the kernel as a scalar, and a pass of several gathers each pair's
-    direction from ``ws.terms``. Every block holds at most ``_PAIR_CHUNK``
-    pairs. The code of the nearest hit is the largest, and max is
-    order-independent, so each image equals the codes of testing every
-    triangle against every pixel of its view.
+    stacked as their images are, and gathers its slot's direction from
+    ``ws.terms``. Every block holds at most ``_PAIR_CHUNK`` pairs. The code
+    of the nearest hit is the largest, and max is order-independent, so each
+    image equals the codes of testing every triangle against every pixel of
+    its view.
     """
-    slots = len(groups)
-    axes = _pixel_axes(slots)
-    members = []
-    for member, view in enumerate(groups[0]):
-        if slots == 1:
-            direction = tuple(float(c) for c in view.camera_frame()[2])
-            members.append((direction, *_origin_terms(view, member > 0)))
-        else:
-            tables = [_origin_terms(group[member], member > 0) for group in groups]
-            members.append((None, *(np.concatenate(table, axis=1) for table in zip(*tables))))
-    for tri, first, n_cols, lead, n_inner in _pass_spans(ws, [group[0] for group in groups]):
+    axes = _pixel_axes(len(view_pairs))
+    members = []  # per member, its (columns, rows) origin tables, the slots' stacked
+    for member in range(2):
+        tables = [_origin_terms(pair[member], member > 0) for pair in view_pairs]
+        members.append([np.concatenate(table, axis=1) for table in zip(*tables)])
+    for tri, first, n_cols, lead, n_inner in _pass_spans(ws, [pair[0] for pair in view_pairs]):
         inner = first + lead
         for pairs in _span_pairs(tri, inner, n_inner):
             codes = _plane_codes(ws, *pairs, *axes)
@@ -706,32 +690,21 @@ def _cast_pass(ws: _Workspace, groups, bufs) -> None:
             _kernel_codes(ws, members, bufs, *pairs)
 
 
-def _antipodal_groups(rig: list[Viewpoint]) -> list[list[Viewpoint]]:
-    """The distinct views of ``rig``, grouped by antipodal pair, each group in index order."""
-    groups: dict[int, set[Viewpoint]] = {}
-    for view in rig:
-        groups.setdefault(min(view.index, antipode(view).index), set()).add(view)
-    return [sorted(group, key=lambda view: view.index) for group in groups.values()]
+def _passes(rig: list[Viewpoint], n_tris: int) -> list[list[tuple[Viewpoint, Viewpoint]]]:
+    """The antipodal pairs that hold the views of ``rig``, in rig order, split into passes of up to P pairs.
 
-
-def _passes(rig: list[Viewpoint], n_tris: int) -> list[list[list[Viewpoint]]]:
-    """The antipodal groups of ``rig`` (:func:`_antipodal_groups`), split into passes of up to P groups of one size.
-
-    Pairs go with pairs and unpaired views with unpaired views, in rig
-    order, and each pass takes P = min(groups left, ``_PAIR_CHUNK // n_tris``,
-    ``_MAX_SLOTS``) of them, at least one. A mesh of more than
-    ``_PAIR_CHUNK / 2`` triangles thus casts one pair per pass, and a small
-    one its 30 pairs in a few passes, which share the span stage, the plane
-    codes and the kernel calls. ``_MAX_SLOTS`` bounds the stacked code
+    Each pair is in index order, and a view whose antipode is not in the rig
+    is cast with it all the same. Each pass takes P = min(pairs left,
+    ``_PAIR_CHUNK // n_tris``, ``_MAX_SLOTS``) pairs, at least one. A mesh of
+    more than ``_PAIR_CHUNK / 2`` triangles thus casts one pair per pass, and
+    a small one its 30 pairs in a few passes, which share the span stage, the
+    plane codes and the kernel calls. ``_MAX_SLOTS`` bounds the stacked code
     buffers (2 P 50 KB) and the term tables of small meshes.
     """
     per_pass = max(1, min(_PAIR_CHUNK // n_tris, _MAX_SLOTS))
-    groups = _antipodal_groups(rig)
-    passes = []
-    for size in (2, 1):
-        same = [group for group in groups if len(group) == size]
-        passes += [same[k : k + per_pass] for k in range(0, len(same), per_pass)]
-    return passes
+    firsts = list(dict.fromkeys(min(view, antipode(view), key=lambda v: v.index) for view in rig))
+    pairs = [(view, antipode(view)) for view in firsts]
+    return [pairs[k : k + per_pass] for k in range(0, len(pairs), per_pass)]
 
 
 def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImage]:
@@ -743,13 +716,14 @@ def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImag
     yields an 8-bit code, from the plane depth where that is certain and
     from the kernel elsewhere, and the largest code per pixel is the code of
     the nearest hit, so every image equals testing every triangle against
-    every pixel. A view and its antipode, when both are in the rig, share
-    one projection, one span list and one term gather, and a pass casts
-    several such pairs (or unpaired views) at once (:func:`_passes`,
-    :func:`_cast_pass`). The two stacked code buffers and the workspace
-    (:class:`_Workspace`) are allocated once per call and reused across
-    passes; the call keeps no state after it returns. Bit-identical for
-    identical inputs, however the rig is split into passes.
+    every pixel. A view and its antipode share one projection, one span list
+    and one term gather, and every pass casts one or more such pairs at once
+    (:func:`_passes`, :func:`_cast_pass`); a view whose antipode is not in
+    the rig is cast with it, and the antipode's image is dropped. The two
+    stacked code buffers and the workspace (:class:`_Workspace`) are
+    allocated once per call and reused across passes; the call keeps no
+    state after it returns. Bit-identical for identical inputs, however the
+    rig is split into passes.
     """
     shape = (IMAGE_SIZE, IMAGE_SIZE)
     if len(mesh.faces) == 0:
@@ -757,19 +731,19 @@ def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImag
     assert_normalized(mesh)
 
     passes = _passes(rig, len(mesh.faces))
-    slots = max((len(groups) for groups in passes), default=1)
+    slots = max(map(len, passes), default=1)
     ws = _Workspace(mesh.triangles, slots)
     size = IMAGE_SIZE * IMAGE_SIZE
     bufs = [np.empty(slots * size, dtype=np.uint8) for _ in range(2)]
     images = {}
-    for groups in passes:
-        # per member of a group, the pass's images stacked in slot order
-        stacked = [buf[: len(groups) * size] for buf in bufs[: len(groups[0])]]
+    for view_pairs in passes:
+        # per member of a pair, the pass's images stacked in slot order
+        stacked = [buf[: len(view_pairs) * size] for buf in bufs]
         for buf in stacked:
             buf.fill(BACKGROUND_CODE)
-        _cast_pass(ws, groups, stacked)
-        for slot, group in enumerate(groups):
-            for view, buf in zip(group, stacked):
+        _cast_pass(ws, view_pairs, stacked)
+        for slot, pair in enumerate(view_pairs):
+            for view, buf in zip(pair, stacked):
                 images[view] = DepthImage(buf[slot * size : (slot + 1) * size].reshape(shape))
     return [images[view] for view in rig]
 

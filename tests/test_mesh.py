@@ -235,8 +235,10 @@ def test_noise_deterministic():
 
 def test_noise_negative_sigma():
     mesh = parse_off(MINIMAL_OFF)
-    with pytest.raises(ValueError, match="sigma"):
-        add_gaussian_noise(mesh, -0.1, seed=0)
+    # NaN compares false with 0, so a sigma that is not finite needs its own check
+    for sigma in (-0.1, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"sigma must be finite and >= 0, got {sigma}"):
+            add_gaussian_noise(mesh, sigma, seed=0)
 
 
 def test_noise_displacement_std():

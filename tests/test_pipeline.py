@@ -320,6 +320,19 @@ def test_cli_noise_sweep_rejects_empty_sigma_list(dataset, model_root, tmp_path,
     assert not (tmp_path / "sweep").exists()
 
 
+def test_cli_noise_sweep_rejects_sigma_that_is_not_finite(dataset, predictors, model_root, tmp_path, capsys):
+    out, _ = dataset
+    _, view_predictor = predictors
+    view_npz = tmp_path / "view_knn.npz"
+    view_predictor.save(view_npz)
+    args = ["noise-sweep", "--manifest", str(out / "manifest.csv"), "--models", str(model_root)]
+    args += ["--sigmas", "nan", "--view-model", str(view_npz), "--out", str(tmp_path / "sweep")]
+    # a validation failure (1), not a partial skip (2)
+    assert main(args) == 1
+    assert "sigma must be finite and >= 0, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_emit_heatmap(tmp_path):
     values = np.zeros((5, 12))
     values[1, 4] = 2.5

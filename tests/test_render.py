@@ -88,9 +88,9 @@ AXIS_VIEWS = (24, 27, 30, 33)
 def test_hits_with_workspace_scratch_match_ray_triangle_hits(tris, lift, indices, n_rays, longer, seed):
     # beside the drawn triangles: a zero-area one, and a sliver in the plane z = 0
     # with one corner lifted by ``lift``, whose ``a`` is subnormal (or as small) at
-    # the views along x and y. Each drawn view is one slot of the term table; a
-    # table of several slots carries each slot's direction in rows 13-15, and the
-    # kernel takes it per ray
+    # the views along x and y. Each drawn view is one slot of the term table,
+    # which carries each slot's direction in rows 13-15, and the kernel takes
+    # it per ray
     zero_area = tris[:1].copy()
     zero_area[0, 2] = zero_area[0, 1]
     sliver = np.array([[[0.3, -0.2, 0.0], [-0.1, 0.25, lift], [-0.35, -0.3, 0.0]]])
@@ -112,10 +112,9 @@ def test_hits_with_workspace_scratch_match_ray_triangle_hits(tris, lift, indices
 
     ws = render._Workspace(tris, slots)
     rows = len(ws.terms)
-    assert rows == (13 if slots == 1 else 16)
-    if slots > 1:
-        ws.terms[13:] = np.repeat(directions.T, n_tris, axis=1)
-    h, a = render._view_terms(ws.terms[13:] if slots > 1 else directions[0], ws.terms)
+    assert rows == 16
+    ws.terms[13:] = np.repeat(directions.T, n_tris, axis=1)
+    h, a = render._view_terms(ws.terms[13:], ws.terms)
     ws.terms[9:12] = h
     with np.errstate(divide="ignore", over="ignore"):
         f = 1.0 / a
@@ -127,8 +126,8 @@ def test_hits_with_workspace_scratch_match_ray_triangle_hits(tris, lift, indices
     pair_terms, origins = floats[:rows], floats[rows : rows + 3]
     np.take(ws.terms, slot * n_tris + tri, axis=1, out=pair_terms, mode="clip")
     origins[:] = ox, oy, oz
-    direction = pair_terms[13:] if slots > 1 else directions[0]
-    t = render._hits(*origins, direction, pair_terms[:13], [*floats[rows + 3 :], *ws.scratch(2, n_rays, np.bool_)])
+    scratch = [*floats[rows + 3 :], *ws.scratch(2, n_rays, np.bool_)]
+    t = render._hits(*origins, pair_terms[13:], pair_terms[:13], scratch)
     assert np.shares_memory(t, floats)
     assert np.array_equal(t.view(np.uint64), expected.view(np.uint64))
 
@@ -310,8 +309,8 @@ def test_splitting_a_rig_into_passes_changes_no_byte(pair_chunk, data, rig, narr
 
 
 def test_passes_follow_the_face_count_rule(monkeypatch):
-    # a pass takes P = min(groups left, _PAIR_CHUNK // T, _MAX_SLOTS) groups
-    # of one size; counted at the span stage, which runs once per pass
+    # a pass takes P = min(pairs left, _PAIR_CHUNK // T, _MAX_SLOTS) antipodal
+    # pairs; counted at the span stage, which runs once per pass
     slots = []
 
     def counted(ws, views):
@@ -334,14 +333,14 @@ def test_passes_follow_the_face_count_rule(monkeypatch):
     assert passes(random_mesh(np.random.default_rng(0), half + 1), rig) == [1] * 30
     assert passes(random_mesh(np.random.default_rng(0), half), rig) == [2] * 15
     assert passes(unit_cube_mesh(), [rig[17]]) == [1]
-    # pairs with pairs, then unpaired views with unpaired views
+    # a view whose antipode is not in the rig takes a slot of its own pair
     pairs = [view for k in range(9) for view in (rig[k], antipode(rig[k]))]
     unpaired = [rig[k] for k in range(12, 24)]
 
     def split(groups):
         return [min(per_pass, groups - k) for k in range(0, groups, per_pass)]
 
-    assert passes(unit_cube_mesh(), unpaired[:3] + pairs + unpaired[3:]) == split(9) + split(12)
+    assert passes(unit_cube_mesh(), unpaired[:3] + pairs + unpaired[3:]) == split(21)
 
 
 def _guard_mesh():
@@ -399,7 +398,7 @@ def _assert_antipode_mirrors(tris, views):
     a_ws, a_tri, a_first, a_n_cols, a_lead, a_n_inner = _terms_and_spans(tris, [antipode(view) for view in views])
     terms, a_terms = ws.terms, a_ws.terms
     assert np.array_equal(a_terms[:12], np.concatenate([terms[:9], -terms[9:12]]))
-    assert np.array_equal(a_terms[13:], -terms[13:])  # each slot's direction, when there are several
+    assert np.array_equal(a_terms[13:], -terms[13:])  # each slot's direction
     # a triangle seen edge-on has a = +-0 in both views, and an f of either sign
     live = np.isfinite(terms[12])
     assert np.array_equal(np.isfinite(a_terms[12]), live)
@@ -427,7 +426,7 @@ def _assert_slots_stack(tris, views):
     for k, view in enumerate(views):
         one, *spans = _terms_and_spans(tris, [view])
         columns = slice(k * n_tris, (k + 1) * n_tris)
-        assert np.array_equal(ws.terms[:13, columns].view(np.uint64), one.terms.view(np.uint64)), view
+        assert np.array_equal(ws.terms[:, columns].view(np.uint64), one.terms.view(np.uint64)), view
         assert np.array_equal(ws.plane[:, columns].view(np.uint64), one.plane.view(np.uint64)), view
         mine = tri // n_tris == k
         stacked = tri[mine] - k * n_tris, first[mine] - k * size, n_cols[mine], lead[mine], n_inner[mine]
