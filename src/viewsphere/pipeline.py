@@ -30,7 +30,7 @@ from .predict import (
     knn_entropy_predictor_train,
     knn_view_predictor_train,
 )
-from .render import read_pgm, render_all_views, write_pgm_array
+from .render import DepthImage, read_pgm, render_all_views, write_pgm_array
 from .viewrig import N_AZIMUTHS, N_RINGS, N_VIEWS, Viewpoint, build_rig
 from .voxel import load_grid, save_grid, voxelize
 
@@ -242,13 +242,23 @@ def train_predictors(
     )
     view_predictor = knn_view_predictor_train(
         (
-            (read_pgm(path), r.category, i)
+            (_read_view(path), r.category, i)
             for r in train
             for i, path in enumerate(r.view_paths)
         ),
         k=k,
     )
     return entropy_predictor, view_predictor
+
+
+def _read_view(path: str | Path) -> DepthImage:
+    """Read a stored view for the k-NN view predictor; any error names the file, as ``read_pgm``'s do."""
+    image = read_pgm(path)
+    try:
+        KnnViewPredictor.check_image(image)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return image
 
 
 @dataclass
@@ -295,7 +305,7 @@ def recognize_object(
 def _view_lookup(view_source, record: DatasetRecord) -> Callable[[int], ViewPrediction]:
     """The predictions for the stored views of ``record``, by view index."""
     if isinstance(view_source, KnnViewPredictor):
-        return lambda i: view_source.predict(read_pgm(record.view_paths[i]))
+        return lambda i: view_source.predict(_read_view(record.view_paths[i]))
 
     def exchange(i: int) -> ViewPrediction:
         key = (record.object_id, i)

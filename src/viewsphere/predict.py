@@ -257,8 +257,18 @@ class KnnViewPredictor(_KnnTable):
         self.categories = list(categories)
 
     @staticmethod
+    def check_image(image: DepthImage) -> None:
+        """Raise a ValueError naming both shapes unless ``image`` is a rendered view, IMAGE_SIZE x IMAGE_SIZE."""
+        if image.pixels.shape != (IMAGE_SIZE, IMAGE_SIZE):
+            height, width = image.pixels.shape
+            raise ValueError(f"view image is {height} x {width} pixels, not {IMAGE_SIZE} x {IMAGE_SIZE}")
+
+    @staticmethod
     def featurize(image: DepthImage) -> np.ndarray:
-        return block_sums(image.pixels, IMAGE_POOL_FACTOR, KnnViewPredictor.FEATURE_DTYPE).ravel()
+        # block_sums rejects a shape that the pool factor does not divide, and check_image any other
+        features = block_sums(image.pixels, IMAGE_POOL_FACTOR, KnnViewPredictor.FEATURE_DTYPE)
+        KnnViewPredictor.check_image(image)
+        return features.ravel()
 
     def predict(self, image: DepthImage) -> ViewPrediction:
         class_scores = dict.fromkeys(self.categories, 0.0)

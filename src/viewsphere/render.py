@@ -140,20 +140,46 @@ def _pixel_axes(slots: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return ucoords, np.tile(vcoords, slots)
 
 
-def _origin_terms(view: Viewpoint, mirrored: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Ray-origin terms of ``view``: per column ``position + u * right``, per row ``v * up``, each (3, W).
+def _grid_index(grid: np.ndarray, keys: np.ndarray, side: str, out: np.ndarray, scratch, flags) -> np.ndarray:
+    """``np.searchsorted(grid, keys, side)`` over the pixel centers ``grid``, by arithmetic, written into ``out``.
 
-    The origin of pixel (r, c) is ``columns[:, c] + rows[:, r]``, one rounded
-    addition per component. With ``mirrored`` the columns run in reverse u
-    order, so column index c names pixel column ``W - 1 - c``: an antipode
-    reads its origins with the column indices of its pair's first view.
+    ``grid`` holds W >= 2 evenly spaced ascending centers (:func:`_pixel_axes`);
+    ``out`` (intp), ``scratch`` (float64) and ``flags`` (bool) are shaped like
+    ``keys``. The guess ``g`` is the key's fractional index, from the first
+    center in steps of the grid, cast down: rounding moves it by a few eps,
+    so the index lies in ``[g, g + 2]``. Keys are first clipped to a quarter
+    step inside the end centers, which keeps that window and puts ``g`` in
+    ``[0, W - 2]``; the clip comes before any cast, and NaN clips high, so
+    no key warns. Then one exact comparison with the center at the index so
+    far, twice, finds the index, as :func:`voxel._cell_box` does. A center
+    counts iff it is not at least the key (``side="left"``), or not above it
+    (``"right"``), so a NaN key, which sorts last, counts every center, and
+    a key equal to a center, whatever the signs of their zeros, counts it
+    as ``searchsorted`` does.
     """
-    right, up, _ = view.camera_frame()
-    ucoords, vcoords = _pixel_axes()
-    if mirrored:
-        ucoords = ucoords[::-1]
-    columns = view.position[:, None] + ucoords[None, :] * right[:, None]
-    return columns, vcoords[None, :] * up[:, None]
+    step = (grid[-1] - grid[0]) / (len(grid) - 1)
+    x = np.fmax(np.fmin(keys, grid[-1] - step / 4, out=scratch), grid[0] + step / 4, out=scratch)
+    np.copyto(out, np.divide(np.subtract(x, grid[0], out=x), step, out=x), casting="unsafe")
+    above = np.greater_equal if side == "left" else np.greater
+    for _ in range(2):
+        below = np.logical_not(above(np.take(grid, out, out=scratch, mode="clip"), keys, out=flags), out=flags)
+        np.add(out, below, out=out)
+    return out
+
+
+def _origin_terms(frames, ucoords: np.ndarray, vcoords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ray-origin terms of P views: per column ``position + u * right``, per row ``v * up``, each (3, P W).
+
+    ``frames`` are the views' stacks (:func:`_frames`), and ``ucoords`` and
+    ``vcoords`` one image's pixel axes. Column ``k W + c`` holds slot ``k``'s
+    column ``c``, and row ``k W + r`` its row ``r``, as the slots' images are
+    stacked, and the origin of pixel (r, c) of slot k is the sum of the two,
+    one rounded addition per component. Reversed ``ucoords`` make column
+    index c name pixel column ``W - 1 - c``: an antipode reads its origins
+    with the column indices of its pair's first view.
+    """
+    position, right, up = frames[:3]
+    return (position + ucoords * right).reshape(3, -1), (vcoords * up).reshape(3, -1)
 
 
 def _code_scale(t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -308,8 +334,9 @@ class _Workspace:
       (slot, triangle) in ``terms``, of which rows 0-8, ``v0``, ``e1`` and
       ``e2``, do not depend on the view and are computed here, once per
       triangle and then copied to every slot; ``edge_product`` (slots T,),
-      ``|e1| |e2|``, for the guards; and ``normals`` (4, T), ``n = e1 x e2``
-      and ``n . v0``.
+      ``|e1| |e2|``, for the guards; ``normals`` (4, T), ``n = e1 x e2``
+      and ``n . v0``; and the pixel axes ``ucoords`` (W,) and ``vcoords``
+      (slots W,) of the stacked images (:func:`_pixel_axes`).
     - Per pass: :func:`_pass_spans` writes each slot's first view's
       ``h = d x e2`` and ``f = 1 / a`` into rows 9-12 of ``terms`` in place,
       and its direction into rows 13-15, which the kernel gathers per pair;
@@ -320,12 +347,15 @@ class _Workspace:
       which the span stage, the plane-depth codes and the pair kernel take in
       turn (:meth:`scratch`) and fill with ``out=``. A block of any stage is
       done with its scratch before the next block of any stage begins, and
-      hands on only new arrays. Each buffer grows to the largest block the
-      call has asked of it, at most ``_PAIR_CHUNK`` pairs wide. Gathers into
-      it use ``np.take(..., mode="clip")``, which writes into ``out``
-      unbuffered; their indices (table columns from ``np.arange``, pixel
-      rows and columns inside the stacked images) are in range by
-      construction, so nothing clips.
+      hands on only new arrays, but for the codes and pixel indices of
+      :func:`_inner_codes`, which its caller folds before any other stage
+      runs. Each buffer grows to the largest block the call has asked of
+      it, at most ``_PAIR_CHUNK`` pairs wide. Gathers into it use
+      ``np.take(..., mode="clip")``, which writes into ``out`` unbuffered;
+      their indices (table columns and span indices from ``np.arange``,
+      pixel rows and columns inside the stacked images, grid indices that
+      :func:`_grid_index` clamps) are in range by construction, so nothing
+      clips.
     """
 
     def __init__(self, tris: np.ndarray, slots: int = 1):
@@ -342,6 +372,7 @@ class _Workspace:
         self.normals = np.array([nx, ny, nz, nx * v0x + ny * v0y + nz * v0z])
         self.plane = np.empty((4, slots * n_tris))
         self.edges = np.empty((8, 3, slots * n_tris))
+        self.ucoords, self.vcoords = _pixel_axes(slots)
         self._buffers: dict[type, np.ndarray] = {}
 
     def scratch(self, rows: int, n: int, dtype=np.float64) -> np.ndarray:
@@ -386,12 +417,16 @@ def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
     width is below the view square, so a crossing plus or minus its width
     rounds by a few eps, far below ``g``.
 
-    The yielded arrays are new; the intermediates of a block live in ``ws``.
+    Every search among the pixel centers is :func:`_grid_index`. The
+    yielded arrays are new; the intermediates of a block live in ``ws``.
     """
     width = len(ucoords)
-    neg_v, neg_u = -vcoords[:width], -ucoords[::-1]  # ascending
-    r0 = np.searchsorted(neg_v, -(pv.max(axis=0) + g), side="left")
-    n_rows = np.maximum(np.searchsorted(neg_v, -(pv.min(axis=0) - g), side="right") - r0, 0)
+    # -vcoords[:W] equals ucoords, so the rows are searched among the u centers
+    scratch = np.empty(len(g)), np.empty(len(g), np.bool_)
+    r0 = _grid_index(ucoords, -(pv.max(axis=0) + g), "left", np.empty(len(g), np.intp), *scratch)
+    n_rows = _grid_index(ucoords, -(pv.min(axis=0) - g), "right", np.empty(len(g), np.intp), *scratch)
+    n_rows -= r0
+    np.maximum(n_rows, 0, out=n_rows)
     n_rows[~live] = 0
     slot_r0 = r0.reshape(len(vcoords) // width, -1)  # a view: one row per slot
     slot_r0 += np.arange(0, len(vcoords), width)[:, None]  # each slot's rows in the stacked images
@@ -449,25 +484,22 @@ def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
             np.copyto(bound, -np.inf, where=far)
             np.add(bound.max(axis=0, out=hi), e_g, out=hi)
         np.copyto(in_lo, np.nan, where=all_reach)
-        col = np.searchsorted(ucoords, lo, side="left")
-        n_cols = np.maximum(np.searchsorted(ucoords, hi, side="right") - col, 0)
-        # the inner columns [start, stop), clamped to the span. They start at
-        # the span's first column when its center is not left of in_lo, and
-        # stop at its end when its last center is not right of in_hi; only the
-        # other spans search. A NaN bound fails both tests and sorts last, so
-        # it starts the inner columns at the right edge and, negated, stops
-        # them at the left. An empty span gets none whatever it reads, so its
-        # column W or -1 may clip.
-        start, stop = col.copy(), col + n_cols
-        fits = np.greater_equal(np.take(ucoords, start, out=y, mode="clip"), in_lo, out=all_reach)
-        search = np.flatnonzero(np.logical_not(fits, out=fits))
-        start[search] = np.maximum(np.searchsorted(ucoords, in_lo[search], side="left"), col[search])
-        fits = np.less_equal(np.take(ucoords, stop - 1, out=y, mode="clip"), in_hi, out=all_reach)
-        search = np.flatnonzero(np.logical_not(fits, out=fits))
-        ends = width - np.searchsorted(neg_u, np.negative(in_hi[search]), side="left")
-        stop[search] = np.minimum(ends, stop[search])
-        n_inner = np.maximum(stop - start, 0)
-        lead = np.minimum(start - col, n_cols)
+        scratch = floats[0], bools[0]
+        col, start, stop = ws.scratch(3, n, np.intp)
+        _grid_index(ucoords, lo, "left", col, *scratch)
+        n_cols = _grid_index(ucoords, hi, "right", np.empty(n, np.intp), *scratch)
+        n_cols -= col
+        np.maximum(n_cols, 0, out=n_cols)
+        # the inner columns, from col: [max(start, 0), min(stop, n_cols)). A NaN
+        # bound sorts last, so it starts them at W and, negated, stops them at 0
+        np.subtract(_grid_index(ucoords, in_lo, "left", start, *scratch), col, out=start)
+        np.maximum(start, 0, out=start)
+        _grid_index(ucoords, np.negative(in_hi, out=in_hi), "left", stop, *scratch)
+        np.subtract(width, np.add(stop, col, out=stop), out=stop)
+        np.minimum(stop, n_cols, out=stop)
+        n_inner = np.subtract(stop, start)
+        np.maximum(n_inner, 0, out=n_inner)
+        lead = np.minimum(start, n_cols)
         row *= width
         row += col
         yield tri, row, n_cols, lead, n_inner
@@ -575,7 +607,7 @@ def _pass_spans(ws: _Workspace, views):
     g = _guard(ws.edge_product[:n], a)
     _band(ws.edge_product[:n], a, g, pu, pv)
     _plane_terms(ws, position, right, up, g)
-    return _row_spans(ws, pu, pv, g, live, *_pixel_axes(len(views)))
+    return _row_spans(ws, pu, pv, g, live, ws.ucoords, ws.vcoords[: len(views) * len(ws.ucoords)])
 
 
 def _span_pairs(tri, first, counts):
@@ -587,23 +619,49 @@ def _span_pairs(tri, first, counts):
         yield np.repeat(tri[block], span), np.repeat(span_row[block], span), col
 
 
-def _plane_codes(ws: _Workspace, tri, row, col, ucoords, vcoords) -> np.ndarray:
-    """The codes of inner pairs from their plane depth (:func:`_plane_terms`), 0 where rounding could decide.
+def _inner_codes(ws: _Workspace, tri, first, counts):
+    """Yield the plane-depth codes of the inner columns ``[first, first + counts)`` of spans, ``_PAIR_CHUNK`` at a time.
 
-    The result is a uint8 array in ``ws``'s scratch.
+    ``tri`` holds each span's table column, ``first`` the flat index of its
+    first inner pixel in the stacked images, and every count is positive.
+    Each block is ``(codes, pixels, mirrored, pairs)``: the codes of its
+    pixels (:func:`_plane_terms`), 0 where rounding could decide; their flat
+    indices, and those of the antipodes' pixels, column ``W - 1 - c`` for
+    ``c``; and the ``(tri, row, col)`` of the pixels of code 0, the kernel's
+    pairs. The plane terms are gathered, and ``alpha + gamma v`` is summed,
+    once per span, so a pixel runs only ``t^ = (alpha + gamma v) + beta u``
+    and its code: the same rounded operations, in the same order, as
+    gathering every term per pixel. The first three arrays are ``ws``
+    scratch, which the caller folds before it runs the kernel pairs, which
+    are new.
     """
-    n = len(tri)
-    floats = ws.scratch(6, n)
-    alpha, beta, gamma, margin = np.take(ws.plane, tri, axis=1, out=floats[:4], mode="clip")
-    scaled, lo = floats[4:]
-    np.add(alpha, np.multiply(gamma, np.take(vcoords, row, out=scaled, mode="clip"), out=gamma), out=alpha)
-    np.add(alpha, np.multiply(beta, np.take(ucoords, col, out=scaled, mode="clip"), out=beta), out=alpha)
-    _code_scale(alpha, out=scaled)
-    np.rint(np.subtract(scaled, margin, out=lo), out=lo)
-    np.rint(np.add(scaled, margin, out=margin), out=margin)
-    certain = np.equal(lo, margin, out=ws.scratch(1, n, np.bool_)[0])
-    np.clip(lo, FAR_CODE, NEAR_CODE, out=lo)
-    return np.multiply(lo, certain, out=ws.scratch(1, n, np.uint8)[0], casting="unsafe")
+    width = IMAGE_SIZE
+    row, col = np.divmod(first, width)
+    alpha, beta, gamma, margin = np.take(ws.plane, tri, axis=1)
+    span_terms = np.array([alpha + gamma * np.take(ws.vcoords, row), beta, margin])
+    # each span's first pixel in both images, and its column; pixel k of the
+    # span lies k further on in the first view's image and k back in the antipode's
+    pixels = np.array([first, first + (width - 1) - 2 * col, col])
+    for block, span, k in pair_chunks(counts, _PAIR_CHUNK):
+        at = np.repeat(np.arange(block.start, block.stop), span)
+        n = len(at)
+        floats = ws.scratch(5, n)
+        t, beta, margin = np.take(span_terms, at, axis=1, out=floats[:3], mode="clip")
+        scaled, lo = floats[3:]
+        pix, mirrored, column = np.take(pixels, at, axis=1, out=ws.scratch(3, n, np.intp), mode="clip")
+        pix += k
+        mirrored -= k
+        column += k
+        np.add(t, np.multiply(beta, np.take(ws.ucoords, column, out=scaled, mode="clip"), out=beta), out=t)
+        _code_scale(t, out=scaled)
+        np.rint(np.subtract(scaled, margin, out=lo), out=lo)
+        np.rint(np.add(scaled, margin, out=margin), out=margin)
+        certain = np.equal(lo, margin, out=ws.scratch(1, n, np.bool_)[0])
+        np.clip(lo, FAR_CODE, NEAR_CODE, out=lo)
+        codes = np.multiply(lo, certain, out=ws.scratch(1, n, np.uint8)[0], casting="unsafe")
+        uncertain = np.flatnonzero(np.logical_not(certain, out=certain))
+        spans_of = at[uncertain]
+        yield codes, pix, mirrored, (tri[spans_of], row[spans_of], column[uncertain])
 
 
 def _flat_pixels(row, col, mirrored, out):
@@ -644,7 +702,7 @@ def _cast_pass(ws: _Workspace, view_pairs, bufs) -> None:
     (see :func:`viewrig.antipode`). ``bufs`` holds one uint8 buffer per
     member of a pair, the P images of that member stacked in slot order, and
     ``ws`` the call's workspace, whose term tables the pass updates. The
-    triangle terms, projection, spans, pair expansion and term gather come
+    triangle terms, projection, spans, pixel expansion and term gathers come
     from each slot's first view alone. Its
     antipode has ``right' = -right``, ``up' = up`` and ``toward' = -toward``,
     and negating one factor negates a rounded product, sum or difference
@@ -655,38 +713,37 @@ def _cast_pass(ws: _Workspace, view_pairs, bufs) -> None:
     path sees.
 
     The inner columns of each span take their codes from the plane depth,
-    the antipode's as ``256 - code`` (:func:`_plane_terms`). The other
+    the antipode's as ``256 - code`` (:func:`_inner_codes`). The other
     columns, and the inner pairs whose code rounding could decide, run
     ``_hits`` once per member, with that member's ray origins: each view adds
-    its per-column and per-row origin terms (:func:`_origin_terms`, mirrored
-    for the antipode) at the pair's row and column indices, the slots' terms
-    stacked as their images are, and gathers its slot's direction from
-    ``ws.terms``. Every block holds at most ``_PAIR_CHUNK`` pairs. The code
-    of the nearest hit is the largest, and max is order-independent, so each
-    image equals the codes of testing every triangle against every pixel of
-    its view.
+    its per-column and per-row origin terms (:func:`_origin_terms`, built
+    once per pass for all P slots of each member, mirrored for the
+    antipodes) at the pair's row and column indices, and gathers its slot's
+    direction from ``ws.terms``. Only spans that have inner columns, or
+    columns beside them, are expanded to pixels. Every block holds at most
+    ``_PAIR_CHUNK`` pixels or pairs. The code of the nearest hit is the
+    largest, and max is order-independent, so each image equals the codes
+    of testing every triangle against every pixel of its view.
     """
-    axes = _pixel_axes(len(view_pairs))
-    members = []  # per member, its (columns, rows) origin tables, the slots' stacked
-    for member in range(2):
-        tables = [_origin_terms(pair[member], member > 0) for pair in view_pairs]
-        members.append([np.concatenate(table, axis=1) for table in zip(*tables)])
+    n = len(view_pairs)
+    frames = _frames([view for member in zip(*view_pairs) for view in member])  # the first views, then the antipodes
+    vcoords = ws.vcoords[:IMAGE_SIZE]
+    members = [_origin_terms(frames[:, :, :n], ws.ucoords, vcoords)]
+    members.append(_origin_terms(frames[:, :, n:], ws.ucoords[::-1], vcoords))
     for tri, first, n_cols, lead, n_inner in _pass_spans(ws, [pair[0] for pair in view_pairs]):
-        inner = first + lead
-        for pairs in _span_pairs(tri, inner, n_inner):
-            codes = _plane_codes(ws, *pairs, *axes)
-            n = len(codes)
-            uncertain = np.flatnonzero(np.equal(codes, BACKGROUND_CODE, out=ws.scratch(1, n, np.bool_)[0]))
-            pix = ws.scratch(1, n, np.intp)[0]
-            for member, buf in enumerate(bufs):
-                if member:
-                    np.negative(codes, out=codes)  # the antipode's code is 256 - code, and 0 stays 0
-                np.maximum.at(buf, _flat_pixels(*pairs[1:], member, pix), codes)
-            if len(uncertain):
-                _kernel_codes(ws, members, bufs, *(x[uncertain] for x in pairs))
-        # the kernel takes the columns before and after the inner ones
-        edges = np.concatenate([first, inner + n_inner]), np.concatenate([lead, n_cols - lead - n_inner])
-        for pairs in _span_pairs(np.concatenate([tri, tri]), *edges):
+        inner = np.flatnonzero(n_inner)
+        for codes, pix, mirrored, pairs in _inner_codes(ws, tri[inner], first[inner] + lead[inner], n_inner[inner]):
+            np.maximum.at(bufs[0], pix, codes)
+            # the antipode's code is 256 - code, and 0 stays 0
+            np.maximum.at(bufs[1], mirrored, np.negative(codes, out=codes))
+            if len(pairs[0]):
+                _kernel_codes(ws, members, bufs, *pairs)
+        # the kernel takes the columns before and after the inner ones, of the spans that have any
+        trail = n_cols - lead - n_inner
+        before, after = np.flatnonzero(lead), np.flatnonzero(trail)
+        starts = np.concatenate([first[before], first[after] + lead[after] + n_inner[after]])
+        counts = np.concatenate([lead[before], trail[after]])
+        for pairs in _span_pairs(np.concatenate([tri[before], tri[after]]), starts, counts):
             _kernel_codes(ws, members, bufs, *pairs)
 
 

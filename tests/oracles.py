@@ -40,7 +40,7 @@ def ray_triangle_hits(ox, oy, oz, direction, v0, v1, v2):
 
 def camera_rays(view):
     """Orthographic per-pixel ray origins (h, w, 3) from the renderer's origin terms, and the shared unit direction."""
-    columns, rows = render._origin_terms(view)
+    columns, rows = render._origin_terms(render._frames([view]), *render._pixel_axes())
     return columns.T[None, :, :] + rows.T[:, None, :], view.camera_frame()[2]
 
 

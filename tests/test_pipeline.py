@@ -18,7 +18,7 @@ from viewsphere.predict import (
     read_predictions,
     write_predictions,
 )
-from viewsphere.render import read_pgm
+from viewsphere.render import read_pgm, write_pgm_array
 from viewsphere.voxel import VoxelGrid, save_grid
 
 
@@ -648,6 +648,38 @@ def test_cli_rejects_wrong_model_kinds(dataset, predictors, model_root, tmp_path
     assert main(sweep + ["--predictions", "preds.jsonl"]) == 1
     assert "unrecognized arguments: --predictions" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def _dataset_copy(dataset, tmp_path):
+    """A copy of the module's dataset, and its records."""
+    import shutil
+
+    copy = tmp_path / "ds"
+    shutil.copytree(dataset[0], copy)
+    return copy / "manifest.csv", pipeline.read_manifest(copy / "manifest.csv")
+
+
+def test_cli_recognize_names_a_view_of_the_wrong_size(dataset, model_files, tmp_path, capsys):
+    manifest, records = _dataset_copy(dataset, tmp_path)
+    test = next(r for r in records if r.split == "test")
+    for path in test.view_paths:
+        write_pgm_array(np.full((64, 64), 200, np.uint8), path)
+    knn = ["--entropy-model", str(model_files[0]), "--view-model", str(model_files[1])]
+    assert main(["recognize", "--manifest", str(manifest), "--out", str(tmp_path / "run"), *knn]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "64 x 64" in err and "224" in err, err
+    assert any(f"{path}: " in err for path in test.view_paths), err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_train_knn_names_a_view_of_the_wrong_size(dataset, tmp_path, capsys):
+    manifest, records = _dataset_copy(dataset, tmp_path)
+    view = next(r for r in records if r.split == "train").view_paths[7]
+    write_pgm_array(np.zeros((64, 64), np.uint8), view)
+    assert main(["train-knn", "--manifest", str(manifest), "--out", str(tmp_path / "knn")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {view}: ") and "64 x 64" in err and "224" in err, err
+    assert not (tmp_path / "knn").exists()
 
 
 @pytest.fixture

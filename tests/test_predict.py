@@ -453,6 +453,14 @@ def test_featurize_sums_blocks_exactly():
     assert KnnEntropyPredictor.featurize(VoxelGrid(full)).max() == 64
 
 
+def test_view_featurize_rejects_a_poolable_image_of_the_wrong_size():
+    # 64 x 64 pools by 8 into 8 x 8 blocks; only the size check stops it
+    with pytest.raises(ValueError, match="view image is 64 x 64 pixels, not 224 x 224"):
+        KnnViewPredictor.featurize(DepthImage(np.zeros((64, 64), np.uint8)))
+    with pytest.raises(ValueError, match="view image is 232 x 224 pixels, not 224 x 224"):
+        knn_view_predictor_train([(_image(0), "a", 0), (DepthImage(np.zeros((232, 224), np.uint8)), "a", 1)])
+
+
 def test_feature_tables_are_integer_and_smaller():
     ep = knn_entropy_predictor_train([(_grid(i), _map(i)) for i in range(3)], k=2)
     vp = knn_view_predictor_train([(_image(i), "a", i) for i in range(3)], k=2)

@@ -176,11 +176,64 @@ def test_camera_rays_match_reference_origins_bit_for_bit():
 
 
 def test_antipode_mirrored_column_terms_reverse_its_own():
-    for view in build_rig():
-        columns, rows = render._origin_terms(view)
-        mirrored, mirrored_rows = render._origin_terms(view, mirrored=True)
-        assert np.array_equal(mirrored.view(np.uint64), columns[:, ::-1].view(np.uint64)), view
-        assert np.array_equal(mirrored_rows.view(np.uint64), rows.view(np.uint64)), view
+    # a pass builds each member's tables for all its slots at once; slot k's
+    # columns and rows are those of its view alone
+    rig = build_rig()
+    ucoords, vcoords = render._pixel_axes()
+    width = render.IMAGE_SIZE
+    for k in range(0, 60, render._MAX_SLOTS):
+        views = rig[k : k + render._MAX_SLOTS]
+        columns, rows = render._origin_terms(render._frames(views), ucoords, vcoords)
+        mirrored, mirrored_rows = render._origin_terms(render._frames(views), ucoords[::-1], vcoords)
+        for slot, view in enumerate(views):
+            own = render._origin_terms(render._frames([view]), ucoords, vcoords)
+            mine = slice(slot * width, (slot + 1) * width)
+            assert np.array_equal(columns[:, mine].view(np.uint64), own[0].view(np.uint64)), view
+            assert np.array_equal(rows[:, mine].view(np.uint64), own[1].view(np.uint64)), view
+            assert np.array_equal(mirrored[:, mine].view(np.uint64), own[0][:, ::-1].view(np.uint64)), view
+            assert np.array_equal(mirrored_rows[:, mine].view(np.uint64), own[1].view(np.uint64)), view
+
+
+def _pixel_grid(size, square):
+    """``render._pixel_axes(2)`` of ``size`` pixels over ``square`` units."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(render, "IMAGE_SIZE", size)
+        monkeypatch.setattr(render, "VIEW_SQUARE_SIZE", square)
+        return render._pixel_axes(2)
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    grid=st.sampled_from([(224, 1.9), (64, 1.2), (7, 0.5)]),
+    keys=hnp.arrays(np.float64, st.integers(0, 200), elements=_ANY_FLOAT | _SPECIAL | st.floats(-1.5, 1.5)),
+    side=st.sampled_from(["left", "right"]),
+)
+def test_grid_index_equals_searchsorted_bit_for_bit(grid, keys, side):
+    # the default grid, the narrowed one of the tests and a tiny one with a
+    # center at 0; the keys add every center moved by -4 to +4 ulps
+    ucoords, vcoords = _pixel_grid(*grid)
+    width = len(ucoords)
+    # the row searches run among the u centers, and the stop search among the negated ones
+    assert np.array_equal(-vcoords[:width], ucoords) and np.array_equal(-ucoords[::-1], ucoords)
+    near = [ucoords]
+    for direction in (np.inf, -np.inf):
+        moved = ucoords
+        for _ in range(4):
+            moved = np.nextafter(moved, direction)
+            near.append(moved)
+    keys = np.concatenate([keys, *near])
+    n = len(keys)
+    # stale scratch and output change nothing
+    out, scratch, flags = np.full(n, -7, np.intp), np.full(n, np.nan), np.ones(n, np.bool_)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = render._grid_index(ucoords, keys, side, out, scratch, flags)
+    assert got is out
+    assert np.array_equal(got, np.searchsorted(ucoords, keys, side=side))
 
 
 def test_render_working_set_holds_no_origin_planes():
@@ -508,16 +561,32 @@ FAT_TRIANGLES = np.array(
 
 
 def _inner_pairs(ws, views):
-    """Every (slot, triangle, row, column) pair in the inner columns of the spans of ``views``, one per slot.
+    """Every inner pixel of the spans of ``views``, one per slot, and the code the plane depth gives it.
 
-    The triangle and row are the slot's own, not the stacked table's and image's.
+    Returns (slot, triangle, row, column, code), the triangle and row the
+    slot's own, not the stacked table's and image's. The renderer's blocks
+    are checked on the way: each pixel's mirrored index is its antipode's,
+    and the kernel pairs are the pixels of code 0.
     """
     spans = [(np.empty(0, dtype=np.int64),) * 5, *render._pass_spans(ws, views)]
     tri, first, _, lead, n_inner = (np.concatenate([span[i] for span in spans]) for i in range(5))
-    pairs = [(np.empty(0, dtype=np.int64),) * 3, *render._span_pairs(tri, first + lead, n_inner)]
-    tri, row, col = (np.concatenate([pair[i] for pair in pairs]) for i in range(3))
-    slot, tri = np.divmod(tri, ws.corners.shape[-1])
-    return slot, tri, row - slot * render.IMAGE_SIZE, col
+    inner = n_inner > 0
+    tri, first, n_inner = tri[inner], (first + lead)[inner], n_inner[inner]
+    width = render.IMAGE_SIZE
+    codes, pixels = [np.empty(0, np.uint8)], [np.empty(0, np.int64)]
+    for block_codes, pix, mirrored, pairs in render._inner_codes(ws, tri, first, n_inner):
+        row, col = np.divmod(pix, width)
+        assert np.array_equal(mirrored, row * width + width - 1 - col)
+        uncertain = block_codes == 0
+        assert np.array_equal(pairs[1] * width + pairs[2], pix[uncertain])
+        codes.append(block_codes.copy())
+        pixels.append(pix.copy())
+    codes, pixels = np.concatenate(codes), np.concatenate(pixels)
+    # the blocks run the inner pixels span by span, in order
+    assert np.array_equal(pixels, np.concatenate([np.empty(0, np.int64), *map(np.arange, first, first + n_inner)]))
+    slot, tri = np.divmod(np.repeat(tri, n_inner), ws.corners.shape[-1])
+    row, col = np.divmod(pixels, width)
+    return slot, tri, row - slot * width, col, codes
 
 
 def _kernel_distances(tris, view, tri, row, col):
@@ -552,7 +621,7 @@ def test_inner_columns_are_hits_and_certain_plane_codes_are_the_kernels(soup, st
     parts = [soup, FAT_TRIANGLES, [sliver], *([_steep_triangle(view, *args)] for args in steep)]
     tris = np.concatenate([np.asarray(part, dtype=np.float64).reshape(-1, 3, 3) for part in parts])
     ws = render._Workspace(tris, len(views))
-    slot, tri, row, col = _inner_pairs(ws, views)
+    slot, tri, row, col, codes = _inner_pairs(ws, views)
     t, t_antipode = np.empty(len(tri)), np.empty(len(tri))
     for k, v in enumerate(views):
         mine = slot == k
@@ -562,8 +631,6 @@ def test_inner_columns_are_hits_and_certain_plane_codes_are_the_kernels(soup, st
         t_antipode[mine] = _kernel_distances(tris, antipode(v), tri[mine], row[mine], mirrored)
     assert np.isfinite(t).all() and np.isfinite(t_antipode).all()
 
-    stacked = slot * len(tris) + tri, slot * render.IMAGE_SIZE + row, col
-    codes = render._plane_codes(ws, *stacked, *render._pixel_axes(len(views))).copy()
     certain = codes > 0
     assert certain.mean() > 0.99
     assert np.array_equal(codes[certain], depth_codes(t)[certain])
