@@ -224,14 +224,19 @@ def normalize_to_unit_cube(mesh: TriangleMesh) -> TriangleMesh:
     return TriangleMesh(vertices=(mesh.vertices - center) / extent, faces=mesh.faces)
 
 
+def check_sigma(sigma: float) -> None:
+    """Raise a ValueError unless ``sigma`` is a noise level :func:`add_gaussian_noise` takes: finite and >= 0."""
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+
+
 def add_gaussian_noise(mesh: TriangleMesh, sigma: float, seed: int) -> TriangleMesh:
     """Perturb every vertex coordinate with independent N(0, sigma^2) noise.
 
     Deterministic: identical (mesh, sigma, seed) yields identical output.
     Expects a normalized mesh, so sigma is in unit-cube units.
     """
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    check_sigma(sigma)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=mesh.vertices.shape)
     return TriangleMesh(vertices=mesh.vertices + noise, faces=mesh.faces)

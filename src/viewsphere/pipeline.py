@@ -22,7 +22,7 @@ from .entropy import (
     write_map_csv,
 )
 from .fusion import FusedPrediction, PoseOffset, fuse
-from .mesh import add_gaussian_noise, is_normalized, load_off, normalize_to_unit_cube
+from .mesh import add_gaussian_noise, check_sigma, is_normalized, load_off, normalize_to_unit_cube
 from .predict import (
     KnnEntropyPredictor,
     KnnViewPredictor,
@@ -275,6 +275,11 @@ class RecognitionResult:
     fused: FusedPrediction | None = None
 
 
+def _check_max_views(max_views: int | None) -> None:
+    if max_views is not None and max_views < 1:
+        raise ValueError(f"max_views must be >= 1, got {max_views}")
+
+
 def recognize_object(
     record: DatasetRecord,
     emap: EntropyMap,
@@ -287,8 +292,7 @@ def recognize_object(
     The best views are the peaks of ``emap``, at most ``max_views`` of them;
     ``predict_view`` maps a view index to its prediction.
     """
-    if max_views is not None and max_views < 1:
-        raise ValueError(f"max_views must be >= 1, got {max_views}")
+    _check_max_views(max_views)
     peaks = find_peaks(emap)[:max_views]
     views = [Viewpoint(p.ring, p.azimuth) for p in peaks]
     fused = fuse([(v, predict_view(v.index)) for v in views], mode=fusion_mode)
@@ -496,10 +500,15 @@ def noise_sweep(
 
     Raises:
         ValueError: ``view_source`` is not a KnnViewPredictor (exchange
-            records score the clean views, not the noisy renders).
+            records score the clean views, not the noisy renders), or a
+            sigma or ``max_views`` is out of range; all are checked before
+            the first mesh is loaded.
     """
     if not isinstance(view_source, KnnViewPredictor):
         raise ValueError("noise_sweep needs a view predictor to score the noisy renders")
+    for sigma in sigmas:
+        check_sigma(sigma)
+    _check_max_views(max_views)
     root = Path(model_root)
     test = sorted((r for r in records if r.split == "test"), key=lambda r: r.object_id)
     if not test:

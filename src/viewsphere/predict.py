@@ -265,10 +265,8 @@ class KnnViewPredictor(_KnnTable):
 
     @staticmethod
     def featurize(image: DepthImage) -> np.ndarray:
-        # block_sums rejects a shape that the pool factor does not divide, and check_image any other
-        features = block_sums(image.pixels, IMAGE_POOL_FACTOR, KnnViewPredictor.FEATURE_DTYPE)
         KnnViewPredictor.check_image(image)
-        return features.ravel()
+        return block_sums(image.pixels, IMAGE_POOL_FACTOR, KnnViewPredictor.FEATURE_DTYPE).ravel()
 
     def predict(self, image: DepthImage) -> ViewPrediction:
         class_scores = dict.fromkeys(self.categories, 0.0)

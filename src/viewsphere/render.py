@@ -348,7 +348,7 @@ class _Workspace:
       turn (:meth:`scratch`) and fill with ``out=``. A block of any stage is
       done with its scratch before the next block of any stage begins, and
       hands on only new arrays, but for the codes and pixel indices of
-      :func:`_inner_codes`, which its caller folds before any other stage
+      :func:`_run_codes`, which its caller folds before any other stage
       runs. Each buffer grows to the largest block the call has asked of
       it, at most ``_PAIR_CHUNK`` pairs wide. Gathers into it use
       ``np.take(..., mode="clip")``, which writes into ``out`` unbuffered;
@@ -610,43 +610,37 @@ def _pass_spans(ws: _Workspace, views):
     return _row_spans(ws, pu, pv, g, live, ws.ucoords, ws.vcoords[: len(views) * len(ws.ucoords)])
 
 
-def _span_pairs(tri, first, counts):
-    """Yield the ``(tri, row, col)`` of every pixel of the spans ``[first, first + counts)``, ``_PAIR_CHUNK`` at a time."""
-    span_row, span_col = np.divmod(first, IMAGE_SIZE)
-    for block, span, k in pair_chunks(counts, _PAIR_CHUNK):
-        col = np.repeat(span_col[block], span)
-        col += k
-        yield np.repeat(tri[block], span), np.repeat(span_row[block], span), col
+def _run_codes(ws: _Workspace, tri, first, counts, n_inner):
+    """Yield the codes of the column runs ``[first, first + counts)`` of spans, ``_PAIR_CHUNK`` pixels at a time.
 
-
-def _inner_codes(ws: _Workspace, tri, first, counts):
-    """Yield the plane-depth codes of the inner columns ``[first, first + counts)`` of spans, ``_PAIR_CHUNK`` at a time.
-
-    ``tri`` holds each span's table column, ``first`` the flat index of its
-    first inner pixel in the stacked images, and every count is positive.
-    Each block is ``(codes, pixels, mirrored, pairs)``: the codes of its
-    pixels (:func:`_plane_terms`), 0 where rounding could decide; their flat
-    indices, and those of the antipodes' pixels, column ``W - 1 - c`` for
-    ``c``; and the ``(tri, row, col)`` of the pixels of code 0, the kernel's
-    pairs. The plane terms are gathered, and ``alpha + gamma v`` is summed,
-    once per span, so a pixel runs only ``t^ = (alpha + gamma v) + beta u``
-    and its code: the same rounded operations, in the same order, as
-    gathering every term per pixel. The first three arrays are ``ws``
-    scratch, which the caller folds before it runs the kernel pairs, which
-    are new.
+    ``tri`` holds each run's table column, ``first`` the flat index of its
+    first pixel in the stacked images, and every count is positive. The
+    first ``n_inner`` runs are inner columns, which take their codes from
+    the plane depth (:func:`_plane_terms`); every later run takes the plane
+    terms 0 and an infinite margin, so ``c - M`` and ``c + M`` round apart
+    and all its pixels go to the kernel. Each block is ``(codes, pixels,
+    mirrored, pairs)``: the codes of its pixels, 0 where rounding could
+    decide; their flat indices, and those of the antipodes' pixels, column
+    ``W - 1 - c`` for ``c``; and the ``(tri, pix)`` of the pixels of code 0,
+    the kernel's pairs. The plane terms are gathered, and ``alpha + gamma
+    v`` is summed, once per run, so a pixel runs only ``t^ = (alpha + gamma
+    v) + beta u`` and its code: the same rounded operations, in the same
+    order, as gathering every term per pixel. The first three arrays are
+    ``ws`` scratch, which the caller folds before it runs the kernel pairs,
+    which are new.
     """
-    width = IMAGE_SIZE
-    row, col = np.divmod(first, width)
-    alpha, beta, gamma, margin = np.take(ws.plane, tri, axis=1)
-    span_terms = np.array([alpha + gamma * np.take(ws.vcoords, row), beta, margin])
-    # each span's first pixel in both images, and its column; pixel k of the
-    # span lies k further on in the first view's image and k back in the antipode's
-    pixels = np.array([first, first + (width - 1) - 2 * col, col])
+    row, col = np.divmod(first, IMAGE_SIZE)
+    alpha, beta, gamma, margin = plane = np.take(ws.plane, tri, axis=1)
+    plane[:, n_inner:] = [[0.0], [0.0], [0.0], [np.inf]]
+    run_terms = np.array([alpha + gamma * np.take(ws.vcoords, row), beta, margin])
+    # each run's first pixel in both images, and its column; pixel k of the
+    # run lies k further on in the first view's image and k back in the antipode's
+    pixels = np.array([first, first + (IMAGE_SIZE - 1) - 2 * col, col])
     for block, span, k in pair_chunks(counts, _PAIR_CHUNK):
         at = np.repeat(np.arange(block.start, block.stop), span)
         n = len(at)
         floats = ws.scratch(5, n)
-        t, beta, margin = np.take(span_terms, at, axis=1, out=floats[:3], mode="clip")
+        t, beta, margin = np.take(run_terms, at, axis=1, out=floats[:3], mode="clip")
         scaled, lo = floats[3:]
         pix, mirrored, column = np.take(pixels, at, axis=1, out=ws.scratch(3, n, np.intp), mode="clip")
         pix += k
@@ -660,30 +654,28 @@ def _inner_codes(ws: _Workspace, tri, first, counts):
         np.clip(lo, FAR_CODE, NEAR_CODE, out=lo)
         codes = np.multiply(lo, certain, out=ws.scratch(1, n, np.uint8)[0], casting="unsafe")
         uncertain = np.flatnonzero(np.logical_not(certain, out=certain))
-        spans_of = at[uncertain]
-        yield codes, pix, mirrored, (tri[spans_of], row[spans_of], column[uncertain])
+        yield codes, pix, mirrored, (tri[at[uncertain]], pix[uncertain])
 
 
-def _flat_pixels(row, col, mirrored, out):
-    """Flat indices ``row * W + col`` of the pairs' pixels, of column ``W - 1 - col`` if ``mirrored``, in ``out``."""
-    width = IMAGE_SIZE
-    np.multiply(row, width, out=out)
-    if mirrored:
-        return np.subtract(np.add(out, width - 1, out=out), col, out=out)
-    return np.add(out, col, out=out)
+def _kernel_codes(ws: _Workspace, members, bufs, tri, pix) -> None:
+    """Fold the codes of ``_hits`` for the pairs ``(tri, pix)`` into each member's buffer (:func:`_cast_pass`).
 
-
-def _kernel_codes(ws: _Workspace, members, bufs, tri, row, col) -> None:
-    """Fold the codes of ``_hits`` for the pairs ``(tri, row, col)`` into each member's buffer (:func:`_cast_pass`)."""
+    ``tri`` holds the pairs' table columns and ``pix`` their flat pixel
+    indices in the stacked images of the first views; the antipode's pixel
+    is column ``W - 1 - c`` of the same row.
+    """
     n = len(tri)
     floats = ws.scratch(28, n)
     pair_terms, origins, scratch = floats[:16], floats[16:19], [*floats[19:], *ws.scratch(2, n, np.bool_)]
     np.take(ws.terms, tri, axis=1, out=pair_terms, mode="clip")
-    pix, column = ws.scratch(2, n, np.intp)
+    row, column, mirrored = ws.scratch(3, n, np.intp)
     codes = ws.scratch(1, n, np.uint8)[0]
-    # the pair's column of its slot's column terms: slot * W + col
-    np.floor_divide(row, IMAGE_SIZE, out=column)
-    np.add(np.multiply(column, IMAGE_SIZE, out=column), col, out=column)
+    np.floor_divide(pix, IMAGE_SIZE, out=row)
+    # the antipode's pixel, W r + (W - 1 - c) = 2 W r + (W - 1) - pix
+    np.subtract(np.add(np.multiply(row, 2 * IMAGE_SIZE, out=mirrored), IMAGE_SIZE - 1, out=mirrored), pix, out=mirrored)
+    # the pair's column of its slot's column terms: slot W + c = pix - W (r - slot), slot = r // W
+    np.subtract(row, np.floor_divide(row, IMAGE_SIZE, out=column), out=column)
+    np.subtract(pix, np.multiply(column, IMAGE_SIZE, out=column), out=column)
     for member, ((columns, origin_rows), buf) in enumerate(zip(members, bufs)):
         if member:  # the antipode: mirrored pixels, and h, f and the direction negated in place
             np.negative(pair_terms[9:], out=pair_terms[9:])
@@ -692,7 +684,7 @@ def _kernel_codes(ws: _Workspace, members, bufs, tri, row, col) -> None:
         np.add(origins, np.take(origin_rows, row, axis=1, out=floats[19:22], mode="clip"), out=origins)
         t = _hits(*origins, pair_terms[13:], pair_terms[:13], scratch)
         # a miss is code 0, which leaves the buffer as it is
-        np.maximum.at(buf, _flat_pixels(row, col, member, pix), _code_into(codes, t, scratch[-1]))
+        np.maximum.at(buf, mirrored if member else pix, _code_into(codes, t, scratch[-1]))
 
 
 def _cast_pass(ws: _Workspace, view_pairs, bufs) -> None:
@@ -712,18 +704,20 @@ def _cast_pass(ws: _Workspace, view_pairs, bufs) -> None:
     Zeros may differ in sign, which no comparison, search or hit test in the
     path sees.
 
-    The inner columns of each span take their codes from the plane depth,
-    the antipode's as ``256 - code`` (:func:`_inner_codes`). The other
-    columns, and the inner pairs whose code rounding could decide, run
-    ``_hits`` once per member, with that member's ray origins: each view adds
+    Each span splits into up to three column runs, its inner columns and
+    the columns before and after them, and one chunked loop expands every
+    run to flat pixels (:func:`_run_codes`), the inner runs first. The
+    inner columns take their codes from the plane depth, the antipode's as
+    ``256 - code``. The other columns, and the inner pixels whose code
+    rounding could decide, run ``_hits`` once per member
+    (:func:`_kernel_codes`), with that member's ray origins: each view adds
     its per-column and per-row origin terms (:func:`_origin_terms`, built
     once per pass for all P slots of each member, mirrored for the
-    antipodes) at the pair's row and column indices, and gathers its slot's
-    direction from ``ws.terms``. Only spans that have inner columns, or
-    columns beside them, are expanded to pixels. Every block holds at most
-    ``_PAIR_CHUNK`` pixels or pairs. The code of the nearest hit is the
-    largest, and max is order-independent, so each image equals the codes
-    of testing every triangle against every pixel of its view.
+    antipodes) at the pixel's row and column, and gathers its slot's
+    direction from ``ws.terms``. Every block holds at most ``_PAIR_CHUNK``
+    pixels or pairs. The code of the nearest hit is the largest, and max is
+    order-independent, so each image equals the codes of testing every
+    triangle against every pixel of its view.
     """
     n = len(view_pairs)
     frames = _frames([view for member in zip(*view_pairs) for view in member])  # the first views, then the antipodes
@@ -731,20 +725,19 @@ def _cast_pass(ws: _Workspace, view_pairs, bufs) -> None:
     members = [_origin_terms(frames[:, :, :n], ws.ucoords, vcoords)]
     members.append(_origin_terms(frames[:, :, n:], ws.ucoords[::-1], vcoords))
     for tri, first, n_cols, lead, n_inner in _pass_spans(ws, [pair[0] for pair in view_pairs]):
-        inner = np.flatnonzero(n_inner)
-        for codes, pix, mirrored, pairs in _inner_codes(ws, tri[inner], first[inner] + lead[inner], n_inner[inner]):
+        # each span's column runs: the inner ones first, then the columns before and after them
+        trail = n_cols - lead - n_inner
+        inner, before, after = np.flatnonzero(n_inner), np.flatnonzero(lead), np.flatnonzero(trail)
+        head = first + lead  # each span's first inner pixel
+        starts = np.concatenate([head[inner], first[before], head[after] + n_inner[after]])
+        counts = np.concatenate([n_inner[inner], lead[before], trail[after]])
+        runs = tri[np.concatenate([inner, before, after])]
+        for codes, pix, mirrored, pairs in _run_codes(ws, runs, starts, counts, len(inner)):
             np.maximum.at(bufs[0], pix, codes)
             # the antipode's code is 256 - code, and 0 stays 0
             np.maximum.at(bufs[1], mirrored, np.negative(codes, out=codes))
             if len(pairs[0]):
                 _kernel_codes(ws, members, bufs, *pairs)
-        # the kernel takes the columns before and after the inner ones, of the spans that have any
-        trail = n_cols - lead - n_inner
-        before, after = np.flatnonzero(lead), np.flatnonzero(trail)
-        starts = np.concatenate([first[before], first[after] + lead[after] + n_inner[after]])
-        counts = np.concatenate([lead[before], trail[after]])
-        for pairs in _span_pairs(np.concatenate([tri[before], tri[after]]), starts, counts):
-            _kernel_codes(ws, members, bufs, *pairs)
 
 
 def _passes(rig: list[Viewpoint], n_tris: int) -> list[list[tuple[Viewpoint, Viewpoint]]]:

@@ -288,11 +288,46 @@ def test_noise_sweep_rejects_exchange_records(dataset, predictors, model_root):
         pipeline.noise_sweep(records, model_root, table, sigmas=[0.0])
 
 
-def test_noise_sweep_max_views(dataset, predictors, model_root):
+@pytest.fixture
+def no_mesh_work(monkeypatch):
+    """Fail any mesh load or render through ``pipeline``: arguments must be checked before the first one."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("a mesh was loaded or rendered before the arguments were checked")
+
+    monkeypatch.setattr(pipeline, "load_off", never)
+    monkeypatch.setattr(pipeline, "render_all_views", never)
+
+
+def test_noise_sweep_max_views(dataset, predictors, model_root, no_mesh_work):
     _, records = dataset
     _, view_predictor = predictors
     with pytest.raises(ValueError, match="max_views"):
         pipeline.noise_sweep(records, model_root, view_predictor, sigmas=[0.0], max_views=0)
+
+
+@pytest.mark.parametrize("sigmas", [[0.02, 0.04, -0.1], [0.02, float("inf")]])
+def test_noise_sweep_rejects_a_bad_sigma_before_any_load_or_render(
+    dataset, predictors, model_root, no_mesh_work, sigmas
+):
+    _, records = dataset
+    _, view_predictor = predictors
+    with pytest.raises(ValueError, match=f"sigma must be finite and >= 0, got {sigmas[-1]}"):
+        pipeline.noise_sweep(records, model_root, view_predictor, sigmas=sigmas)
+
+
+def test_cli_noise_sweep_rejects_a_negative_sigma_before_rendering(
+    dataset, predictors, model_root, no_mesh_work, tmp_path, capsys
+):
+    out, _ = dataset
+    _, view_predictor = predictors
+    view_npz = tmp_path / "view_knn.npz"
+    view_predictor.save(view_npz)
+    args = ["noise-sweep", "--manifest", str(out / "manifest.csv"), "--models", str(model_root)]
+    args += ["--sigmas", "0.02,-0.1", "--view-model", str(view_npz), "--out", str(tmp_path / "sweep")]
+    assert main(args) == 1
+    assert "sigma must be finite and >= 0, got -0.1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_cli_noise_sweep_missing_source_mesh(dataset, predictors, tmp_path, capsys):

@@ -442,8 +442,10 @@ def test_featurize_sums_blocks_exactly():
         features = KnnViewPredictor.featurize(image)
         assert features.dtype == np.int16
         assert np.array_equal(features / 64.0, reference_view_features(image))
-    with pytest.raises(ValueError, match="does not divide"):
-        KnnViewPredictor.featurize(DepthImage(np.zeros((224, 220), np.uint8)))
+    # the size is checked before pooling, so a shape that the pool factor does not divide names both sizes
+    for height, width in ((224, 220), (100, 100)):
+        with pytest.raises(ValueError, match=f"view image is {height} x {width} pixels, not 224 x 224"):
+            KnnViewPredictor.featurize(DepthImage(np.zeros((height, width), np.uint8)))
     full = np.zeros((56, 56, 56), dtype=bool)
     full[3:53, 3:53, 3:53] = True
     for grid in (_grid(0), _grid(1, 40), VoxelGrid(full)):

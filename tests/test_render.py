@@ -566,25 +566,28 @@ def _inner_pairs(ws, views):
     Returns (slot, triangle, row, column, code), the triangle and row the
     slot's own, not the stacked table's and image's. The renderer's blocks
     are checked on the way: each pixel's mirrored index is its antipode's,
-    and the kernel pairs are the pixels of code 0.
+    and the kernel pairs are the pixels of code 0 and their table columns.
     """
     spans = [(np.empty(0, dtype=np.int64),) * 5, *render._pass_spans(ws, views)]
     tri, first, _, lead, n_inner = (np.concatenate([span[i] for span in spans]) for i in range(5))
     inner = n_inner > 0
     tri, first, n_inner = tri[inner], (first + lead)[inner], n_inner[inner]
     width = render.IMAGE_SIZE
-    codes, pixels = [np.empty(0, np.uint8)], [np.empty(0, np.int64)]
-    for block_codes, pix, mirrored, pairs in render._inner_codes(ws, tri, first, n_inner):
+    codes, pixels, kernel_tri = [np.empty(0, np.uint8)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    # every run is an inner one
+    for block_codes, pix, mirrored, pairs in render._run_codes(ws, tri, first, n_inner, len(tri)):
         row, col = np.divmod(pix, width)
         assert np.array_equal(mirrored, row * width + width - 1 - col)
-        uncertain = block_codes == 0
-        assert np.array_equal(pairs[1] * width + pairs[2], pix[uncertain])
+        assert np.array_equal(pairs[1], pix[block_codes == 0])
+        kernel_tri.append(pairs[0])
         codes.append(block_codes.copy())
         pixels.append(pix.copy())
     codes, pixels = np.concatenate(codes), np.concatenate(pixels)
     # the blocks run the inner pixels span by span, in order
     assert np.array_equal(pixels, np.concatenate([np.empty(0, np.int64), *map(np.arange, first, first + n_inner)]))
-    slot, tri = np.divmod(np.repeat(tri, n_inner), ws.corners.shape[-1])
+    tri = np.repeat(tri, n_inner)
+    assert np.array_equal(np.concatenate(kernel_tri), tri[codes == 0])
+    slot, tri = np.divmod(tri, ws.corners.shape[-1])
     row, col = np.divmod(pixels, width)
     return slot, tri, row - slot * width, col, codes
 
@@ -677,6 +680,57 @@ def test_code_boundary_planes_run_the_kernel_and_match_brute_force(monkeypatch, 
         assert kernel_rays >= 2 * covered
     else:
         assert kernel_rays < covered / 4
+
+
+def _expected_kernel_pairs(spans, plane, ucoords, vcoords):
+    """Two sets of ``(tri, pix)`` pairs of a pass: the columns of ``spans`` beside the inner ones, and the
+    inner pixels whose plane code rounding could decide, worked out pixel by pixel from the pass's terms.
+    """
+    spans = [(np.empty(0, dtype=np.intp),) * 5, *spans]
+    tri, first, n_cols, lead, n_inner = (np.concatenate([span[i] for span in spans]) for i in range(5))
+    at = np.repeat(np.arange(len(tri)), n_cols)
+    k = np.arange(len(at)) - np.repeat(np.cumsum(n_cols) - n_cols, n_cols)  # the column's place in its span
+    pix = first[at] + k
+    edge = (k < lead[at]) | (k >= (lead + n_inner)[at])
+    inner = np.flatnonzero(~edge)
+    row, col = np.divmod(pix[inner], render.IMAGE_SIZE)
+    alpha, beta, gamma, margin = plane[:, tri[at[inner]]]
+    c = 255.0 - 127.0 * (((alpha + gamma * vcoords[row]) + beta * ucoords[col]) - (RADIUS - 1.0))
+    uncertain = inner[np.rint(c - margin) != np.rint(c + margin)]
+    edge = np.flatnonzero(edge)
+    return [set(zip(tri[at[which]].tolist(), pix[which].tolist())) for which in (edge, uncertain)]
+
+
+def test_kernel_gets_the_edge_columns_and_the_uncertain_inner_pixels_once_each(monkeypatch):
+    # each square's shared diagonal runs through pixel centers, so in the views
+    # that see it face on its spans have columns beside the inner ones; the
+    # square at -0.5 lies on a code boundary there, so its inner pixels are uncertain
+    tris = np.concatenate([_square_mesh(0.2).triangles, _square_mesh(-0.5).triangles, FAT_TRIANGLES])
+    mesh = TriangleMesh(tris.reshape(-1, 3), np.arange(3 * len(tris)).reshape(-1, 3))
+    passes = []
+    pass_spans, kernel = render._pass_spans, render._kernel_codes
+
+    def recorded_spans(ws, views):
+        spans = list(pass_spans(ws, views))
+        passes.append((_expected_kernel_pairs(spans, ws.plane, ws.ucoords, ws.vcoords), []))
+        return iter(spans)
+
+    def recorded_kernel(ws, members, bufs, tri, pix):
+        passes[-1][1].extend(zip(tri.tolist(), pix.tolist()))
+        return kernel(ws, members, bufs, tri, pix)
+
+    monkeypatch.setattr(render, "_pass_spans", recorded_spans)
+    monkeypatch.setattr(render, "_kernel_codes", recorded_kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        render_all_views(mesh, build_rig())
+    totals = np.zeros(2, int)
+    for (edge, uncertain), received in passes:
+        assert not edge & uncertain
+        assert len(set(received)) == len(received)  # each pair once
+        assert set(received) == edge | uncertain
+        totals += len(edge), len(uncertain)
+    assert (totals > 0).all(), totals
 
 
 def _edge_on_triangle(view, pixel, turn, offsets, depths):
@@ -784,9 +838,9 @@ def test_band_guard_sends_few_pairs_to_the_kernel(monkeypatch):
     pairs = []
     kernel = render._kernel_codes
 
-    def counted(ws, members, bufs, tri, row, col):
+    def counted(ws, members, bufs, tri, pix):
         pairs.append(len(tri))
-        return kernel(ws, members, bufs, tri, row, col)
+        return kernel(ws, members, bufs, tri, pix)
 
     monkeypatch.setattr(render, "_kernel_codes", counted)
     rig = [view, antipode(view)]
