@@ -70,6 +70,12 @@ def _winner(tallies: dict, tie_scores: dict) -> object:
     return min(tallies, key=lambda option: (-tallies[option], -tie_scores[option], option))
 
 
+def check_fusion_mode(mode: str) -> None:
+    """Raise a ValueError unless ``mode`` is a mode :func:`fuse` takes: ``argmax`` or ``score_sum``."""
+    if mode not in ("argmax", "score_sum"):
+        raise ValueError(f"unknown fusion mode {mode!r}")
+
+
 def fuse(
     views: Sequence[tuple[Viewpoint, ViewPrediction]], mode: str = "argmax"
 ) -> FusedPrediction:
@@ -88,8 +94,7 @@ def fuse(
     """
     if not views:
         raise ValueError("cannot fuse an empty list of views")
-    if mode not in ("argmax", "score_sum"):
-        raise ValueError(f"unknown fusion mode {mode!r}")
+    check_fusion_mode(mode)
 
     if mode == "argmax":
         class_hits, pose_hits = [], []

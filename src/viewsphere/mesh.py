@@ -56,24 +56,32 @@ class TriangleMesh:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
 
-def pair_chunks(counts: np.ndarray, chunk_size: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Enumerate (triangle, candidate) pairs in blocks of at most ``chunk_size``.
+def pair_chunks(counts: np.ndarray, chunk_size: int) -> tuple[np.ndarray, Iterator[tuple[slice, np.ndarray, np.ndarray]]]:
+    """Plan the (triangle, candidate) pairs in blocks of at most ``chunk_size``.
 
-    Triangle ``i`` owns ``counts[i]`` candidates, numbered ``0..counts[i]-1``,
-    and pairs run in triangle order, so a triangle may span blocks. Each block
-    is ``(tris, span, k)``: the slice of triangles it touches, the number of
-    pairs each of them has in the block, and the candidate number of every
-    pair. ``np.repeat(x[..., tris], span, axis=-1)`` expands a per-triangle
-    array ``x`` to the block's pairs.
+    Triangle ``i`` owns ``counts[i]`` candidates, and the pairs are numbered
+    from 0 in triangle order, so a triangle may span blocks. Returns
+    ``(starts, blocks)``: ``starts[i]`` is the number of triangle ``i``'s
+    first pair, and ``blocks`` yields ``(tris, span, pairs)`` per block: the
+    slice of triangles it touches, the number of pairs each of them has in
+    the block, and the number of every pair. ``np.repeat(x[..., tris], span,
+    axis=-1)`` expands a per-triangle array ``x`` to the block's pairs, and
+    pair ``p`` is candidate ``p - starts[tri]`` of its triangle. One
+    cumulative sum and one search find the bounds of every block.
     """
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    total = int(ends[-1]) if len(ends) else 0
-    for p0 in range(0, total, chunk_size):
-        p1 = min(p0 + chunk_size, total)
-        tris = slice(int(np.searchsorted(ends, p0, side="right")), int(np.searchsorted(ends, p1 - 1, side="right")) + 1)
-        span = np.minimum(ends[tris], p1) - np.maximum(starts[tris], p0)
-        yield tris, span, np.arange(p0, p1) - np.repeat(starts[tris], span)
+    bounds = np.concatenate([[0], np.cumsum(counts, dtype=np.intp)])  # triangle i's pairs: bounds[i] to bounds[i + 1]
+    p0 = np.arange(0, bounds[-1], chunk_size)
+    p1 = np.minimum(p0 + chunk_size, bounds[-1])
+    first, last = np.searchsorted(bounds[1:], [p0, p1 - 1], side="right")
+
+    def blocks():
+        for t0, t1, q0, q1 in zip(first.tolist(), (last + 1).tolist(), p0.tolist(), p1.tolist()):
+            # the first triangle may start before the block and the last end after it
+            edges = bounds[t0 : t1 + 1].copy()
+            edges[0], edges[-1] = q0, q1
+            yield slice(t0, t1), np.subtract(edges[1:], edges[:-1]), np.arange(q0, q1)
+
+    return bounds[:-1], blocks()
 
 
 def _logical_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:

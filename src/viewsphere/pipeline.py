@@ -21,7 +21,7 @@ from .entropy import (
     map_to_pgm_pixels,
     write_map_csv,
 )
-from .fusion import FusedPrediction, PoseOffset, fuse
+from .fusion import FusedPrediction, PoseOffset, check_fusion_mode, fuse
 from .mesh import add_gaussian_noise, check_sigma, is_normalized, load_off, normalize_to_unit_cube
 from .predict import (
     KnnEntropyPredictor,
@@ -500,15 +500,16 @@ def noise_sweep(
 
     Raises:
         ValueError: ``view_source`` is not a KnnViewPredictor (exchange
-            records score the clean views, not the noisy renders), or a
-            sigma or ``max_views`` is out of range; all are checked before
-            the first mesh is loaded.
+            records score the clean views, not the noisy renders), a sigma
+            or ``max_views`` is out of range, or ``fusion_mode`` is unknown;
+            all are checked before the first mesh is loaded.
     """
     if not isinstance(view_source, KnnViewPredictor):
         raise ValueError("noise_sweep needs a view predictor to score the noisy renders")
     for sigma in sigmas:
         check_sigma(sigma)
     _check_max_views(max_views)
+    check_fusion_mode(fusion_mode)
     root = Path(model_root)
     test = sorted((r for r in records if r.split == "test"), key=lambda r: r.object_id)
     if not test:

@@ -14,7 +14,8 @@ fixed-size blocks. The code does not increase with the distance, so
 ``np.maximum.at`` of the codes keeps the code of the nearest hit per pixel,
 and every image equals testing every triangle against every pixel. A view and
 its antipode see the same projection mirrored, so they share all of this but
-the kernel and the fold. Every pass casts one or more such pairs, one slot
+the kernel, and the antipode's image is folded mirrored, at its pair's pixel
+indices. Every pass casts one or more such pairs, one slot
 each, over stacked images (:func:`_cast_pass`). One workspace per call
 (:class:`_Workspace`) holds the triangle terms that no view changes, computed
 once per mesh, and the scratch buffers that every block reuses.
@@ -352,7 +353,8 @@ class _Workspace:
       runs. Each buffer grows to the largest block the call has asked of
       it, at most ``_PAIR_CHUNK`` pairs wide. Gathers into it use
       ``np.take(..., mode="clip")``, which writes into ``out`` unbuffered;
-      their indices (table columns and span indices from ``np.arange``,
+      their indices (table columns, and span and run indices from
+      :func:`mesh.pair_chunks`,
       pixel rows and columns inside the stacked images, grid indices that
       :func:`_grid_index` clamps) are in range by construction, so nothing
       clips.
@@ -417,8 +419,10 @@ def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
     width is below the view square, so a crossing plus or minus its width
     rounds by a few eps, far below ``g``.
 
-    Every search among the pixel centers is :func:`_grid_index`. The
-    yielded arrays are new; the intermediates of a block live in ``ws``.
+    Every search among the pixel centers is :func:`_grid_index`, one call
+    per block for the four column bounds of all its spans. The block bounds
+    come from :func:`mesh.pair_chunks`, once per call. The yielded arrays
+    are new; the intermediates of a block live in ``ws``.
     """
     width = len(ucoords)
     # -vcoords[:W] equals ucoords, so the rows are searched among the u centers
@@ -448,10 +452,12 @@ def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
     np.minimum(pu, qu, out=u_lo)
     np.maximum(pu, qu, out=u_hi)
 
-    for block, span, k in pair_chunks(n_rows, _PAIR_CHUNK):
+    starts, blocks = pair_chunks(n_rows, _PAIR_CHUNK)
+    r0 -= starts  # the row of pair p of triangle t is r0[t] + p
+    for block, span, pairs in blocks:
         tri = np.repeat(np.arange(block.start, block.stop), span)
         row = np.repeat(r0[block], span)
-        row += k
+        row += pairs
         n = len(tri)
         floats = ws.scratch(36, n)
         y, e_g, lo, hi, in_lo, in_hi = floats[24:30]
@@ -468,33 +474,42 @@ def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
         all_reach = np.logical_and.reduce(far, axis=0, out=bools[6])
         np.logical_not(far, out=far)  # the edges whose v-extent misses the row
         # each bound serves twice: cross - width bounds the inner columns from
-        # the right and the span from the left, and cross + width the converse
+        # the right and the span from the left, and cross + width the converse.
+        # An edge that misses the row takes -inf (inf) in a max (min): fmin
+        # (fmax) with far * -inf (far * inf), which is that at the edge and
+        # NaN, which both skip, elsewhere, as 0 * inf is NaN. The stand-ins
+        # take the rows of v_lo and v_hi, which are dead by now
         with np.errstate(over="ignore", invalid="ignore"):
+            skip_lo, skip_hi = np.multiply(far, -np.inf, out=v_lo), np.multiply(far, np.inf, out=v_hi)
             np.add(e_pu, np.multiply(np.subtract(y, e_pv, out=cross), e_slope, out=cross), out=cross)
             np.subtract(cross, e_width, out=bound)
-            np.copyto(bound, -np.inf, where=far)
+            np.fmin(bound, skip_lo, out=bound)
             bound.max(axis=0, out=in_hi)
             np.fmax(bound, u_lo, out=bound)
-            np.copyto(bound, np.inf, where=far)
+            np.fmax(bound, skip_hi, out=bound)
             np.subtract(bound.min(axis=0, out=lo), e_g, out=lo)
             np.add(cross, e_width, out=bound)
-            np.copyto(bound, np.inf, where=far)
+            np.fmax(bound, skip_hi, out=bound)
             bound.min(axis=0, out=in_lo)
             np.fmin(bound, u_hi, out=bound)
-            np.copyto(bound, -np.inf, where=far)
+            np.fmin(bound, skip_lo, out=bound)
             np.add(bound.max(axis=0, out=hi), e_g, out=hi)
         np.copyto(in_lo, np.nan, where=all_reach)
-        scratch = floats[0], bools[0]
-        col, start, stop = ws.scratch(3, n, np.intp)
-        _grid_index(ucoords, lo, "left", col, *scratch)
-        n_cols = _grid_index(ucoords, hi, "right", np.empty(n, np.intp), *scratch)
-        n_cols -= col
+        # one search finds all four bounds, with the rows of the dead span
+        # fields as scratch. The centers are antisymmetric, so the count of
+        # centers <= hi is W less the count below -hi. hi is never NaN: every
+        # edge reaches each row of a triangle whose guard is infinite
+        np.negative(hi, out=hi)
+        np.negative(in_hi, out=in_hi)
+        col, stop_cols, start, stop = _grid_index(
+            ucoords, floats[26:30], "left", ws.scratch(4, n, np.intp), floats[:4], bools[:4]
+        )
+        n_cols = np.subtract(width, np.add(stop_cols, col, out=stop_cols))
         np.maximum(n_cols, 0, out=n_cols)
         # the inner columns, from col: [max(start, 0), min(stop, n_cols)). A NaN
         # bound sorts last, so it starts them at W and, negated, stops them at 0
-        np.subtract(_grid_index(ucoords, in_lo, "left", start, *scratch), col, out=start)
+        np.subtract(start, col, out=start)
         np.maximum(start, 0, out=start)
-        _grid_index(ucoords, np.negative(in_hi, out=in_hi), "left", stop, *scratch)
         np.subtract(width, np.add(stop, col, out=stop), out=stop)
         np.minimum(stop, n_cols, out=stop)
         n_inner = np.subtract(stop, start)
@@ -525,10 +540,13 @@ def _plane_terms(ws: _Workspace, position, right, up, g: np.ndarray) -> None:
     ``t = alpha + beta u + gamma v``, with ``n = e1 x e2``, ``f = 1 / a`` the
     kernel's (``a = e1 . (d x e2) = -n . d``) and ``alpha = f (n . position
     - n . v0)``, ``beta = f (n . right)`` and ``gamma = f (n . up)``. The
-    plane depth is ``t^ = (alpha + gamma v) + beta u``, and the margin ``M``
-    bounds ``|c(t) - c(t^)|`` for the kernel's ``t`` at an inner pixel, where
-    ``c(t) = 255 - 127 (t - (RADIUS - 1))`` is the unrounded code
-    (:func:`_code_scale`).
+    unrounded code ``c(t) = 255 - 127 (t - (RADIUS - 1))``
+    (:func:`_code_scale`) of the plane depth is affine in u along a row:
+    ``c = A + B u`` with ``A = c(alpha + gamma v)`` and ``B = -127 beta``.
+    :func:`_run_codes` evaluates ``A`` and ``B`` once per run and the
+    bounds ``(A - M) + B u`` and ``(A + M) + B u`` per pixel, and the margin
+    ``M`` keeps the kernel's computed ``c(t)`` at an inner pixel between
+    the two computed bounds.
 
     With ``eps``, ``kappa = |e1| |e2| / |a|`` and ``|s| <= 4.2`` as in
     :func:`_guard`, ``|n| <= kappa |a|``, and at an inner pixel the exact
@@ -541,29 +559,36 @@ def _plane_terms(ws: _Workspace, position, right, up, g: np.ndarray) -> None:
       ``e2 . (s x e1)`` is off by 4.6 eps ``|s| |e1| |e2|``, which moves ``t``
       by 19.3 eps kappa; the relative error 5.1 eps kappa of ``f`` moves it by
       14.7 eps kappa, and the last product by 1.5 eps. In all, 47 eps kappa;
-    - the plane: ``n`` is off by 2.6 eps ``|e1| |e2|``, so ``n . position -
-      n . v0``, ``n . right`` and ``n . up`` are off by 13.2, 4.1 and
-      4.1 eps ``|e1| |e2|`` and, with ``|u|, |v| <= 0.95``, move ``t^`` by
-      21 eps kappa. The three terms share ``f``, so its relative error moves
-      ``t^`` by 5.1 eps kappa ``|t*|`` = 14.7 eps kappa, and not by that times
-      each term. The three products and two sums, of terms below 2.87 kappa,
-      0.95 kappa and 0.95 kappa, round by 7.7 eps kappa. In all, 44 eps kappa.
+    - the plane terms: ``n`` is off by 2.6 eps ``|e1| |e2|``, so ``n .
+      position - n . v0``, ``n . right`` and ``n . up`` are off by 13.2, 4.1
+      and 4.1 eps ``|e1| |e2|`` and, with ``|u|, |v| <= 0.95``, move the
+      plane depth by 21 eps kappa. The three terms share ``f``, so its
+      relative error moves it by 5.1 eps kappa ``|t*|`` = 14.7 eps kappa,
+      and not by that times each term. In all, 36 eps kappa;
+    - the code, with ``|alpha| <= 2.87 kappa`` and ``|beta u|, |gamma v| <=
+      0.95 kappa``: ``alpha + gamma v`` rounds by 4.8 eps kappa, and ``A``,
+      of magnitude below 127 * 6.9 kappa, by 127 * 16.5 eps kappa more;
+      ``B u`` by 127 * 1.9 eps kappa; and the two sums by eps (127 * 6.9
+      kappa + 240 + 2 M). In all, 127 * 30 eps kappa + eps (240 + 2 M).
 
-    So ``|c(t) - c(t^)| <= 127 * 91 eps kappa``, plus the rounding of the two
-    evaluations of ``c``, below 1e-13 each. The antipode casts the same line
-    from the other side (``position' = -position = RADIUS d``): its exact
-    distance is ``2 RADIUS - t*``, whose exact ``c`` is ``256 - c(t*)``, and
-    its kernel obeys the same 47 eps kappa bound, so ``M`` bounds its
-    ``|c(t') - (256 - c(t^))|`` too. ``M = 127 g >= 127 (4096 eps kappa +
-    1e-12)`` covers both 45 times over, and the rounding of ``c - M`` and
-    ``c + M`` with them. First order suffices: a triangle with inner columns
-    has ``g`` below the view square, so eps kappa < 5e-4, and its projection
-    holds a disc of radius ``g >= 1e-12``, so ``|a|``, twice the projected
-    area, exceeds 1e-23 and no term is subnormal.
+    So each computed bound lies within ``127 * 66 eps kappa + eps (240 +
+    2 M)`` of ``c(t*) -+ M``, and the kernel's computed ``c(t)`` within
+    ``127 * 47 eps kappa`` of ``c(t*)``, plus the rounding of ``c``, below
+    1e-13. The antipode casts the same line from the other side
+    (``position' = -position = RADIUS d``): its exact distance is ``2 RADIUS
+    - t*``, whose exact ``c`` is ``256 - c(t*)``, and its kernel obeys the
+    same 47 eps kappa bound, so the same bounds, subtracted from 256, hold
+    its code too. ``M = 127 g >= 127 (4096 eps kappa + 1e-12)`` covers the
+    113 eps kappa of the three lists 36 times over, and 1.27e-10 covers the
+    absolute rounding, below 2e-13, many times over. First order suffices:
+    a triangle with inner columns has ``g`` below the view square, so eps
+    kappa < 5e-4, and its projection holds a disc of radius ``g >= 1e-12``,
+    so ``|a|``, twice the projected area, exceeds 1e-23 and no term is
+    subnormal.
 
     Rounding is monotone, and ``rint(256 - x) = 256 - rint(x)`` because 256
-    is even, so where ``c - M`` and ``c + M`` round to one code ``k``, the
-    view's code is ``clip(k)`` and its antipode's ``256 - clip(k)``.
+    is even, so where the two bounds round to one code ``k``, the view's
+    code is ``clip(k)`` and its antipode's ``256 - clip(k)``.
     """
     nx, ny, nz, n_v0 = ws.normals
     n = len(g)
@@ -616,75 +641,71 @@ def _run_codes(ws: _Workspace, tri, first, counts, n_inner):
     ``tri`` holds each run's table column, ``first`` the flat index of its
     first pixel in the stacked images, and every count is positive. The
     first ``n_inner`` runs are inner columns, which take their codes from
-    the plane depth (:func:`_plane_terms`); every later run takes the plane
-    terms 0 and an infinite margin, so ``c - M`` and ``c + M`` round apart
-    and all its pixels go to the kernel. Each block is ``(codes, pixels,
-    mirrored, pairs)``: the codes of its pixels, 0 where rounding could
-    decide; their flat indices, and those of the antipodes' pixels, column
-    ``W - 1 - c`` for ``c``; and the ``(tri, pix)`` of the pixels of code 0,
-    the kernel's pairs. The plane terms are gathered, and ``alpha + gamma
-    v`` is summed, once per run, so a pixel runs only ``t^ = (alpha + gamma
-    v) + beta u`` and its code: the same rounded operations, in the same
-    order, as gathering every term per pixel. The first three arrays are
-    ``ws`` scratch, which the caller folds before it runs the kernel pairs,
-    which are new.
+    the plane depth (:func:`_plane_terms`): per run, ``A = c(alpha + gamma
+    v)``, with ``c`` the unrounded code (:func:`_code_scale`), and ``B =
+    -127 beta``, so that a pixel's code lies between ``(A - M) + B u`` and
+    ``(A + M) + B u``. Every later run takes the terms ``-inf``, ``inf`` and
+    0, whose bounds round apart, so all its pixels go to the kernel. Each
+    block is ``(codes, pixels, pairs)``: the codes of its pixels, 0 where
+    rounding could decide; their flat indices; and the ``(tri, pix)`` of the
+    pixels of code 0, the kernel's pairs. A pixel's flat index and its
+    column are each a per-run offset plus the pixel's number
+    (:func:`mesh.pair_chunks`). The first two arrays are ``ws`` scratch,
+    which the caller folds before it runs the kernel pairs, which are new.
     """
-    row, col = np.divmod(first, IMAGE_SIZE)
-    alpha, beta, gamma, margin = plane = np.take(ws.plane, tri, axis=1)
-    plane[:, n_inner:] = [[0.0], [0.0], [0.0], [np.inf]]
-    run_terms = np.array([alpha + gamma * np.take(ws.vcoords, row), beta, margin])
-    # each run's first pixel in both images, and its column; pixel k of the
-    # run lies k further on in the first view's image and k back in the antipode's
-    pixels = np.array([first, first + (IMAGE_SIZE - 1) - 2 * col, col])
-    for block, span, k in pair_chunks(counts, _PAIR_CHUNK):
-        at = np.repeat(np.arange(block.start, block.stop), span)
-        n = len(at)
-        floats = ws.scratch(5, n)
-        t, beta, margin = np.take(run_terms, at, axis=1, out=floats[:3], mode="clip")
-        scaled, lo = floats[3:]
-        pix, mirrored, column = np.take(pixels, at, axis=1, out=ws.scratch(3, n, np.intp), mode="clip")
-        pix += k
-        mirrored -= k
-        column += k
-        np.add(t, np.multiply(beta, np.take(ws.ucoords, column, out=scaled, mode="clip"), out=beta), out=t)
-        _code_scale(t, out=scaled)
-        np.rint(np.subtract(scaled, margin, out=lo), out=lo)
-        np.rint(np.add(scaled, margin, out=margin), out=margin)
-        certain = np.equal(lo, margin, out=ws.scratch(1, n, np.bool_)[0])
-        np.clip(lo, FAR_CODE, NEAR_CODE, out=lo)
-        codes = np.multiply(lo, certain, out=ws.scratch(1, n, np.uint8)[0], casting="unsafe")
+    starts, blocks = pair_chunks(counts, _PAIR_CHUNK)
+    offsets = np.array([first, first % IMAGE_SIZE]) - starts
+    alpha, beta, gamma, margin = np.take(ws.plane, tri[:n_inner], axis=1)
+    run_terms = np.empty((3, len(tri)))
+    run_terms[:, n_inner:] = [[-np.inf], [np.inf], [0.0]]
+    lower, upper, slope = run_terms[:, :n_inner]
+    scaled = _code_scale(alpha + gamma * np.take(ws.vcoords, first[:n_inner] // IMAGE_SIZE), out=alpha)
+    np.subtract(scaled, margin, out=lower)
+    np.add(scaled, margin, out=upper)
+    np.multiply(-127.0, beta, out=slope)
+    for block, span, pairs in blocks:
+        runs = np.repeat(np.arange(block.start, block.stop), span)
+        n = len(runs)
+        floats = ws.scratch(4, n)
+        lower, upper, slope = np.take(run_terms, runs, axis=1, out=floats[:3], mode="clip")
+        pix_col = np.take(offsets, runs, axis=1, out=ws.scratch(2, n, np.intp), mode="clip")
+        pix, column = np.add(pix_col, pairs, out=pix_col)
+        np.multiply(slope, np.take(ws.ucoords, column, out=floats[3], mode="clip"), out=slope)
+        np.rint(np.add(lower, slope, out=lower), out=lower)
+        np.rint(np.add(upper, slope, out=upper), out=upper)
+        certain = np.equal(lower, upper, out=ws.scratch(1, n, np.bool_)[0])
+        np.minimum(np.maximum(lower, FAR_CODE, out=lower), NEAR_CODE, out=lower)  # never NaN
+        codes = np.multiply(lower, certain, out=ws.scratch(1, n, np.uint8)[0], casting="unsafe")
         uncertain = np.flatnonzero(np.logical_not(certain, out=certain))
-        yield codes, pix, mirrored, (tri[at[uncertain]], pix[uncertain])
+        yield codes, pix, (tri[runs[uncertain]], pix[uncertain])
 
 
 def _kernel_codes(ws: _Workspace, members, bufs, tri, pix) -> None:
     """Fold the codes of ``_hits`` for the pairs ``(tri, pix)`` into each member's buffer (:func:`_cast_pass`).
 
     ``tri`` holds the pairs' table columns and ``pix`` their flat pixel
-    indices in the stacked images of the first views; the antipode's pixel
-    is column ``W - 1 - c`` of the same row.
+    indices in the stacked images, which hold each pair's antipode in its
+    first view's pixel order.
     """
     n = len(tri)
     floats = ws.scratch(28, n)
     pair_terms, origins, scratch = floats[:16], floats[16:19], [*floats[19:], *ws.scratch(2, n, np.bool_)]
     np.take(ws.terms, tri, axis=1, out=pair_terms, mode="clip")
-    row, column, mirrored = ws.scratch(3, n, np.intp)
+    row, column = ws.scratch(2, n, np.intp)
     codes = ws.scratch(1, n, np.uint8)[0]
     np.floor_divide(pix, IMAGE_SIZE, out=row)
-    # the antipode's pixel, W r + (W - 1 - c) = 2 W r + (W - 1) - pix
-    np.subtract(np.add(np.multiply(row, 2 * IMAGE_SIZE, out=mirrored), IMAGE_SIZE - 1, out=mirrored), pix, out=mirrored)
     # the pair's column of its slot's column terms: slot W + c = pix - W (r - slot), slot = r // W
     np.subtract(row, np.floor_divide(row, IMAGE_SIZE, out=column), out=column)
     np.subtract(pix, np.multiply(column, IMAGE_SIZE, out=column), out=column)
     for member, ((columns, origin_rows), buf) in enumerate(zip(members, bufs)):
-        if member:  # the antipode: mirrored pixels, and h, f and the direction negated in place
+        if member:  # the antipode: h, f and the direction negated in place
             np.negative(pair_terms[9:], out=pair_terms[9:])
         np.take(columns, column, axis=1, out=origins, mode="clip")
         # the row terms pass through the kernel's first three rows before it runs
         np.add(origins, np.take(origin_rows, row, axis=1, out=floats[19:22], mode="clip"), out=origins)
         t = _hits(*origins, pair_terms[13:], pair_terms[:13], scratch)
         # a miss is code 0, which leaves the buffer as it is
-        np.maximum.at(buf, mirrored if member else pix, _code_into(codes, t, scratch[-1]))
+        np.maximum.at(buf, pix, _code_into(codes, t, scratch[-1]))
 
 
 def _cast_pass(ws: _Workspace, view_pairs, bufs) -> None:
@@ -692,8 +713,9 @@ def _cast_pass(ws: _Workspace, view_pairs, bufs) -> None:
 
     ``view_pairs`` holds P antipodal pairs, one per slot, each in index order
     (see :func:`viewrig.antipode`). ``bufs`` holds one uint8 buffer per
-    member of a pair, the P images of that member stacked in slot order, and
-    ``ws`` the call's workspace, whose term tables the pass updates. The
+    member of a pair, the P images of that member stacked in slot order, the
+    antipodes' each in its pair's first-view pixel order (mirrored in u),
+    and ``ws`` the call's workspace, whose term tables the pass updates. The
     triangle terms, projection, spans, pixel expansion and term gathers come
     from each slot's first view alone. Its
     antipode has ``right' = -right``, ``up' = up`` and ``toward' = -toward``,
@@ -708,7 +730,8 @@ def _cast_pass(ws: _Workspace, view_pairs, bufs) -> None:
     the columns before and after them, and one chunked loop expands every
     run to flat pixels (:func:`_run_codes`), the inner runs first. The
     inner columns take their codes from the plane depth, the antipode's as
-    ``256 - code``. The other columns, and the inner pixels whose code
+    ``256 - code``, and both members fold each pixel at the same index. The
+    other columns, and the inner pixels whose code
     rounding could decide, run ``_hits`` once per member
     (:func:`_kernel_codes`), with that member's ray origins: each view adds
     its per-column and per-row origin terms (:func:`_origin_terms`, built
@@ -732,10 +755,10 @@ def _cast_pass(ws: _Workspace, view_pairs, bufs) -> None:
         starts = np.concatenate([head[inner], first[before], head[after] + n_inner[after]])
         counts = np.concatenate([n_inner[inner], lead[before], trail[after]])
         runs = tri[np.concatenate([inner, before, after])]
-        for codes, pix, mirrored, pairs in _run_codes(ws, runs, starts, counts, len(inner)):
+        for codes, pix, pairs in _run_codes(ws, runs, starts, counts, len(inner)):
             np.maximum.at(bufs[0], pix, codes)
             # the antipode's code is 256 - code, and 0 stays 0
-            np.maximum.at(bufs[1], mirrored, np.negative(codes, out=codes))
+            np.maximum.at(bufs[1], pix, np.negative(codes, out=codes))
             if len(pairs[0]):
                 _kernel_codes(ws, members, bufs, *pairs)
 
@@ -771,9 +794,10 @@ def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImag
     (:func:`_passes`, :func:`_cast_pass`); a view whose antipode is not in
     the rig is cast with it, and the antipode's image is dropped. The two
     stacked code buffers and the workspace (:class:`_Workspace`) are
-    allocated once per call and reused across passes; the call keeps no
-    state after it returns. Bit-identical for identical inputs, however the
-    rig is split into passes.
+    allocated once per call and reused across passes, and each image is
+    copied out of them, an antipode's mirrored back into its own pixel
+    order; the call keeps no state after it returns. Bit-identical for
+    identical inputs, however the rig is split into passes.
     """
     shape = (IMAGE_SIZE, IMAGE_SIZE)
     if len(mesh.faces) == 0:
@@ -787,14 +811,15 @@ def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImag
     bufs = [np.empty(slots * size, dtype=np.uint8) for _ in range(2)]
     images = {}
     for view_pairs in passes:
-        # per member of a pair, the pass's images stacked in slot order
+        # per member of a pair, the pass's images stacked in slot order, in the first views' pixel order
         stacked = [buf[: len(view_pairs) * size] for buf in bufs]
         for buf in stacked:
             buf.fill(BACKGROUND_CODE)
         _cast_pass(ws, view_pairs, stacked)
         for slot, pair in enumerate(view_pairs):
-            for view, buf in zip(pair, stacked):
-                images[view] = DepthImage(buf[slot * size : (slot + 1) * size].reshape(shape))
+            first, mirrored = (buf[slot * size : (slot + 1) * size].reshape(shape) for buf in stacked)
+            images[pair[0]] = DepthImage(first)
+            images[pair[1]] = DepthImage(mirrored[:, ::-1])  # the antipode, back in its own pixel order
     return [images[view] for view in rig]
 
 

@@ -138,7 +138,9 @@ def _mark_surface(tris: np.ndarray, surface: np.ndarray) -> None:
     # the box-normal radius half * (|1| + |0| + |0|) + slack
     first, stop = _cell_box(tris.min(axis=1), tris.max(axis=1), half + _TOUCH_EPS, centers_1d)
     nx, ny, nz = np.maximum(stop - first, 0).T
-    per_tri = np.stack([ny * nz, nz, *first.T])
+    starts, blocks = pair_chunks(nx * ny * nz, _PAIR_CHUNK)
+    # the candidate number of pair p of triangle t is p - starts[t]
+    per_tri = np.stack([-starts, ny * nz, nz, *first.T])
     normal, *others = _separating_axes(tris, half)
 
     def test_others(tri, cells, cx, cy, cz):
@@ -149,8 +151,9 @@ def _mark_surface(tris: np.ndarray, surface: np.ndarray) -> None:
         surface[cells] = True
 
     held, n_held = [], 0
-    for block, span, k in pair_chunks(nx * ny * nz, _PAIR_CHUNK):
-        yz, z_len, x0, y0, z0 = np.repeat(per_tri[:, block], span, axis=1)
+    for block, span, pairs in blocks:
+        k, yz, z_len, x0, y0, z0 = np.repeat(per_tri[:, block], span, axis=1)
+        k += pairs
         ix, rest = np.divmod(k, yz)
         iy, iz = np.divmod(rest, z_len)
         ix += x0

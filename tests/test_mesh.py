@@ -13,6 +13,7 @@ from viewsphere.mesh import (
     is_normalized,
     load_off,
     normalize_to_unit_cube,
+    pair_chunks,
     parse_off,
     write_off,
 )
@@ -147,6 +148,33 @@ def test_parse_off_inverts_write_off(tmp_path, mesh):
     again = parse_off(path.read_text())
     assert np.array_equal(mesh.vertices.view(np.int64), again.vertices.view(np.int64))  # bit for bit, -0.0 too
     assert np.array_equal(mesh.faces, again.faces)
+
+
+_COUNTS = (
+    hnp.arrays(np.intp, st.integers(0, 40), elements=st.integers(0, 12) | st.just(0))
+    | st.just(np.zeros(0, np.intp))
+    | st.tuples(st.integers(0, 5), st.integers(4097, 12_000), st.integers(0, 5)).map(
+        lambda c: np.array([0, *c, 0], np.intp)  # one count spanning several blocks of 4,096
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=_COUNTS, chunk_size=st.sampled_from([1, 5, 4096]))
+def test_pair_chunks_partitions_the_pairs_in_order(counts, chunk_size):
+    starts, blocks = pair_chunks(counts, chunk_size)
+    assert np.array_equal(starts, np.cumsum(counts) - counts)
+    tris, pairs = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for block, span, block_pairs in blocks:
+        assert 0 < len(block_pairs) <= chunk_size and span.sum() == len(block_pairs)
+        tris.append(np.repeat(np.arange(block.start, block.stop), span))
+        pairs.append(block_pairs)
+    tris, pairs = np.concatenate(tris), np.concatenate(pairs)
+    # the blocks partition the pairs in order, and each triangle's candidates
+    # appear exactly once, numbered 0..count-1
+    assert np.array_equal(pairs, np.arange(counts.sum()))
+    assert np.array_equal(tris, np.repeat(np.arange(len(counts)), counts))
+    assert np.array_equal(pairs - starts[tris], np.concatenate([np.empty(0, int), *map(np.arange, counts)]))
 
 
 def test_mesh_validation():

@@ -306,6 +306,15 @@ def test_noise_sweep_max_views(dataset, predictors, model_root, no_mesh_work):
         pipeline.noise_sweep(records, model_root, view_predictor, sigmas=[0.0], max_views=0)
 
 
+def test_noise_sweep_rejects_an_unknown_fusion_mode_before_any_load_or_render(
+    dataset, predictors, model_root, no_mesh_work
+):
+    _, records = dataset
+    _, view_predictor = predictors
+    with pytest.raises(ValueError, match="unknown fusion mode 'bogus'"):
+        pipeline.noise_sweep(records, model_root, view_predictor, sigmas=[0.02], fusion_mode="bogus")
+
+
 @pytest.mark.parametrize("sigmas", [[0.02, 0.04, -0.1], [0.02, float("inf")]])
 def test_noise_sweep_rejects_a_bad_sigma_before_any_load_or_render(
     dataset, predictors, model_root, no_mesh_work, sigmas

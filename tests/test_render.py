@@ -328,6 +328,13 @@ def test_render_all_views_matches_single_view_renders():
         assert np.array_equal(image.pixels, batch[view.index].pixels), view
 
 
+def test_every_image_is_c_contiguous_and_read_only():
+    # an antipode's image is folded in its pair's pixel order and mirrored on the way out
+    rig = build_rig()
+    for image in render_all_views(unit_cube_mesh(), rig):
+        assert image.pixels.flags.c_contiguous and not image.pixels.flags.writeable
+
+
 @pytest.mark.parametrize("pair_chunk", [7, 64, None])
 @settings(max_examples=15, deadline=None)
 @given(
@@ -565,8 +572,8 @@ def _inner_pairs(ws, views):
 
     Returns (slot, triangle, row, column, code), the triangle and row the
     slot's own, not the stacked table's and image's. The renderer's blocks
-    are checked on the way: each pixel's mirrored index is its antipode's,
-    and the kernel pairs are the pixels of code 0 and their table columns.
+    are checked on the way: the kernel pairs are the pixels of code 0 and
+    their table columns.
     """
     spans = [(np.empty(0, dtype=np.int64),) * 5, *render._pass_spans(ws, views)]
     tri, first, _, lead, n_inner = (np.concatenate([span[i] for span in spans]) for i in range(5))
@@ -575,9 +582,7 @@ def _inner_pairs(ws, views):
     width = render.IMAGE_SIZE
     codes, pixels, kernel_tri = [np.empty(0, np.uint8)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     # every run is an inner one
-    for block_codes, pix, mirrored, pairs in render._run_codes(ws, tri, first, n_inner, len(tri)):
-        row, col = np.divmod(pix, width)
-        assert np.array_equal(mirrored, row * width + width - 1 - col)
+    for block_codes, pix, pairs in render._run_codes(ws, tri, first, n_inner, len(tri)):
         assert np.array_equal(pairs[1], pix[block_codes == 0])
         kernel_tri.append(pairs[0])
         codes.append(block_codes.copy())
@@ -635,7 +640,13 @@ def test_inner_columns_are_hits_and_certain_plane_codes_are_the_kernels(soup, st
     assert np.isfinite(t).all() and np.isfinite(t_antipode).all()
 
     certain = codes > 0
-    assert certain.mean() > 0.99
+    # a plane whose depth lies on a code boundary leaves its pixels to the kernel
+    # (test_code_boundary_planes_run_the_kernel_and_match_brute_force), as does
+    # a drawn triangle in the face x = 0.5 at the views along x; the plane path
+    # decides nearly every other inner pixel
+    scaled = 255.0 - 127.0 * (t - (RADIUS - 1.0))
+    off_boundary = np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6
+    assert certain[off_boundary].mean() > 0.99
     assert np.array_equal(codes[certain], depth_codes(t)[certain])
     assert np.array_equal(256 - codes[certain].astype(int), depth_codes(t_antipode)[certain])
 
@@ -695,8 +706,10 @@ def _expected_kernel_pairs(spans, plane, ucoords, vcoords):
     inner = np.flatnonzero(~edge)
     row, col = np.divmod(pix[inner], render.IMAGE_SIZE)
     alpha, beta, gamma, margin = plane[:, tri[at[inner]]]
-    c = 255.0 - 127.0 * (((alpha + gamma * vcoords[row]) + beta * ucoords[col]) - (RADIUS - 1.0))
-    uncertain = inner[np.rint(c - margin) != np.rint(c + margin)]
+    # the code is affine in u along a run: (A -+ M) + B u
+    a = 255.0 - 127.0 * ((alpha + gamma * vcoords[row]) - (RADIUS - 1.0))
+    bu = -127.0 * beta * ucoords[col]
+    uncertain = inner[np.rint((a - margin) + bu) != np.rint((a + margin) + bu)]
     edge = np.flatnonzero(edge)
     return [set(zip(tri[at[which]].tolist(), pix[which].tolist())) for which in (edge, uncertain)]
 
