@@ -66,8 +66,11 @@ def pair_chunks(counts: np.ndarray, chunk_size: int) -> tuple[np.ndarray, Iterat
     slice of triangles it touches, the number of pairs each of them has in
     the block, and the number of every pair. ``np.repeat(x[..., tris], span,
     axis=-1)`` expands a per-triangle array ``x`` to the block's pairs, and
-    pair ``p`` is candidate ``p - starts[tri]`` of its triangle. One
-    cumulative sum and one search find the bounds of every block.
+    pair ``p`` is candidate ``p - starts[tri]`` of its triangle: each caller
+    must subtract ``starts``, best folded into a per-triangle table before
+    the loop (``(x - starts)[tris]`` repeated, plus ``pairs``), which saves
+    a repeat and a subtraction per block. One cumulative sum and one search
+    find the bounds of every block.
     """
     bounds = np.concatenate([[0], np.cumsum(counts, dtype=np.intp)])  # triangle i's pairs: bounds[i] to bounds[i + 1]
     p0 = np.arange(0, bounds[-1], chunk_size)
