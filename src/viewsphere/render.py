@@ -23,6 +23,8 @@ once per mesh, and the scratch buffers that every block reuses.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +69,13 @@ class DepthImage:
         pixels = pixels.copy()
         pixels.setflags(write=False)
         self.pixels = pixels
+
+    @classmethod
+    def _frozen(cls, pixels: np.ndarray) -> DepthImage:
+        """Wrap a read-only, C-contiguous (H, W) uint8 array without the copy, for arrays that nothing writes to after (:func:`render_all_views`)."""
+        image = cls.__new__(cls)
+        image.pixels = pixels
+        return image
 
 
 def _edge_rows(v0, v1, v2) -> list:
@@ -771,13 +780,37 @@ def _passes(rig: list[Viewpoint], n_tris: int) -> list[list[tuple[Viewpoint, Vie
     ``_PAIR_CHUNK // n_tris``, ``_MAX_SLOTS``) pairs, at least one. A mesh of
     more than ``_PAIR_CHUNK / 2`` triangles thus casts one pair per pass, and
     a small one its 30 pairs in a few passes, which share the span stage, the
-    plane codes and the kernel calls. ``_MAX_SLOTS`` bounds the stacked code
-    buffers (2 P 50 KB) and the term tables of small meshes.
+    plane codes and the kernel calls. ``_MAX_SLOTS`` bounds the antipode
+    code buffer (P 50 KB) and the term tables of small meshes.
     """
     per_pass = max(1, min(_PAIR_CHUNK // n_tris, _MAX_SLOTS))
     firsts = list(dict.fromkeys(min(view, antipode(view), key=lambda v: v.index) for view in rig))
     pairs = [(view, antipode(view)) for view in firsts]
     return [pairs[k : k + per_pass] for k in range(0, len(pairs), per_pass)]
+
+
+def _mirror_rows(src: np.ndarray, out: np.ndarray) -> None:
+    """Write ``src[..., ::-1]``, uint8 rows reversed, into ``out``.
+
+    A row reversed is its words of ``gcd(W, 8)`` bytes in reverse order, each
+    byte-swapped; numpy copies 8-byte words several times faster than
+    single bytes against the stride.
+    """
+    word = np.dtype(f"u{math.gcd(src.shape[-1], 8)}")
+    np.copyto(out.view(word), src.view(word)[..., ::-1])
+    out.view(word).byteswap(inplace=True)
+
+
+def _mapped_images(n: int) -> np.ndarray:
+    """``n`` zeroed ``IMAGE_SIZE`` x ``IMAGE_SIZE`` uint8 images in an anonymous memory mapping of their own.
+
+    The pages are mapped at once, and the mapping goes back to the system
+    when the last array that views it is dropped, so the images never take
+    or leave space in the malloc heap.
+    """
+    length = n * IMAGE_SIZE * IMAGE_SIZE
+    buf = mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0))
+    return np.frombuffer(buf, np.uint8).reshape(n, IMAGE_SIZE, IMAGE_SIZE)
 
 
 def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImage]:
@@ -792,35 +825,50 @@ def render_all_views(mesh: TriangleMesh, rig: list[Viewpoint]) -> list[DepthImag
     every pixel. A view and its antipode share one projection, one span list
     and one term gather, and every pass casts one or more such pairs at once
     (:func:`_passes`, :func:`_cast_pass`); a view whose antipode is not in
-    the rig is cast with it, and the antipode's image is dropped. The two
-    stacked code buffers and the workspace (:class:`_Workspace`) are
-    allocated once per call and reused across passes, and each image is
-    copied out of them, an antipode's mirrored back into its own pixel
-    order; the call keeps no state after it returns. Bit-identical for
-    identical inputs, however the rig is split into passes.
+    the rig is cast with it, and the antipode's image is not returned.
+
+    All images of a call live in one read-only memory mapping
+    (:func:`_mapped_images`), which each returned image views and which is
+    freed with the last of them: the first views of a pass fold straight
+    into their images, and the antipodes into one stacked code buffer, in
+    their pairs' pixel order, from which they are copied mirrored back
+    (:func:`_mirror_rows`). The images were a render's largest share of the
+    malloc heap. Once freed, they left a hole there whenever a small block
+    had been placed above them meanwhile, so whether later large
+    allocations anywhere in the process faulted in fresh pages or reused
+    the hole came down to where such blocks had landed. The antipode buffer
+    and the workspace (:class:`_Workspace`) are allocated once per call and
+    reused across passes; the call keeps no state after it returns.
+    Bit-identical for identical inputs, however the rig is split into
+    passes.
     """
     shape = (IMAGE_SIZE, IMAGE_SIZE)
     if len(mesh.faces) == 0:
         return [DepthImage(np.zeros(shape, dtype=np.uint8)) for _ in rig]
     assert_normalized(mesh)
-
+    if not rig:
+        return []
     passes = _passes(rig, len(mesh.faces))
-    slots = max(map(len, passes), default=1)
+    slots = max(map(len, passes))
     ws = _Workspace(mesh.triangles, slots)
-    size = IMAGE_SIZE * IMAGE_SIZE
-    bufs = [np.empty(slots * size, dtype=np.uint8) for _ in range(2)]
-    images = {}
+    # each pass's first views, then its antipodes; BACKGROUND_CODE is 0, so
+    # the zeroed mapping starts out as background
+    pixels = _mapped_images(2 * sum(map(len, passes)))
+    antipodes = np.empty(slots * IMAGE_SIZE * IMAGE_SIZE, dtype=np.uint8)
+    index = {}
+    at = 0
     for view_pairs in passes:
+        n = len(view_pairs)
         # per member of a pair, the pass's images stacked in slot order, in the first views' pixel order
-        stacked = [buf[: len(view_pairs) * size] for buf in bufs]
-        for buf in stacked:
-            buf.fill(BACKGROUND_CODE)
+        stacked = [pixels[at : at + n].reshape(-1), antipodes[: n * IMAGE_SIZE * IMAGE_SIZE]]
+        stacked[1].fill(BACKGROUND_CODE)
         _cast_pass(ws, view_pairs, stacked)
-        for slot, pair in enumerate(view_pairs):
-            first, mirrored = (buf[slot * size : (slot + 1) * size].reshape(shape) for buf in stacked)
-            images[pair[0]] = DepthImage(first)
-            images[pair[1]] = DepthImage(mirrored[:, ::-1])  # the antipode, back in its own pixel order
-    return [images[view] for view in rig]
+        _mirror_rows(stacked[1].reshape(n, *shape), pixels[at + n : at + 2 * n])
+        for slot, (view, mirror) in enumerate(view_pairs):
+            index[view], index[mirror] = at + slot, at + n + slot
+        at += 2 * n
+    pixels.setflags(write=False)
+    return [DepthImage._frozen(pixels[index[view]]) for view in rig]
 
 
 def write_pgm_array(pixels: np.ndarray, path: str | Path) -> None:
