@@ -172,7 +172,7 @@ def _grid_index(grid: np.ndarray, keys: np.ndarray, side: str, out: np.ndarray, 
     np.copyto(out, np.divide(np.subtract(x, grid[0], out=x), step, out=x), casting="unsafe")
     above = np.greater_equal if side == "left" else np.greater
     for _ in range(2):
-        below = np.logical_not(above(np.take(grid, out, out=scratch, mode="clip"), keys, out=flags), out=flags)
+        below = np.logical_not(above(grid.take(out, out=scratch, mode="clip"), keys, out=flags), out=flags)
         np.add(out, below, out=out)
     return out
 
@@ -360,8 +360,11 @@ class _Workspace:
       hands on only new arrays, but for the codes and pixel indices of
       :func:`_run_codes`, which its caller folds before any other stage
       runs. Each buffer grows to the largest block the call has asked of
-      it, at most ``_PAIR_CHUNK`` pairs wide. Gathers into it use
-      ``np.take(..., mode="clip")``, which writes into ``out`` unbuffered;
+      it, at most ``_PAIR_CHUNK`` pairs wide. Gathers into it use the
+      array method ``take(..., mode="clip")``, which writes into ``out``
+      unbuffered (the hot loops call array methods, not the ``np.take``,
+      ``np.repeat`` and ``np.flatnonzero`` wrappers, which cost about 1.5 us
+      a call);
       their indices (table columns, and span and run indices from
       :func:`mesh.pair_chunks`,
       pixel rows and columns inside the stacked images, grid indices that
@@ -464,18 +467,18 @@ def _row_spans(ws: _Workspace, pu, pv, g, live, ucoords, vcoords):
     starts, blocks = pair_chunks(n_rows, _PAIR_CHUNK)
     r0 -= starts  # the row of pair p of triangle t is r0[t] + p
     for block, span, pairs in blocks:
-        tri = np.repeat(np.arange(block.start, block.stop), span)
-        row = np.repeat(r0[block], span)
+        tri = np.arange(block.start, block.stop).repeat(span)
+        row = r0[block].repeat(span)
         row += pairs
         n = len(tri)
         floats = ws.scratch(36, n)
         y, e_g, lo, hi, in_lo, in_hi = floats[24:30]
         cross, bound = floats[30:].reshape(2, 3, n)
         # from the whole table, which is C-contiguous, so take does not copy it
-        fields = np.take(ws.edges, tri, axis=2, out=floats[:24].reshape(8, 3, n), mode="clip")
+        fields = ws.edges.take(tri, axis=2, out=floats[:24].reshape(8, 3, n), mode="clip")
         e_pu, e_pv, e_slope, e_width, v_lo, v_hi, u_lo, u_hi = fields
-        np.take(vcoords, row, out=y, mode="clip")
-        np.take(g, tri, out=e_g, mode="clip")
+        vcoords.take(row, out=y, mode="clip")
+        g.take(tri, out=e_g, mode="clip")
         bools = ws.scratch(7, n, np.bool_)
         far, below = bools[:6].reshape(2, 3, n)
         np.less_equal(v_lo, y, out=far)
@@ -664,28 +667,28 @@ def _run_codes(ws: _Workspace, tri, first, counts, n_inner):
     """
     starts, blocks = pair_chunks(counts, _PAIR_CHUNK)
     offsets = np.array([first, first % IMAGE_SIZE]) - starts
-    alpha, beta, gamma, margin = np.take(ws.plane, tri[:n_inner], axis=1)
+    alpha, beta, gamma, margin = ws.plane.take(tri[:n_inner], axis=1)
     run_terms = np.empty((3, len(tri)))
     run_terms[:, n_inner:] = [[-np.inf], [np.inf], [0.0]]
     lower, upper, slope = run_terms[:, :n_inner]
-    scaled = _code_scale(alpha + gamma * np.take(ws.vcoords, first[:n_inner] // IMAGE_SIZE), out=alpha)
+    scaled = _code_scale(alpha + gamma * ws.vcoords.take(first[:n_inner] // IMAGE_SIZE), out=alpha)
     np.subtract(scaled, margin, out=lower)
     np.add(scaled, margin, out=upper)
     np.multiply(-127.0, beta, out=slope)
     for block, span, pairs in blocks:
-        runs = np.repeat(np.arange(block.start, block.stop), span)
+        runs = np.arange(block.start, block.stop).repeat(span)
         n = len(runs)
         floats = ws.scratch(4, n)
-        lower, upper, slope = np.take(run_terms, runs, axis=1, out=floats[:3], mode="clip")
-        pix_col = np.take(offsets, runs, axis=1, out=ws.scratch(2, n, np.intp), mode="clip")
+        lower, upper, slope = run_terms.take(runs, axis=1, out=floats[:3], mode="clip")
+        pix_col = offsets.take(runs, axis=1, out=ws.scratch(2, n, np.intp), mode="clip")
         pix, column = np.add(pix_col, pairs, out=pix_col)
-        np.multiply(slope, np.take(ws.ucoords, column, out=floats[3], mode="clip"), out=slope)
+        np.multiply(slope, ws.ucoords.take(column, out=floats[3], mode="clip"), out=slope)
         np.rint(np.add(lower, slope, out=lower), out=lower)
         np.rint(np.add(upper, slope, out=upper), out=upper)
         certain = np.equal(lower, upper, out=ws.scratch(1, n, np.bool_)[0])
         np.minimum(np.maximum(lower, FAR_CODE, out=lower), NEAR_CODE, out=lower)  # never NaN
         codes = np.multiply(lower, certain, out=ws.scratch(1, n, np.uint8)[0], casting="unsafe")
-        uncertain = np.flatnonzero(np.logical_not(certain, out=certain))
+        uncertain = np.logical_not(certain, out=certain).nonzero()[0]
         yield codes, pix, (tri[runs[uncertain]], pix[uncertain])
 
 
@@ -699,7 +702,7 @@ def _kernel_codes(ws: _Workspace, members, bufs, tri, pix) -> None:
     n = len(tri)
     floats = ws.scratch(28, n)
     pair_terms, origins, scratch = floats[:16], floats[16:19], [*floats[19:], *ws.scratch(2, n, np.bool_)]
-    np.take(ws.terms, tri, axis=1, out=pair_terms, mode="clip")
+    ws.terms.take(tri, axis=1, out=pair_terms, mode="clip")
     row, column = ws.scratch(2, n, np.intp)
     codes = ws.scratch(1, n, np.uint8)[0]
     np.floor_divide(pix, IMAGE_SIZE, out=row)
@@ -709,9 +712,9 @@ def _kernel_codes(ws: _Workspace, members, bufs, tri, pix) -> None:
     for member, ((columns, origin_rows), buf) in enumerate(zip(members, bufs)):
         if member:  # the antipode: h, f and the direction negated in place
             np.negative(pair_terms[9:], out=pair_terms[9:])
-        np.take(columns, column, axis=1, out=origins, mode="clip")
+        columns.take(column, axis=1, out=origins, mode="clip")
         # the row terms pass through the kernel's first three rows before it runs
-        np.add(origins, np.take(origin_rows, row, axis=1, out=floats[19:22], mode="clip"), out=origins)
+        np.add(origins, origin_rows.take(row, axis=1, out=floats[19:22], mode="clip"), out=origins)
         t = _hits(*origins, pair_terms[13:], pair_terms[:13], scratch)
         # a miss is code 0, which leaves the buffer as it is
         np.maximum.at(buf, pix, _code_into(codes, t, scratch[-1]))
@@ -759,7 +762,7 @@ def _cast_pass(ws: _Workspace, view_pairs, bufs) -> None:
     for tri, first, n_cols, lead, n_inner in _pass_spans(ws, [pair[0] for pair in view_pairs]):
         # each span's column runs: the inner ones first, then the columns before and after them
         trail = n_cols - lead - n_inner
-        inner, before, after = np.flatnonzero(n_inner), np.flatnonzero(lead), np.flatnonzero(trail)
+        inner, before, after = n_inner.nonzero()[0], lead.nonzero()[0], trail.nonzero()[0]
         head = first + lead  # each span's first inner pixel
         starts = np.concatenate([head[inner], first[before], head[after] + n_inner[after]])
         counts = np.concatenate([n_inner[inner], lead[before], trail[after]])
