@@ -18,7 +18,9 @@ the kernel, and the antipode's image is folded mirrored, at its pair's pixel
 indices. Every pass casts one or more such pairs, one slot
 each, over stacked images (:func:`_cast_pass`). One workspace per call
 (:class:`_Workspace`) holds the triangle terms that no view changes, computed
-once per mesh, and the scratch buffers that every block reuses.
+once per mesh, and the scratch buffers that every block reuses; the images of
+a call live in one memory mapping outside the malloc heap
+(:func:`render_all_views`).
 """
 
 from __future__ import annotations
