@@ -102,21 +102,28 @@ def find_peaks(emap: EntropyMap) -> list[Peak]:
     A constant map degenerates to the single peak (0, 0). Value ties are
     ordered by (ring, azimuth).
     """
+    # each cell's highest neighbour in one pass: -inf rows clamp the rings, wrapped columns the azimuths
+    padded = np.full((N_RINGS + 2, N_AZIMUTHS + 2), -np.inf)
+    padded[1:-1, 1:-1] = emap.values
+    padded[1:-1, 0], padded[1:-1, -1] = emap.values[:, -1], emap.values[:, 0]
+    highest = np.maximum.reduce(
+        [padded[1 + dr : 1 + dr + N_RINGS, 1 + dc : 1 + dc + N_AZIMUTHS] for dr, dc in _NEIGHBOR_OFFSETS]
+    )
     values = emap.values.tolist()  # Python floats index faster than numpy scalars
-    peaks = []
+    # a cell above all its neighbours is a plateau of one cell with a lower neighbour
+    peaks = [Peak(r, c, values[r][c]) for r, c in np.argwhere(emap.values > highest).tolist()]
     searched = set()  # cells of the plateaus searched so far; each plateau is searched once
-    for ring in range(N_RINGS):
-        for azimuth in range(N_AZIMUTHS):
-            v = values[ring][azimuth]
-            if any(values[r][c] > v for r, c in _neighbors(ring, azimuth)) or (ring, azimuth) in searched:
-                continue
-            plateau = _plateau(values, ring, azimuth)
-            searched |= plateau
-            if min(plateau) != (ring, azimuth):
-                continue
-            # a strictly lower neighbor of a plateau cell lies outside the plateau
-            if any(values[r][c] < v for cell in plateau for r, c in _neighbors(*cell)):
-                peaks.append(Peak(ring, azimuth, v))
+    for ring, azimuth in np.argwhere(emap.values == highest).tolist():
+        if (ring, azimuth) in searched:
+            continue
+        plateau = _plateau(values, ring, azimuth)
+        searched |= plateau
+        if min(plateau) != (ring, azimuth):
+            continue
+        # a strictly lower neighbor of a plateau cell lies outside the plateau
+        v = values[ring][azimuth]
+        if any(values[r][c] < v for cell in plateau for r, c in _neighbors(*cell)):
+            peaks.append(Peak(ring, azimuth, v))
 
     peaks.sort(key=lambda p: (-p.value, p.ring, p.azimuth))
     return peaks or [Peak(0, 0, values[0][0])]  # only a constant map has no peak

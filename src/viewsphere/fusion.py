@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .predict import ViewPrediction
-from .viewrig import Viewpoint, viewpoint_from_index
+from .viewrig import N_AZIMUTHS, Viewpoint, viewpoint_from_index
 
 YAW_STEP = 30
 PITCH_MIN_OFFSET = -120
@@ -107,9 +107,13 @@ def fuse(
         class_tie, pose_tie = _totals(class_hits), _totals(pose_hits)
     else:
         class_votes = _totals(pair for _, p in views for pair in p.class_scores.items())
-        pose_votes = _totals(
-            (pose_offset(c, i), float(score)) for c, p in views for i, score in enumerate(p.viewpoint_scores)
+        # keyed by (yaw steps, ring shift), so each PoseOffset is built once
+        shifts = _totals(
+            (((c.azimuth - i % N_AZIMUTHS) % N_AZIMUTHS, c.ring - i // N_AZIMUTHS), score)
+            for c, p in views
+            for i, score in enumerate(p.viewpoint_scores.tolist())
         )
+        pose_votes = {PoseOffset(YAW_STEP * yaw, YAW_STEP * shift): v for (yaw, shift), v in shifts.items()}
         class_tie, pose_tie = class_votes, pose_votes
 
     category = _winner(dict(class_votes), class_tie)

@@ -88,7 +88,7 @@ def _l1_distances(table: np.ndarray, query: np.ndarray, block: int) -> np.ndarra
     0..``MAX_FEATURE``, so ``table - query`` cannot wrap, and each row sum
     fits int32: it is at most ``WIDTH * MAX_FEATURE``, 784 * 16,320 for
     views and 2,744 * 64 for grids, both below 2**31. The int32 pooled
-    tables of :func:`_nearest` hold the same totals in fewer, larger
+    tables of :func:`_pruned_nearest` hold the same totals in fewer, larger
     values, so their row sums are no larger. An integer sum over
     ``block`` equals the float64 distance between the block means bit for
     bit: every term and partial sum of that distance is a multiple of
@@ -108,27 +108,52 @@ def _knn_weights(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     return order, 1.0 / (distances[order] + KNN_EPSILON)
 
 
+#: :func:`_nearest` scans a table of at most this many feature values in full;
+#: below it the bound stage (the query's pooled sums, the bounds, and a second
+#: distance call for the k rows of the ``kth`` step) costs more than it saves.
+#: Measured on a 2-vCPU Xeon, medians per query: the first rows of the seed-0
+#: ``desk`` view table broke even at 167 rows (130,928 values; 150 rows: 57 us
+#: full against 66 us pruned, 200 rows: 69 against 62 us), the first rows of
+#: the grid table of ``generate_model_root(per_category=100)`` at about 100
+#: rows (274,400 values). The 60-row ``dense`` view table (28 against 51 us) and
+#: the 20-row ``desk`` entropy table (27 against 64 us) fall below it, the
+#: 1,200-row ``desk`` view table (555 against 124 us) above. Outputs do not
+#: depend on it.
+_FULL_SCAN_VALUES = 2**17
+
+
 def _nearest(predictor, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows and weights that :func:`_knn_weights` picks from a full scan of ``predictor.features``.
 
-    The search is exact but reads few rows. By the triangle inequality,
-    |sum(a) - sum(b)| <= sum(|a - b|) over any block, so the L1 distance
-    between pooled rows is a lower bound on the distance between the rows
-    (the successive elimination bound of Li & Salari, IEEE TIP 4(1), 1995).
-    The k rows with the smallest bounds give an upper bound ``kth`` on the
-    k-th smallest distance, and only rows whose bound is at most ``kth`` can
-    be picked. Every exact match (bound 0) and every row within ``kth``
+    Tables of more than ``_FULL_SCAN_VALUES`` values go through the exact
+    pruned search of :func:`_pruned_nearest`, which reads few rows.
+    """
+    table = predictor.features
+    if table.size <= _FULL_SCAN_VALUES:
+        return _knn_weights(_l1_distances(table, query, predictor.BLOCK), predictor.k)
+    return _pruned_nearest(predictor, query)
+
+
+def _pruned_nearest(predictor, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What :func:`_nearest` returns, from the rows that the pooled bounds cannot rule out.
+
+    By the triangle inequality, |sum(a) - sum(b)| <= sum(|a - b|) over any
+    block, so the L1 distance between pooled rows is a lower bound on the
+    distance between the rows (the successive elimination bound of Li &
+    Salari, IEEE TIP 4(1), 1995). The k rows with the smallest bounds (all
+    rows if k exceeds the table) give an upper bound ``kth`` on the k-th
+    smallest distance, and only rows whose bound is at most ``kth`` can be
+    picked. Every exact match (bound 0) and every row within ``kth``
     survive, in index order, so the stable sort and the first-exact-match
     rule of :func:`_knn_weights` pick the same rows with the same weights.
     Bounds and distances are both in block means: dividing integers by the
     same block size cannot reverse their order.
     """
     table, block, k = predictor.features, predictor.BLOCK, predictor.k
-    if k >= len(table):
-        return _knn_weights(_l1_distances(table, query, block), k)
     pooled_query = block_sums(query.reshape(predictor.FEATURE_SHAPE), predictor.BOUND_POOL, np.int32).ravel()
     bounds = _l1_distances(predictor.pooled, pooled_query, block)
-    kth = _l1_distances(table[np.argpartition(bounds, k - 1)[:k]], query, block).max()
+    first = min(k, len(table))
+    kth = _l1_distances(table[np.argpartition(bounds, first - 1)[:first]], query, block).max()
     rows = np.flatnonzero(bounds <= kth)
     order, weights = _knn_weights(_l1_distances(table[rows], query, block), k)
     return rows[order], weights
@@ -140,7 +165,7 @@ class _KnnTable:
     A subclass sets ``BLOCK`` (pixels or voxels per block), ``FEATURE_DTYPE``,
     ``MAX_FEATURE``, ``FEATURE_SHAPE`` (the block grid of one row), ``WIDTH``
     and ``BOUND_POOL``. ``pooled`` sums each row over ``BOUND_POOL``-wide
-    blocks for the search bounds of :func:`_nearest`; it is built here, so
+    blocks for the search bounds of :func:`_pruned_nearest`; it is built here, so
     model files never hold it.
     """
 
@@ -269,14 +294,12 @@ class KnnViewPredictor(_KnnTable):
         return block_sums(image.pixels, IMAGE_POOL_FACTOR, KnnViewPredictor.FEATURE_DTYPE).ravel()
 
     def predict(self, image: DepthImage) -> ViewPrediction:
-        class_scores = dict.fromkeys(self.categories, 0.0)
-        viewpoint_scores = np.zeros(N_VIEWS)
         order, weights = _nearest(self, self.featurize(image))
-        total = weights.sum()
-        for idx, w in zip(order, weights):
-            class_scores[self.categories[self.category_ids[idx]]] += w / total
-            viewpoint_scores[self.viewpoints[idx]] += w / total
-        return ViewPrediction(class_scores, viewpoint_scores)
+        shares = weights / weights.sum()
+        # bincount adds the shares in neighbour order, from 0.0
+        class_scores = np.bincount(self.category_ids[order], shares, len(self.categories))
+        viewpoint_scores = np.bincount(self.viewpoints[order], shares, N_VIEWS)
+        return ViewPrediction(dict(zip(self.categories, class_scores.tolist())), viewpoint_scores)
 
     def save(self, path: str | Path) -> None:
         np.savez(

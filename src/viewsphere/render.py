@@ -74,7 +74,7 @@ class DepthImage:
 
     @classmethod
     def _frozen(cls, pixels: np.ndarray) -> DepthImage:
-        """Wrap a read-only, C-contiguous (H, W) uint8 array without the copy, for arrays that nothing writes to after (:func:`render_all_views`)."""
+        """Wrap a read-only, C-contiguous (H, W) uint8 array without the copy, for arrays that nothing writes to after (:func:`render_all_views`, :func:`read_pgm`)."""
         image = cls.__new__(cls)
         image.pixels = pixels
         return image
@@ -927,5 +927,6 @@ def _parse_pgm(blob: bytes) -> DepthImage:
         raise ValueError(f"unsupported maxval {maxval}")
     if len(blob) - pos < width * height:
         raise ValueError("truncated PGM payload")
+    # frombuffer over bytes is read-only already, so nothing can write to it
     data = np.frombuffer(blob, dtype=np.uint8, offset=pos, count=width * height)
-    return DepthImage(data.reshape(height, width))
+    return DepthImage._frozen(data.reshape(height, width))

@@ -164,6 +164,24 @@ def test_find_peaks_searches_each_plateau_once(monkeypatch):
     assert calls == [(0, 0)]
 
 
+def test_find_peaks_skips_the_plateau_search_when_no_neighbours_tie(monkeypatch):
+    calls = []
+    plateau = entropy._plateau
+
+    def counting_plateau(values, ring, azimuth):
+        calls.append((ring, azimuth))
+        return plateau(values, ring, azimuth)
+
+    monkeypatch.setattr(entropy, "_plateau", counting_plateau)
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        values = rng.random((5, 12))
+        assert len(np.unique(values)) == values.size  # so no two neighbours are equal
+        got = [(p.ring, p.azimuth, p.value) for p in find_peaks(EntropyMap(values))]
+        assert got == brute_force_peaks(values)
+    assert calls == []
+
+
 def test_find_peaks_matches_brute_force():
     rng = np.random.default_rng(3)
     for i in range(300):

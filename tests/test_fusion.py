@@ -1,3 +1,6 @@
+import math
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +156,28 @@ def test_fuse_score_sum_mode():
     assert argmax.category == "chair"  # votes 2-1
     assert score_sum.category == "table"  # mass 1.7 vs 1.3
     assert abs(score_sum.class_votes["table"] - 1.7) < 1e-12
+
+
+def test_fuse_score_sum_pose_votes_equal_one_offset_per_score():
+    # the tallies as summed before they were keyed by (yaw steps, ring shift)
+    rng = np.random.default_rng(12)
+    rig = build_rig()
+    for _ in range(40):
+        views = []
+        for _ in range(rng.integers(1, 8)):
+            scores = rng.random(60) * (rng.random(60) < 0.3)  # zeros, and offsets that several views hit
+            scores[rng.integers(60)] += 1.0
+            classes = rng.random(3)
+            classes = dict(zip(_CATEGORIES, (classes / classes.sum()).tolist()))
+            views.append((rig[rng.integers(60)], ViewPrediction(classes, scores / scores.sum())))
+        groups = defaultdict(list)
+        for capture, prediction in views:
+            for i, score in enumerate(prediction.viewpoint_scores):
+                groups[pose_offset(capture, i)].append(float(score))
+        want = {offset: math.fsum(values) for offset, values in groups.items()}
+        fused = fuse(views, mode="score_sum")
+        assert list(fused.pose_votes.items()) == list(want.items())
+        assert fused.pose == min(want, key=lambda offset: (-want[offset], offset))
 
 
 def test_fuse_rejects_bad_input():

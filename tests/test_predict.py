@@ -22,8 +22,10 @@ from viewsphere.predict import (
     KnnEntropyPredictor,
     KnnViewPredictor,
     ViewPrediction,
+    _FULL_SCAN_VALUES,
     _l1_distances,
     _nearest,
+    _pruned_nearest,
     knn_entropy_predictor_train,
     knn_view_predictor_train,
     load_predictor,
@@ -154,6 +156,40 @@ def test_knn_view_exact_match_full_mass():
     pred = predictor.predict(dataset[5][0])
     assert pred.class_scores["cat"] == 1.0
     assert pred.viewpoint_scores[5] == 1.0
+
+
+def _loop_scores(predictor, image):
+    """Class and viewpoint scores summed neighbour by neighbour, as the predictor once did."""
+    order, weights = _nearest(predictor, predictor.featurize(image))
+    class_scores = dict.fromkeys(predictor.categories, 0.0)
+    viewpoint_scores = np.zeros(60)
+    total = weights.sum()
+    for idx, w in zip(order, weights):
+        class_scores[predictor.categories[predictor.category_ids[idx]]] += w / total
+        viewpoint_scores[predictor.viewpoints[idx]] += w / total
+    return class_scores, viewpoint_scores
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_knn_view_scores_equal_a_per_neighbour_loop(exact):
+    # rows of constant block sums: the query of zeros is 784 * s / 64 block means from a row of s
+    sums = [37, 91, 5, 240, 13, 77, 1000, 3]
+    features = np.array([np.full(784, s) for s in sums], dtype=np.int16)
+    if exact:
+        features[6] = 0
+    category_ids = np.array([1, 1, 0, 1, 2, 1, 0, 1])  # the neighbours repeat category "b"
+    viewpoints = np.array([7, 7, 3, 7, 59, 0, 7, 7])  # and viewpoint 7
+    predictor = KnnViewPredictor(features, category_ids, viewpoints, ["a", "b", "c"], k=5)
+    image = DepthImage(np.zeros((224, 224), np.uint8))
+    pred = predictor.predict(image)
+    class_scores, viewpoint_scores = _loop_scores(predictor, image)
+    assert list(pred.class_scores) == ["a", "b", "c"]
+    assert [float(pred.class_scores[c]) for c in "abc"] == [float(class_scores[c]) for c in "abc"]
+    assert pred.viewpoint_scores.tolist() == viewpoint_scores.tolist()
+    if exact:
+        assert pred.class_scores == {"a": 1.0, "b": 0.0, "c": 0.0} and pred.viewpoint_scores[7] == 1.0
+    else:
+        assert 0 < pred.class_scores["a"] < pred.class_scores["b"] < 1 and pred.viewpoint_scores[7] < 1
 
 
 def test_knn_view_single_category_dataset():
@@ -413,13 +449,45 @@ def _knn_cases(draw, cls):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_nearest_matches_full_scan_oracle(cls, data):
+    # the tables here are small enough for _nearest's full scan, so the bound stage is tested alone
     table, query, k = data.draw(_knn_cases(cls))
-    order, weights = _nearest(_construct(cls, table, k), query)
+    _assert_full_scan_neighbors(_pruned_nearest(_construct(cls, table, k), query), table, query, k, cls)
+
+
+def _assert_full_scan_neighbors(got, table, query, k, cls):
+    order, weights = got
     want_order, want_weights = _reference_neighbors(
         reference_knn_distances(table / float(cls.BLOCK), query / float(cls.BLOCK)), k
     )
     assert order.tolist() == want_order
     assert np.array_equal(weights, np.ones(1) if want_weights is None else want_weights)
+
+
+@pytest.mark.parametrize("cls", [KnnViewPredictor, KnnEntropyPredictor])
+@pytest.mark.parametrize("above", [False, True])
+def test_nearest_scans_small_tables_in_full(cls, above, monkeypatch):
+    # the largest table at or below the cutoff, or the smallest above it
+    n = _FULL_SCAN_VALUES // cls.WIDTH + above
+    assert (n * cls.WIDTH > _FULL_SCAN_VALUES) == above
+    rng = np.random.default_rng(11)
+    top = cls.MAX_FEATURE
+    table = np.repeat(rng.integers(0, top + 1, cls.WIDTH)[None], n, axis=0)
+    table[:, :32] = np.clip(table[:, :32] + rng.integers(-2, 3, (n, 32)), 0, top)
+    table[n // 2] = table[3]
+    table = table.astype(cls.FEATURE_DTYPE)
+    pruned_calls = []
+
+    def counting(predictor, query):
+        pruned_calls.append(len(predictor.features))
+        return _pruned_nearest(predictor, query)
+
+    monkeypatch.setattr(predict, "_pruned_nearest", counting)
+    queries = [table[5], table[3], np.clip(table[7].astype(np.int64) + 1, 0, top).astype(cls.FEATURE_DTYPE)]
+    for k in (1, 5):
+        predictor = _construct(cls, table, k)
+        for query in queries:
+            _assert_full_scan_neighbors(_nearest(predictor, query), table, query, k, cls)
+    assert pruned_calls == ([n] * 6 if above else [])
 
 
 def test_pooled_tables_are_int32_block_sums():
